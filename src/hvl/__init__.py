@@ -25,6 +25,7 @@ from .fncore import (
     QuadratureConfig,
     QuadratureError,
     RationalDeriv,
+    RepeatedPoleError,
     ResolutionError,
     ScanQualityError,
     SpecFileError,

@@ -12,7 +12,7 @@ Six subcommands over one input convention (a JSON spec file or
 
 Exit codes: 0 success / affirmative verdict; 1 input, parse, or validation
 problems; 2 a well-posed check answered "no" (criterion fails, valence
-exceeds p); 3 numerical trouble (quadrature, scan quality, oracle
+exceeds p); 3 numerical trouble (pole on the radial path, scan quality, oracle
 disagreement, empty sweep); 4 counterexample candidates found by
 ``conjecture``.  ``HVL_THREADS`` caps worker threads (0 or unset = auto);
 results are identical for every thread count.
@@ -512,7 +512,8 @@ def _add_input(sp):
 
 def _add_tol(sp):
     sp.add_argument("--tol", type=float, default=None,
-                    help="quadrature tolerance (abs and rel)")
+                    help="arc-integral tolerance (abs and rel); rational h is "
+                         "evaluated in closed form and does not use it")
 
 
 def build_parser() -> argparse.ArgumentParser:

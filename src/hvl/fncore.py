@@ -5,7 +5,7 @@ The analytic part h comes in two machine forms:
 * ``PolySeries`` -- a finite power series h(z) = z**p + a[p+1] z**(p+1) + ...
   with the leading coefficient normalized to exactly 1.
 * ``RationalDeriv`` -- h given through its derivative h'(z) = P(z)/Q(z) for
-  polynomials P, Q, with h(0) = 0 recovered by integrating h' along the
+  polynomials P, Q, with h(0) = 0; h is the integral of h' along the
   radial segment from the origin.
 
 The co-analytic part is never stored independently: it is tied to h through
@@ -19,9 +19,11 @@ safe to share across threads.
 Rational specs may have poles of h' on the unit circle (the flat-sided
 presets do).  Evaluation requests that land within ``boundary_epsilon`` of
 such a pole at near-boundary radius are pulled back to radius
-1 - boundary_epsilon; see ``clamp_to_interior``.  Radial integrals are done
-by composite Gauss-Legendre quadrature on a mesh geometrically graded toward
-the outer endpoint, refined until successive refinements agree to tolerance.
+1 - boundary_epsilon; see ``clamp_to_interior``.  The radial integrals of
+u**q h'(u) (q = 0 for h, q = m-1 for g) are evaluated in closed form, as a
+polynomial plus sum_k c_k log(1 - z/z_k) over the simple poles z_k of h'.
+Points whose segment [0, z] meets a pole fail with ``QuadratureError``;
+repeated or nearly coincident poles raise ``RepeatedPoleError``.
 """
 
 from __future__ import annotations
@@ -58,8 +60,15 @@ class PoleError(HvlError):
         self.location = location
 
 
+class RepeatedPoleError(PoleError):
+    """h' has repeated or nearly coincident poles, whose partial fractions
+    cancel too strongly for the closed-form h and g."""
+
+
 class QuadratureError(HvlError):
-    """Adaptive integration did not reach tolerance within its depth budget."""
+    """An integral of h' has no reliable value: the radial segment [0, z]
+    meets a pole (``where`` is z, ``worst_estimate`` the jump 2 pi |c_k| of
+    the primitive there), or ``h_prime_arc_integral`` did not converge."""
 
     def __init__(self, message: str, worst_estimate: float | None = None, where=None):
         super().__init__(message)
@@ -101,12 +110,13 @@ class SpecFileError(HvlError, ValueError):
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances for the radial/arc integrals behind rational evaluation.
+    """Numerical settings for rational evaluation.
 
-    ``max_depth`` caps the number of mesh-doubling rounds.  A node-budget
-    guard may stop earlier for integrands that are singular in the middle of
-    the path (poles of h' strictly inside the disk); the failure carries the
-    worst per-point residual estimate.
+    ``boundary_epsilon`` sets the pole clamp of ``clamp_to_interior``, which
+    every rational evaluation of h, g and f applies.  Those evaluations are
+    closed-form, so ``abs_tol`` and ``rel_tol`` govern only
+    ``h_prime_arc_integral``.  ``max_depth`` is unused; it keeps its field and
+    its validation so existing configurations stay valid.
     """
 
     abs_tol: float = 1e-12
@@ -339,123 +349,124 @@ def clamp_to_interior(spec: FunctionSpec, zs, cfg: QuadratureConfig = DEFAULT_QU
 
 
 # ---------------------------------------------------------------------------
-# Quadrature engine
+# Closed-form primitive of a rational h'
+#
+# With residues c_k = (u**q P)(z_k) / Q'(z_k) at the simple poles z_k of Q,
+#
+#     F_q(z) = T(z) + sum_k c_k L_n(z/z_k),  L_n(w) = log(1-w) + sum_{j<=n} w**j/j,
+#
+# where T is the Taylor polynomial of F_q of degree n = deg(u**q P) + 1.  A
+# pole far outside the disk has a huge residue that cancels against the
+# polynomial part; its tail c_k L_n = -c_k sum_{j>n} (z/z_k)**j / j does not.
+# L_n is summed as that series where |w| <= 1/2 (53 terms reach rounding).
 
-_GAUSS_ORDER = 16
-_NODE_BUDGET = 40_000_000  # total integrand evaluations allowed per round
+# Above this relative condition number times eps a pole has fewer than ten
+# correct digits: a double pole gives about 1.5e-8, simple poles 1e-9 apart
+# 1.6e-8, poles 1e-4 apart 7e-12.
+_POLE_COND_LIMIT = 1e-10
+# A pole within _CUT_BAND * |z_k| of the segment [0, z] counts as lying on it:
+# a hundred times the pole error allowed above, so rounding cannot move a
+# pole across the path and add 2 pi i c_k unnoticed.
+_CUT_BAND = 1e-8
+_TAIL_RADIUS, _TAIL_TERMS = 0.5, 53
 
 
 @functools.lru_cache(maxsize=64)
-def _graded_rule(levels: int, m_refine: int):
-    """Gauss-Legendre rule on [0, 1] over panels geometrically graded toward 1.
-
-    Panel breakpoints are 0, 1/2, 3/4, ..., 1 - 2**-levels, 1; each panel is
-    split into ``m_refine`` equal subpanels.  The grading resolves integrands
-    whose only sharp feature sits at the outer endpoint (a pole of h' just
-    beyond the evaluation point) at cost O(levels * m_refine).
-    """
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    breaks = np.array([0.0] + [1.0 - 2.0 ** (-k) for k in range(1, levels + 1)] + [1.0])
-    a, b = breaks[:-1], breaks[1:]
-    frac = np.arange(m_refine) / m_refine
-    lo = (a[:, None] + (b - a)[:, None] * frac).ravel()
-    hi = (a[:, None] + (b - a)[:, None] * (frac + 1.0 / m_refine)).ravel()
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    nodes = (mid[:, None] + half[:, None] * x).ravel()
-    weights = (half[:, None] * w).ravel()
-    return _frozen(nodes), _frozen(weights)
-
-
-def _levels_for(cfg: QuadratureConfig) -> int:
-    return max(24, int(np.ceil(-np.log2(cfg.boundary_epsilon))) + 6)
-
-
-def _h_prime_raw(spec: RationalDeriv, pts: np.ndarray) -> np.ndarray:
+def _primitive_tables(spec: RationalDeriv, q: int):
+    """(T, poles z_k, residues c_k, n) for F_q; see the formula above."""
     numer, denom, _, _ = _rational_tables(spec)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return npoly.polyval(pts, numer) / npoly.polyval(pts, denom)
+    num = np.concatenate([np.zeros(q, dtype=complex), numer])
+    poles = denominator_roots(spec.denom)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dq = npoly.polyval(poles, npoly.polyder(denom))
+        cond = (np.finfo(float).eps * npoly.polyval(np.abs(poles), np.abs(denom))
+                / (np.abs(poles) * np.abs(dq)))
+    bad = ~(cond <= _POLE_COND_LIMIT)
+    if np.any(bad):
+        loc = complex(poles[bad][0])
+        raise RepeatedPoleError(
+            f"h' has repeated or nearly coincident poles near z = {loc:.6g}; "
+            "their partial fractions cancel too strongly to evaluate h and g",
+            location=loc,
+        )
+    n = num.size
+    t = np.zeros(n, dtype=complex)  # Taylor coefficients of u**q h'(u)
+    for j in range(n):
+        k = min(j, denom.size - 1)
+        t[j] = (num[j] - denom[1:k + 1] @ t[j - k:j][::-1]) / denom[0]
+    taylor = np.concatenate([[0.0], t / np.arange(1, n + 1)])
+    return _frozen(taylor), poles, _frozen(npoly.polyval(poles, num) / dq), n
 
 
-def _radial_integrals(spec: RationalDeriv, zs: np.ndarray, s_powers, cfg: QuadratureConfig):
-    """For each z, integrals of s**q * h'(s z) over s in [0, 1], all q at once.
+def _log_tails(zeta: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
+    """L_n(zeta) elementwise, given logs = log(1 - zeta)."""
+    out = logs + npoly.polyval(zeta, np.concatenate([[0.0], 1.0 / np.arange(1, n + 1)]))
+    small = np.abs(zeta) <= _TAIL_RADIUS
+    if np.any(small):
+        w = zeta[small]
+        acc = np.zeros_like(w)
+        for j in range(n + _TAIL_TERMS, n, -1):
+            acc = acc * w + 1.0 / j
+        out[small] = -acc * w ** (n + 1)
+    return out
 
-    Returns ``(vals, fail_idx, fail_est)`` where vals has shape
-    (len(s_powers), len(zs)) and the failure arrays list points whose
-    refinement never converged, with their last residual estimates.
+
+def _rational_primitive(spec: RationalDeriv, zs: np.ndarray, qs, cfg: QuadratureConfig,
+                        on_failure: str):
+    """F_q(z) = integral of u**q h'(u) along [0, z] for each q, after clamping.
+
+    Returns ``(values, failed)``: one array per q shaped like zs (NaN where
+    failed) and the mask of points whose segment meets a pole.  Raises
+    ``QuadratureError`` on such points unless ``on_failure == "mask"``.
     """
-    zs = np.asarray(zs, dtype=complex).ravel()
-    levels = _levels_for(cfg)
-    rounds = min(cfg.max_depth, 12)
-    nq = len(s_powers)
-    out = np.zeros((nq, zs.size), dtype=complex)
-    last_est = np.full(zs.size, np.inf)
-    active = np.arange(zs.size)
-    prev = None
-    m_refine = 1
-    for _ in range(rounds + 1):
-        nodes, weights = _graded_rule(levels, m_refine)
-        if nodes.size * max(active.size, 1) > _NODE_BUDGET:
-            break
-        hp = _h_prime_raw(spec, nodes[:, None] * zs[active][None, :])
-        cur = np.empty((nq, active.size), dtype=complex)
-        for i, q in enumerate(s_powers):
-            wq = weights if q == 0 else weights * nodes ** q
-            cur[i] = wq @ hp
-        if prev is not None:
-            delta = np.max(np.abs(cur - prev), axis=0)
-            tol = np.maximum(cfg.abs_tol, cfg.rel_tol * np.max(np.abs(cur), axis=0))
-            done = np.isfinite(delta) & (delta <= tol)
-            out[:, active[done]] = cur[:, done]
-            last_est[active[done]] = delta[done]
-            if np.all(done):
-                return out, np.zeros(0, dtype=int), np.zeros(0)
-            keep = ~done
-            last_est[active[keep]] = np.where(
-                np.isfinite(delta[keep]), delta[keep], np.inf
-            )
-            active = active[keep]
-            prev = cur[:, keep]
-        else:
-            prev = cur
-        m_refine *= 2
-    out[:, active] = prev if prev is not None else 0.0
-    return out, active, last_est[active]
+    zeff, _ = clamp_to_interior(spec, zs, cfg)
+    flat = zeff.ravel()
+    tables = [_primitive_tables(spec, q) for q in qs]
+    zeta = flat[:, None] / tables[0][1]
+    on_cut = (zeta.real >= 1.0 - _CUT_BAND) & (np.abs(zeta.imag) <= _CUT_BAND * np.abs(zeta))
+    failed = np.any(on_cut, axis=1)
+    vals = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logs = np.log1p(-zeta)
+        for taylor, _, residues, n in tables:
+            v = npoly.polyval(flat, taylor) + _log_tails(zeta, logs, n) @ residues
+            v[failed] = np.nan
+            vals.append(v.reshape(zs.shape))
+    if np.any(failed) and on_failure == "raise":
+        hit = np.any(on_cut, axis=0)
+        jump = 2.0 * np.pi * max(np.max(np.abs(t[2][hit])) for t in tables)
+        raise QuadratureError(
+            f"the radial segment passes through a pole of h' at {np.count_nonzero(failed)} "
+            f"point(s); the primitive jumps by {jump:.3g} across it",
+            worst_estimate=float(jump) if jump > 0 else np.inf,
+            where=complex(flat[np.argmax(failed)]),
+        )
+    return vals, failed.reshape(zs.shape)
 
 
-def _raise_quadrature(fail_idx, fail_est, zs):
-    worst = int(np.argmax(fail_est))
-    raise QuadratureError(
-        f"radial quadrature failed to converge at {fail_idx.size} point(s); "
-        f"worst residual estimate {fail_est[worst]:.3g}",
-        worst_estimate=float(fail_est[worst]),
-        where=complex(np.asarray(zs).ravel()[fail_idx[worst]]),
-    )
+_GAUSS_ORDER = 16
 
 
 def h_prime_arc_integral(spec: FunctionSpec, r: float, t0: float, t1: float,
                          cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
     """Integral of h' along the arc z = r e^{i t}, t from t0 to t1.
 
-    Used together with radial evaluation to check path independence of the
-    primitive; uniform panel doubling since arcs carry no endpoint grading.
+    Gauss-Legendre quadrature with uniform panel doubling, independent of the
+    closed-form radial primitive; used to check path independence.
     """
     if not 0.0 < r <= 1.0:
         raise DomainError("arc radius must lie in (0, 1]")
     x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
     prev = None
     panels = 8
-    for _ in range(min(cfg.max_depth, 16)):
+    for _ in range(16):
         edges = np.linspace(t0, t1, panels + 1)
         mid = 0.5 * (edges[:-1] + edges[1:])
         half = 0.5 * (edges[1:] - edges[:-1])
         ts = (mid[:, None] + half[:, None] * x).ravel()
         ws = (half[:, None] * w).ravel()
         zs = r * np.exp(1j * ts)
-        if isinstance(spec, RationalDeriv):
-            hp = _h_prime_raw(spec, zs)
-        else:
-            _, d1, _ = _series_tables(spec)
-            hp = zs ** (spec.p - 1) * npoly.polyval(zs, d1)
+        hp = eval_h_prime_many(spec, zs, on_pole="nan")
         cur = complex(np.sum(ws * hp * 1j * zs))
         if prev is not None:
             err = abs(cur - prev)
@@ -474,10 +485,10 @@ def eval_h_many(spec: FunctionSpec, zs, cfg: QuadratureConfig = DEFAULT_QUAD,
                 on_failure: str = "raise"):
     """h at an array of points inside the closed disk.
 
-    Rational specs integrate h' radially from the origin (clamping near
+    Rational specs use the closed-form radial primitive (clamping near
     boundary poles, silently; use ``clamp_to_interior`` for the flags).
     With ``on_failure="mask"`` returns (values, failed_mask) instead of
-    raising on quadrature failure.
+    raising when the radial segment meets a pole.
     """
     arr, scalar = _prepare(zs)
     _check_disk(arr)
@@ -486,15 +497,7 @@ def eval_h_many(spec: FunctionSpec, zs, cfg: QuadratureConfig = DEFAULT_QUAD,
         vals = arr ** spec.p * npoly.polyval(arr, a)
         failed = np.zeros(arr.shape, dtype=bool)
     else:
-        zeff, _ = clamp_to_interior(spec, arr, cfg)
-        flat = zeff.ravel()
-        ints, fail_idx, fail_est = _radial_integrals(spec, flat, (0,), cfg)
-        if fail_idx.size and on_failure == "raise":
-            _raise_quadrature(fail_idx, fail_est, flat)
-        vals = (flat * ints[0]).reshape(arr.shape)
-        failed = np.zeros(flat.size, dtype=bool)
-        failed[fail_idx] = True
-        failed = failed.reshape(arr.shape)
+        (vals,), failed = _rational_primitive(spec, arr, (0,), cfg, on_failure)
     if on_failure == "mask":
         return vals, failed
     return vals[0] if scalar else vals
@@ -517,7 +520,9 @@ def eval_h_prime_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
         _, d1, _ = _series_tables(spec)
         vals = arr ** (spec.p - 1) * npoly.polyval(arr, d1)
     else:
-        vals = _h_prime_raw(spec, arr)
+        numer, denom, _, _ = _rational_tables(spec)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            vals = npoly.polyval(arr, numer) / npoly.polyval(arr, denom)
         bad = ~np.isfinite(vals)
         if np.any(bad):
             if on_pole == "raise":
@@ -604,7 +609,8 @@ def eval_g_prime(map_spec: HarmonicMapSpec, z: complex) -> complex:
 
 def eval_g_many(map_spec: HarmonicMapSpec, zs, cfg: QuadratureConfig = DEFAULT_QUAD,
                 on_failure: str = "raise"):
-    """g at an array of points; series form when available, else integration."""
+    """g at an array of points; series form when available, else the closed-form
+    primitive of z**(m-1) h'."""
     arr, scalar = _prepare(zs)
     _check_disk(arr)
     if map_spec.g_coeffs is not None:
@@ -612,15 +618,8 @@ def eval_g_many(map_spec: HarmonicMapSpec, zs, cfg: QuadratureConfig = DEFAULT_Q
         vals = arr ** (map_spec.p + map_spec.m - 1) * npoly.polyval(arr, gc)
         failed = np.zeros(arr.shape, dtype=bool)
     else:
-        zeff, _ = clamp_to_interior(map_spec.h, arr, cfg)
-        flat = zeff.ravel()
-        ints, fail_idx, fail_est = _radial_integrals(map_spec.h, flat, (map_spec.m - 1,), cfg)
-        if fail_idx.size and on_failure == "raise":
-            _raise_quadrature(fail_idx, fail_est, flat)
-        vals = (flat ** map_spec.m * ints[0]).reshape(arr.shape)
-        failed = np.zeros(flat.size, dtype=bool)
-        failed[fail_idx] = True
-        failed = failed.reshape(arr.shape)
+        (vals,), failed = _rational_primitive(map_spec.h, arr, (map_spec.m - 1,), cfg,
+                                              on_failure)
     if on_failure == "mask":
         return vals, failed
     return vals[0] if scalar else vals
@@ -634,7 +633,7 @@ def eval_f_many(map_spec: HarmonicMapSpec, zs, cfg: QuadratureConfig = DEFAULT_Q
                 on_failure: str = "raise"):
     """f = h + conj(g) at an array of points.
 
-    For rational h both radial integrals share one set of h' evaluations.
+    For rational h both primitives share one set of logarithms.
     """
     arr, scalar = _prepare(zs)
     _check_disk(arr)
@@ -644,17 +643,10 @@ def eval_f_many(map_spec: HarmonicMapSpec, zs, cfg: QuadratureConfig = DEFAULT_Q
         vals = h_vals + np.conj(g_vals)
         failed = np.zeros(arr.shape, dtype=bool)
     else:
-        zeff, _ = clamp_to_interior(map_spec.h, arr, cfg)
-        flat = zeff.ravel()
-        ints, fail_idx, fail_est = _radial_integrals(
-            map_spec.h, flat, (0, map_spec.m - 1), cfg
+        (h_vals, g_vals), failed = _rational_primitive(
+            map_spec.h, arr, (0, map_spec.m - 1), cfg, on_failure
         )
-        if fail_idx.size and on_failure == "raise":
-            _raise_quadrature(fail_idx, fail_est, flat)
-        vals = (flat * ints[0] + np.conj(flat ** map_spec.m * ints[1])).reshape(arr.shape)
-        failed = np.zeros(flat.size, dtype=bool)
-        failed[fail_idx] = True
-        failed = failed.reshape(arr.shape)
+        vals = h_vals + np.conj(g_vals)
     if on_failure == "mask":
         return vals, failed
     return vals[0] if scalar else vals

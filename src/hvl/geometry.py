@@ -142,8 +142,9 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096,
 
     Requires n >= 256 so downstream winding estimates have headroom; points
     within ``cfg.boundary_epsilon`` of a pole of a rational h' are flagged in
-    ``clamped`` and evaluated at the pulled-in radius.  Quadrature failures
-    abort with a ``QuadratureError`` naming the first bad angles.
+    ``clamped`` and evaluated at the pulled-in radius.  Angles whose radial
+    segment meets a pole of h' abort with a ``QuadratureError`` naming the
+    first of them.
     """
     if n < 256:
         raise ParameterError("trace needs at least 256 samples")
@@ -156,7 +157,7 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096,
     if np.any(failed):
         bad_t = t[failed][:4]
         raise QuadratureError(
-            "trace evaluation failed to converge at t = "
+            "trace evaluation failed (radial segment meets a pole of h') at t = "
             + ", ".join(f"{tv:.6g}" for tv in bad_t)
             + (" ..." if np.count_nonzero(failed) > 4 else ""),
             worst_estimate=math.inf,
@@ -171,8 +172,6 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096,
             acc = np.where(clamped, np.nan + 0j, acc)
     trace = CurveTrace(map=map_spec, radius=r, t=t, points=vals,
                        clamped=clamped, velocity=vel, acceleration=acc, quad=cfg)
-    for tv, pv in zip(t, vals):
-        trace._cache[float(tv)] = complex(pv)
     return trace
 
 

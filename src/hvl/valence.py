@@ -248,7 +248,6 @@ def _halton_starts(n: int) -> np.ndarray:
         i = int(batch[-1]) + 1
         uv = []
         for base in (2, 3):
-            k = batch.astype(float)
             idx = batch.copy()
             val = np.zeros(batch.size)
             denom = np.ones(batch.size)

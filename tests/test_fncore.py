@@ -10,12 +10,15 @@ from hvl import (
     PolySeries,
     QuadratureConfig,
     QuadratureError,
+    PoleError,
     RationalDeriv,
+    RepeatedPoleError,
     clamp_to_interior,
     derive_g,
     eval_f,
     eval_f_many,
     eval_g,
+    eval_g_many,
     eval_g_prime,
     eval_h,
     eval_h_many,
@@ -179,7 +182,7 @@ def test_leading_behavior_at_origin():
 
     For the series member the next term is (c/4) z, subtracted exactly; the
     star's expansion h = z^2 (1 - (2/7) z^5 + ...) has no correction worth
-    resolving at these radii, only quadrature error.
+    resolving at these radii, only the rounding of the partial fractions.
     """
     series = presets.example2().h
     rational = presets.star().h
@@ -206,7 +209,7 @@ def test_scalar_and_vector_paths_agree():
 
 def test_rational_matches_equivalent_series():
     """A polynomial h' fed through the rational path must agree with the
-    series path to quadrature tolerance."""
+    series path to rounding."""
     series = PolySeries(1, (1 + 0j, 0 + 0j, 0.3 + 0j))  # h = z + 0.3 z^3
     rational = RationalDeriv(1, (1, 0, 0.9), (1,))  # h' = 1 + 0.9 z^2
     rng = np.random.default_rng(23)
@@ -227,14 +230,110 @@ def test_rational_log_closed_form():
 
 
 def test_path_independence_radial_vs_arc():
-    """eval_h integrates radially; moving along an arc instead must land on
-    the same primitive values."""
+    """eval_h is the closed-form radial primitive; integrating h' along an arc
+    by quadrature instead must land on the same primitive values."""
     spec = RationalDeriv(1, (1,), (1, -0.5))
     r, t0, t1 = 0.8, -1.1, 2.3
     arc = h_prime_arc_integral(spec, r, t0, t1)
     z0, z1 = r * np.exp(1j * t0), r * np.exp(1j * t1)
     diff = eval_h(spec, z1) - eval_h(spec, z0)
     assert abs(arc - diff) < 1e-12
+
+
+def _random_rational_maps(seed, count):
+    """h' = p z^(p-1) (1 + a z) / (1 + c z^5) with poles at modulus 1.05-1.5."""
+    rng = np.random.default_rng(seed)
+    maps = []
+    for _ in range(count):
+        rho = rng.uniform(1.05, 1.5)
+        c = rho ** -5 * np.exp(1j * rng.uniform(-np.pi, np.pi))
+        p = int(rng.integers(1, 4))
+        m = int(rng.integers(2, 5))
+        numer = (0j,) * (p - 1) + (complex(p), complex(*rng.normal(size=2)))
+        maps.append(derive_g(RationalDeriv(p, numer, (1, 0, 0, 0, 0, c)), m))
+    return maps
+
+
+def test_closed_form_matches_quadrature_oracle():
+    """h, g and f of rational maps against adaptive radial quadrature."""
+    maps = [presets.star(), presets.octagon(), presets.flat_sided(3, 2)]
+    maps += _random_rational_maps(37, 3)
+    rng = np.random.default_rng(41)
+    for spec in maps:
+        numer, denom = spec.h.numer, spec.h.denom
+        for r in (0.5, 0.999, 1.0 - 1e-6):
+            zs = r * np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
+            assert not clamp_to_interior(spec.h, zs)[1].any()
+            want_h = oracles.rational_primitive(numer, denom, zs, 0)
+            want_g = oracles.rational_primitive(numer, denom, zs, spec.m - 1)
+            assert np.max(np.abs(eval_h_many(spec.h, zs) - want_h)) < 1e-8
+            assert np.max(np.abs(eval_g_many(spec, zs) - want_g)) < 1e-8
+            assert np.max(np.abs(eval_f_many(spec, zs) - (want_h + np.conj(want_g)))) < 1e-8
+
+
+def test_far_poles_match_quadrature_oracle():
+    """Poles far outside the disk have huge residues that cancel against the
+    polynomial part; h and g must still match the quadrature oracle."""
+    far = np.polynomial.polynomial.polyfromroots([-100.0, 130 + 400j, 750 - 20j])
+    maps = [
+        derive_g(RationalDeriv(2, (0, 2, 0.3), (1, 0.01)), 7),  # one pole at -100
+        derive_g(RationalDeriv(1, (1, 0.5, -0.2), tuple(far / far[0])), 4),
+        derive_g(RationalDeriv(2, (0, 2), (1, 0, 0, 0, 0, 1e-5)), 5),  # poles at modulus 10
+    ]
+    rng = np.random.default_rng(43)
+    for spec in maps:
+        numer, denom = spec.h.numer, spec.h.denom
+        for r in (1e-3, 0.5, 1.0):
+            zs = r * np.exp(1j * rng.uniform(-np.pi, np.pi, 16))
+            want_h = oracles.rational_primitive(numer, denom, zs, 0)
+            want_g = oracles.rational_primitive(numer, denom, zs, spec.m - 1)
+            assert np.max(np.abs(eval_h_many(spec.h, zs) - want_h)) < 1e-10 * max(r, 1e-2)
+            assert np.max(np.abs(eval_g_many(spec, zs) - want_g)) < 1e-10 * max(r, 1e-2)
+
+
+def test_repeated_poles_raise():
+    """Double or nearly double poles make the residues cancel; evaluation
+    must refuse with a named error instead of returning a wrong value."""
+    double = derive_g(RationalDeriv(1, (1,), (1, -1, 0.25)), 2)  # (1 - z/2)^2
+    a, b = 1.3, 1.3 + 1e-9
+    close = derive_g(RationalDeriv(1, (1,), (1, -(1 / a + 1 / b), 1 / (a * b))), 3)
+    for spec, pole in ((double, 2.0), (close, a)):
+        with pytest.raises(RepeatedPoleError) as info:
+            eval_h_many(spec.h, np.array([0.3, 0.5j]))
+        assert isinstance(info.value, PoleError)
+        assert abs(info.value.location - pole) < 1e-6
+        with pytest.raises(RepeatedPoleError):
+            eval_f_many(spec, np.array([0.3]), on_failure="mask")
+        with pytest.raises(RepeatedPoleError):
+            eval_g(spec, 0.3)
+
+
+def test_radius_passing_near_interior_pole_matches_oracle():
+    """A radial segment that misses an interior pole evaluates on the side of
+    the pole it actually passes, and matches the quadrature oracle."""
+    spec = derive_g(RationalDeriv(1, (1,), (1, -2)), 2)  # pole at z = 0.5
+    zs = 0.7 * np.exp(1j * np.array([0.01, -0.01, 0.002, -0.002]))
+    vals, failed = eval_h_many(spec.h, zs, on_failure="mask")
+    assert not failed.any()
+    want = oracles.rational_primitive(spec.h.numer, spec.h.denom, zs, 0)
+    assert np.max(np.abs(vals - want)) < 1e-8
+    # the primitive jumps by about 2 pi |c_k| = pi between the two sides
+    assert abs(vals[0] - vals[1] - np.pi * 1j) < 0.05
+    want_g = oracles.rational_primitive(spec.h.numer, spec.h.denom, zs, 1)
+    assert np.max(np.abs(eval_g_many(spec, zs) - want_g)) < 1e-8
+
+
+def test_pole_within_cut_band_fails():
+    """A segment within rounding of an interior pole has no reliable side;
+    it fails like a segment through the pole."""
+    spec = RationalDeriv(1, (1,), (1, -2))  # pole at z = 0.5
+    z = 0.7 * np.exp(1e-12j)
+    with pytest.raises(QuadratureError) as info:
+        eval_h(spec, z)
+    assert info.value.worst_estimate == pytest.approx(np.pi)
+    assert info.value.where == z
+    _, failed = eval_h_many(spec, np.array([z, 0.5 + 0j, 0.3 + 0j]), on_failure="mask")
+    assert failed.tolist() == [True, True, False]
 
 
 def test_arc_integral_rejects_bad_radius():
