@@ -4,7 +4,9 @@
 Two independent routes are compared at a few probe points: the winding
 number of the image of |z| = 0.999 (argument principle) and the number of
 Newton preimages strictly inside that circle.  A full probe-grid scan then
-reports the maximum winding seen anywhere.
+reports the maximum winding seen anywhere.  A probe whose winding cannot be
+trusted (too close to the curve, or the trace too coarse there) is reported
+as skipped, as the ``oracle`` subcommand does.
 
 Usage:
     python3 valence_probe.py
@@ -12,7 +14,14 @@ Usage:
 
 import numpy as np
 
-from hvl import cross_check, presets, trace_circle, valence_scan
+from hvl import (
+    IndeterminateProbeError,
+    ResolutionError,
+    cross_check,
+    presets,
+    trace_circle,
+    valence_scan,
+)
 
 
 def main():
@@ -35,7 +44,11 @@ def main():
             if np.min(np.abs(trace.points - w)) > 0.01:
                 exemplars.append(w)
         for w in exemplars:
-            verdict, details = cross_check(spec, w, r=0.999, trace=trace)
+            try:
+                verdict, details = cross_check(spec, w, r=0.999, trace=trace)
+            except (IndeterminateProbeError, ResolutionError) as exc:
+                print(f"  w = {w:+.3f}: skipped, indeterminate ({exc})")
+                continue
             print(f"  w = {w:+.3f}: winding {details['winding']}, "
                   f"preimages {details['preimages_inside']} -> {verdict.value}")
         print()

@@ -14,8 +14,9 @@ Exit codes: 0 success / affirmative verdict; 1 input, parse, or validation
 problems; 2 a well-posed check answered "no" (criterion fails, valence
 exceeds p); 3 numerical trouble (pole on the radial path, scan quality, oracle
 disagreement, empty sweep); 4 counterexample candidates found by
-``conjecture``.  ``HVL_THREADS`` caps worker threads (0 or unset = auto);
-results are identical for every thread count.
+``conjecture``.  ``HVL_THREADS`` sets how many threads run the blocks of
+``conjecture`` trials (0 or unset = auto); results are identical for every
+thread count.
 
 Spec files carry ``schema_version`` "1" and one of three kinds::
 
@@ -35,6 +36,7 @@ import json
 import math
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +65,7 @@ from .fncore import (
 from .geometry import trace_circle
 from .presets import PRESETS
 from .render import RenderOptions, render_scene
-from .valence import CrossCheck, cross_check, valence_scan, winding_number
+from .valence import CrossCheck, cross_check, valence_scan
 
 SCHEMA_VERSION = "1"
 
@@ -311,7 +313,6 @@ def cmd_valence(args) -> int:
     report = valence_scan(
         map_spec, r=args.radius, grid=_grid_pair(args.grid),
         cfg=_quad_from(args), n_samples=args.samples or 4096,
-        workers=resolve_workers(),
     )
     doc = {"schema_version": SCHEMA_VERSION, "command": "valence",
            **report.to_dict()}
@@ -336,12 +337,11 @@ def cmd_oracle(args) -> int:
         w = complex(rng.uniform(re.min() - pad_x, re.max() + pad_x),
                     rng.uniform(im.min() - pad_y, im.max() + pad_y))
         try:
-            winding_number(trace, w)
+            verdict, details = cross_check(map_spec, w, r=args.radius, cfg=quad,
+                                           trace=trace)
         except (IndeterminateProbeError, ResolutionError):
             n_skipped += 1
             continue
-        verdict, details = cross_check(map_spec, w, r=args.radius, cfg=quad,
-                                       trace=trace)
         rows.append({
             "w": [w.real, w.imag],
             "verdict": verdict.value,
@@ -404,6 +404,37 @@ class SweepConfig:
             raise ParameterError("margin_requirement must be nonnegative")
 
 
+_SWEEP_BLOCK = 16  # trials per thread task; results never depend on workers
+
+
+def _sweep_trial(config: SweepConfig, quad: QuadratureConfig, trial: int,
+                 spec: PolySeries) -> dict:
+    """Margin test, and a valence scan when kept, for one sweep trial."""
+    try:
+        margin = check_monotonicity_margin(spec, config.m)
+    except PoleError:
+        margin = None
+    kept = margin is not None and margin > config.margin_requirement
+    row = {
+        "trial": trial,
+        "coeffs": [[c.real, c.imag] for c in spec.coeffs],
+        "margin": margin,
+        "kept": kept,
+        "max_valence": None,
+        "consistent_with_p": None,
+        "candidate": False,
+    }
+    if kept:
+        report = valence_scan(
+            derive_g(spec, config.m), r=config.radius, grid=config.grid,
+            cfg=quad, n_samples=2048,
+        )
+        row["max_valence"] = report.max_valence
+        row["consistent_with_p"] = report.consistent_with_p
+        row["candidate"] = report.max_valence > config.p
+    return row
+
+
 def run_sweep(config: SweepConfig, workers: int = 1,
               quad: QuadratureConfig = DEFAULT_QUAD) -> dict:
     """Draw random h, keep those passing the margin test, scan their valence.
@@ -414,46 +445,36 @@ def run_sweep(config: SweepConfig, workers: int = 1,
     scaled by coefficient_scale / n: the margin condition acts on h', whose
     z**(n-1) coefficient is n a_n, so this puts every derivative coefficient
     on the coefficient_scale level regardless of degree.
+
+    Every trial's coefficients are drawn first; the trials then run in
+    fixed blocks of ``_SWEEP_BLOCK`` on ``workers`` threads and are
+    reassembled in trial order, so the report is the same for any
+    ``workers`` count.
     """
     rng = np.random.default_rng(config.seed)
     n_free = config.max_degree - config.p  # coefficients above z**p
-    samples = []
-    candidates = []
-    n_kept = 0
-    for trial in range(config.trials):
+    specs = []
+    for _ in range(config.trials):
         block = rng.standard_normal(2 * n_free) if n_free else np.zeros(0)
-        coeffs = (1 + 0j,) + tuple(
+        specs.append(PolySeries(config.p, (1 + 0j,) + tuple(
             config.coefficient_scale * complex(block[2 * i], block[2 * i + 1])
             / (math.sqrt(2.0) * (config.p + 1 + i))
             for i in range(n_free)
-        )
-        spec = PolySeries(config.p, coeffs)
-        try:
-            margin = check_monotonicity_margin(spec, config.m)
-        except PoleError:
-            margin = None
-        kept = margin is not None and margin > config.margin_requirement
-        row = {
-            "trial": trial,
-            "coeffs": [[c.real, c.imag] for c in coeffs],
-            "margin": margin,
-            "kept": kept,
-            "max_valence": None,
-            "consistent_with_p": None,
-            "candidate": False,
-        }
-        if kept:
-            n_kept += 1
-            report = valence_scan(
-                derive_g(spec, config.m), r=config.radius, grid=config.grid,
-                cfg=quad, n_samples=2048, workers=workers,
-            )
-            row["max_valence"] = report.max_valence
-            row["consistent_with_p"] = report.consistent_with_p
-            if report.max_valence > config.p:
-                row["candidate"] = True
-                candidates.append(trial)
-        samples.append(row)
+        )))
+
+    def run_block(start: int) -> list[dict]:
+        return [_sweep_trial(config, quad, trial, specs[trial])
+                for trial in range(start, min(start + _SWEEP_BLOCK, len(specs)))]
+
+    starts = range(0, len(specs), _SWEEP_BLOCK)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(run_block, starts))
+    else:
+        blocks = [run_block(start) for start in starts]
+    samples = [row for block in blocks for row in block]
+    n_kept = sum(row["kept"] for row in samples)
+    candidates = [row["trial"] for row in samples if row["candidate"]]
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "conjecture",

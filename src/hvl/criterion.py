@@ -317,9 +317,10 @@ def check_monotonicity_margin(spec: FunctionSpec, m: int,
         if 1e-9 < r0 < 1.0 - 1e-9:
             radii.extend([min(r0 * (1 + 1e-3), 1.0 - 1e-9), r0 * (1 - 1e-3)])
     t = np.linspace(-math.pi, math.pi, cfg.grid_size, endpoint=False)
+    unit = np.exp(1j * t)
     worst = math.inf
     for r in radii:
-        z = r * np.exp(1j * t)
+        z = r * unit
         hp = eval_h_prime_many(spec, z, on_pole="raise")
         hpp = eval_h_second_many(spec, z, on_pole="raise")
         with np.errstate(divide="ignore", invalid="ignore"):

@@ -9,15 +9,18 @@ the open disk.
 
 ``winding_number`` sums angle increments along a ``CurveTrace``, refining
 any step that turns by pi/2 or more via on-demand midpoint evaluation;
-``valence_scan`` sweeps a padded bounding-box grid of probes;
-``newton_preimages`` solves f(z) = w directly with a damped Newton method
-for harmonic maps; ``cross_check`` plays the two routes against each other.
+``valence_scan`` fills a padded bounding-box grid of probes by scanlines,
+counting the signed crossings of the trace with each probe row (the
+nonzero rule of Hormann & Agathos, "The point in polygon problem for
+arbitrary polygons", Comput. Geom. 20, 2001) and sending only the probes
+near a coarse step to ``winding_number``; ``newton_preimages`` solves
+f(z) = w directly with a damped Newton method for harmonic maps;
+``cross_check`` plays the two routes against each other.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 
@@ -38,7 +41,6 @@ from .fncore import (
 from .geometry import CurveTrace, trace_circle
 
 _TWO_PI = 2.0 * math.pi
-_SCAN_CHUNK = 256  # fixed so results never depend on the worker count
 
 
 @dataclass(frozen=True)
@@ -142,28 +144,107 @@ class ValenceReport:
         }
 
 
-def _scan_chunk(trace: CurveTrace, probes: np.ndarray, clearance: float):
-    """Winding numbers for one probe chunk; -1 marks indeterminate probes."""
-    d = trace.points[:, None] - probes[None, :]
-    mind = np.abs(d).min(axis=0)
-    res = np.full(probes.size, -2, dtype=int)  # -2: needs scalar fallback
-    ok = mind > clearance
-    res[~ok] = -1
-    if np.any(ok):
-        dk = d[:, ok]
-        inc = np.angle(np.roll(dk, -1, axis=0) * np.conj(dk))
-        clean = np.max(np.abs(inc), axis=0) < math.pi / 2
-        sums = inc.sum(axis=0) / _TWO_PI
-        near_int = np.abs(sums - np.round(sums)) < 0.05
-        vals = np.round(sums).astype(int)
-        vals = np.where(clean & near_int & (vals >= 0), vals, -2)
-        res[ok] = vals
-    for j in np.flatnonzero(res == -2):
+def _probe_grid(points: np.ndarray, gx: int, gy: int):
+    """Probe abscissae and ordinates: the bounding box of ``points`` padded
+    by 10 percent, sampled uniformly."""
+    re, im = points.real, points.imag
+    wx, wy = float(np.ptp(re)), float(np.ptp(im))
+    pad_x = 0.1 * wx if wx > 0 else max(0.1 * wy, 1e-3)
+    pad_y = 0.1 * wy if wy > 0 else max(0.1 * wx, 1e-3)
+    return (np.linspace(re.min() - pad_x, re.max() + pad_x, gx),
+            np.linspace(im.min() - pad_y, im.max() + pad_y, gy))
+
+
+def _bins(lo, hi, v: np.ndarray):
+    """First index and count of the grid values ``v`` that may lie in [lo, hi].
+
+    ``v`` is uniform; the range is padded by one cell on each side, so
+    rounding in the binning never drops a value that lies in the interval.
+    """
+    step = (v[-1] - v[0]) / (v.size - 1)
+    i0 = np.clip(np.floor((lo - v[0]) / step) - 1, 0, v.size).astype(np.intp)
+    i1 = np.clip(np.floor((hi - v[0]) / step) + 1, -1, v.size - 1).astype(np.intp)
+    return i0, np.maximum(i1 - i0 + 1, 0)
+
+
+def _expand(counts: np.ndarray):
+    """Item index and offset within the item for each of ``counts[k]`` slots."""
+    item = np.repeat(np.arange(counts.size), counts)
+    start = np.cumsum(counts) - counts
+    return item, np.arange(item.size) - start[item]
+
+
+def _box_pairs(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, ys: np.ndarray):
+    """(item, flat probe index) pairs for every probe that may lie in an
+    item's box [lo, hi] (corners as complex numbers) on the grid xs x ys."""
+    x0, nx = _bins(lo.real, hi.real, xs)
+    y0, ny = _bins(lo.imag, hi.imag, ys)
+    item, off = _expand(nx * ny)
+    col = x0[item] + off % nx[item]
+    row = y0[item] + off // nx[item]
+    return item, row * xs.size + col
+
+
+def _crossing_windings(p0: np.ndarray, p1: np.ndarray, xs: np.ndarray,
+                       ys: np.ndarray) -> np.ndarray:
+    """Nonzero-rule winding of the closed polyline at every grid probe.
+
+    Segment p0[k] -> p1[k] crosses row y upward when y0 <= y < y1 and
+    downward when y1 <= y < y0 (half-open, so a vertex on a row counts
+    once).  A probe's winding is the signed count of crossings strictly to
+    its right on its row, read off as a suffix sum over the columns.
+    """
+    gx, gy = xs.size, ys.size
+    y0, y1 = p0.imag, p1.imag
+    first, nrows = _bins(np.minimum(y0, y1), np.maximum(y0, y1), ys)
+    seg, off = _expand(nrows)
+    row = first[seg] + off
+    yr = ys[row]
+    a, b = y0[seg], y1[seg]
+    up = (a <= yr) & (yr < b)
+    keep = up | ((b <= yr) & (yr < a))
+    seg, row, yr, a, b, up = seg[keep], row[keep], yr[keep], a[keep], b[keep], up[keep]
+    xa, xb = p0.real[seg], p1.real[seg]
+    xc = xa + (yr - a) * (xb - xa) / (b - a)
+    col = np.searchsorted(xs, xc, side="left")  # probes xs[i] < xc are i < col
+    acc = np.bincount(row * (gx + 1) + col, weights=np.where(up, 1.0, -1.0),
+                      minlength=gy * (gx + 1)).reshape(gy, gx + 1)
+    suffix = np.cumsum(acc[:, ::-1], axis=1)[:, ::-1]
+    return np.rint(suffix[:, 1:]).astype(int).ravel()
+
+
+def _scan_windings(trace: CurveTrace, xs: np.ndarray, ys: np.ndarray,
+                   probes: np.ndarray, clearance: float) -> np.ndarray:
+    """Winding numbers at the grid ``probes`` = xs x ys (row-major); -1
+    marks indeterminate probes.
+
+    Probes within ``clearance`` of a trace vertex are indeterminate.  A
+    probe that sees some segment turn by pi/2 or more (it lies in the
+    closed disk on that segment as diameter) takes the refining scalar
+    ``winding_number``.  Every other probe sees each step turn by less
+    than pi/2, so the angle sum equals the polyline's winding, which the
+    crossing count gives exactly.  Candidate (item, probe) pairs come from
+    binning each item's bounding box into the probe grid.
+    """
+    p0 = trace.points
+    p1 = np.roll(p0, -1)
+    near = np.zeros(probes.size, dtype=bool)
+    k, j = _box_pairs(p0 - clearance * (1 + 1j), p0 + clearance * (1 + 1j), xs, ys)
+    near[j[np.abs(p0[k] - probes[j]) <= clearance]] = True
+    mid, rad = 0.5 * (p0 + p1), 0.5 * np.abs(p1 - p0)
+    k, j = _box_pairs(mid - rad * (1 + 1j), mid + rad * (1 + 1j), xs, ys)
+    turns = np.abs(np.angle((p1[k] - probes[j]) * np.conj(p0[k] - probes[j])))
+    unclean = np.zeros(probes.size, dtype=bool)
+    unclean[j[turns >= math.pi / 2]] = True
+    res = _crossing_windings(p0, p1, xs, ys)
+    res[res < 0] = -1
+    res[near] = -1
+    for i in np.flatnonzero(unclean & ~near):
         try:
-            k = winding_number(trace, complex(probes[j]), clearance).winding
-            res[j] = k if k >= 0 else -1
+            wind = winding_number(trace, complex(probes[i]), clearance).winding
+            res[i] = wind if wind >= 0 else -1
         except (IndeterminateProbeError, ResolutionError):
-            res[j] = -1
+            res[i] = -1
     return res
 
 
@@ -171,36 +252,29 @@ def valence_scan(map_spec: HarmonicMapSpec, r: float = 0.999,
                  grid: tuple[int, int] = (64, 64),
                  cfg: QuadratureConfig = DEFAULT_QUAD,
                  n_samples: int = 4096,
-                 workers: int = 1,
-                 trace: CurveTrace | None = None) -> ValenceReport:
+                 *, trace: CurveTrace | None = None) -> ValenceReport:
     """Max winding number of the image of |z| = r over a grid of probes.
 
     Probes fill the curve's bounding box padded by 10 percent.  Probes that
     land within clearance of the curve are skipped; if more than 20 percent
-    of the grid is skipped the scan aborts with ``ScanQualityError``.  Work
-    is split into fixed 256-probe chunks so the outcome is identical for any
-    ``workers`` count.
+    of the grid is skipped the scan aborts with ``ScanQualityError``.  The
+    windings come from a scanline fill: signed crossings of the trace with
+    each probe row, summed to the right of each probe (nonzero rule), in
+    O(samples * rows + probes).  Probes that see one trace step turn by
+    pi/2 or more take the refining scalar ``winding_number`` instead, so
+    every probe gets the value the angle sum of ``winding_number`` gives.
     """
     gx, gy = grid
     if gx < 2 or gy < 2:
         raise ParameterError("scan grid must be at least 2 x 2")
     if trace is None:
         trace = trace_circle(map_spec, r, n_samples, cfg)
-    re, im = trace.points.real, trace.points.imag
-    wx, wy = float(np.ptp(re)), float(np.ptp(im))
-    pad_x = 0.1 * wx if wx > 0 else max(0.1 * wy, 1e-3)
-    pad_y = 0.1 * wy if wy > 0 else max(0.1 * wx, 1e-3)
-    xs = np.linspace(re.min() - pad_x, re.max() + pad_x, gx)
-    ys = np.linspace(im.min() - pad_y, im.max() + pad_y, gy)
+    xs, ys = _probe_grid(trace.points, gx, gy)
     probes = (xs[None, :] + 1j * ys[:, None]).ravel()
-    clearance = 1e-4 * trace.diameter()
-    chunks = [probes[i:i + _SCAN_CHUNK] for i in range(0, probes.size, _SCAN_CHUNK)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda c: _scan_chunk(trace, c, clearance), chunks))
-    else:
-        parts = [_scan_chunk(trace, c, clearance) for c in chunks]
-    windings = np.concatenate(parts) if parts else np.zeros(0, dtype=int)
+    if np.isfinite(xs).all() and np.isfinite(ys).all():
+        windings = _scan_windings(trace, xs, ys, probes, 1e-4 * trace.diameter())
+    else:  # a non-finite trace leaves no probe that can be placed
+        windings = np.full(probes.size, -1)
     indet = windings < 0
     n_indet = int(indet.sum())
     if n_indet > 0.2 * probes.size:

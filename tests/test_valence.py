@@ -9,7 +9,11 @@ from hvl import (
     CrossCheck,
     IndeterminateProbeError,
     ParameterError,
+    PolySeries,
+    ResolutionError,
+    ScanQualityError,
     cross_check,
+    derive_g,
     eval_f,
     newton_preimages,
     presets,
@@ -17,6 +21,8 @@ from hvl import (
     valence_scan,
     winding_number,
 )
+from hvl import valence
+from hvl.cli import SweepConfig, run_sweep
 
 import oracles
 
@@ -99,9 +105,92 @@ def test_scan_grid_validation():
 
 
 def test_scan_worker_count_does_not_change_results():
-    a = valence_scan(EX2, r=0.999, grid=(20, 20), n_samples=2048, workers=1)
-    b = valence_scan(EX2, r=0.999, grid=(20, 20), n_samples=2048, workers=8)
-    assert a.to_dict() == b.to_dict()
+    """Sweep trials run in fixed blocks on worker threads and come back in
+    trial order, so the worker count never changes the report."""
+    config = SweepConfig(trials=40, seed=3, grid=(16, 16))
+    a = run_sweep(config, workers=1)
+    b = run_sweep(config, workers=8)
+    assert a["n_kept"] > 0
+    assert a == b
+
+
+def _sweep_map(seed: int, p: int, m: int):
+    """A map drawn like a conjecture-sweep trial (scale 0.2, degree 6)."""
+    block = np.random.default_rng(seed).standard_normal(2 * (6 - p))
+    coeffs = (1 + 0j,) + tuple(
+        0.2 * complex(block[2 * i], block[2 * i + 1]) / (math.sqrt(2.0) * (p + 1 + i))
+        for i in range(6 - p))
+    return derive_g(PolySeries(p, coeffs), m)
+
+
+@pytest.mark.parametrize("spec", [
+    EX1, EX2, presets.star(), presets.octagon(), _sweep_map(11, 2, 3),
+    _sweep_map(12, 3, 2),
+], ids=["example1", "example2", "star", "octagon", "sweep11", "sweep12"])
+def test_scan_equals_scalar_winding_at_every_probe(spec):
+    """The scanline fill gives every probe the scalar angle-sum winding, or
+    -1 where that raises or is negative."""
+    tr = trace_circle(spec, 0.999, n=4096)
+    xs, ys = valence._probe_grid(tr.points, 32, 32)
+    probes = (xs[None, :] + 1j * ys[:, None]).ravel()
+    got = valence._scan_windings(tr, xs, ys, probes, 1e-4 * tr.diameter())
+    want = np.empty(probes.size, dtype=int)
+    for i, w in enumerate(probes):
+        try:
+            want[i] = max(winding_number(tr, w).winding, -1)
+        except (IndeterminateProbeError, ResolutionError):
+            want[i] = -1
+    assert np.array_equal(got, want)
+    assert np.count_nonzero(want == spec.p) > 0
+    report = valence_scan(spec, r=0.999, grid=(32, 32), trace=tr)
+    assert report.n_indeterminate == np.count_nonzero(want < 0)
+    assert report.counts == {int(k): int(np.count_nonzero(want == k))
+                             for k in np.unique(want[want >= 0])}
+
+
+def test_crossing_rule_with_vertices_on_probe_rows():
+    """A densely sampled limacon with an inner loop (windings 0, 1 and 2),
+    its vertices snapped onto probe rows wherever one is near: the row
+    crossings, half-open in y, match the independent ray count at every
+    probe off the polyline, including the rows through vertices."""
+    t = np.linspace(-math.pi, math.pi, 600, endpoint=False)
+    pts = (0.5 + np.cos(t)) * np.exp(1j * t)
+    xs, ys = valence._probe_grid(pts, 40, 40)
+    step = ys[1] - ys[0]
+    row = np.rint((pts.imag - ys[0]) / step).astype(int)
+    interior = (pts.imag > pts.imag.min()) & (pts.imag < pts.imag.max())
+    snap = interior & (np.abs(pts.imag - ys[row]) < 0.2 * step) \
+        & (ys[row] > pts.imag.min()) & (ys[row] < pts.imag.max())
+    pts = np.where(snap, pts.real + 1j * ys[row], pts)
+    assert np.count_nonzero(snap) >= 40
+    assert all(np.array_equal(a, b) for a, b in zip(valence._probe_grid(pts, 40, 40),
+                                                    (xs, ys)))
+    nxt = np.roll(pts, -1)
+    got = valence._crossing_windings(pts, nxt, xs, ys).reshape(40, 40)
+    on_vertex_row = np.isin(np.arange(40), row[snap])
+    seen = set()
+    checked = 0
+    for j in range(40):
+        for i in range(40):
+            w = complex(xs[i], ys[j])
+            s = np.clip(np.real((w - pts) * np.conj(nxt - pts))
+                        / np.maximum(np.abs(nxt - pts) ** 2, 1e-300), 0.0, 1.0)
+            if np.min(np.abs(pts + s * (nxt - pts) - w)) < 1e-9:
+                continue  # on the polyline, where no winding is defined
+            assert got[j, i] == oracles.ray_winding(pts, w)
+            seen.add(int(got[j, i]))
+            checked += on_vertex_row[j]
+    assert seen == {0, 1, 2}
+    assert checked >= 200
+
+
+def test_scan_of_non_finite_trace_fails_quality_check():
+    """A NaN coefficient makes every trace point NaN: no probe is
+    determinate, so the scan fails its quality check instead of binning
+    NaN coordinates into the grid."""
+    spec = derive_g(PolySeries(1, (1 + 0j, complex(math.nan, 0.0))), 2)
+    with pytest.raises(ScanQualityError):
+        valence_scan(spec, grid=(16, 16), n_samples=256)
 
 
 def test_scan_report_dict_shape():
