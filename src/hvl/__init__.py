@@ -13,7 +13,6 @@ valence above p.
 from .fncore import (
     BoundaryHypothesisError,
     DomainError,
-    DEFAULT_QUAD,
     FunctionSpec,
     HarmonicMapSpec,
     HvlError,
@@ -22,7 +21,6 @@ from .fncore import (
     ParameterError,
     PoleError,
     PolySeries,
-    QuadratureConfig,
     QuadratureError,
     RationalDeriv,
     RepeatedPoleError,
@@ -32,21 +30,13 @@ from .fncore import (
     UnwrapError,
     clamp_to_interior,
     derive_g,
-    eval_f,
     eval_f_many,
-    eval_g,
     eval_g_many,
-    eval_g_prime,
     eval_g_prime_many,
-    eval_h,
     eval_h_many,
-    eval_h_prime,
     eval_h_prime_many,
-    eval_h_second,
     eval_h_second_many,
-    eval_normalized_deriv,
     eval_normalized_deriv_many,
-    h_prime_arc_integral,
 )
 from .criterion import (
     CriterionConfig,
@@ -58,8 +48,6 @@ from .criterion import (
     check_monotonicity_margin,
     find_criterion_roots,
     level_set,
-    phase_function,
-    phase_function_derivative,
     phase_function_derivative_many,
     phase_function_many,
     unwrap_boundary_phase,
@@ -68,10 +56,7 @@ from .geometry import (
     ConcavityReport,
     CurveTrace,
     CuspSet,
-    boundary_acceleration,
     boundary_acceleration_many,
-    boundary_point,
-    boundary_velocity,
     boundary_velocity_many,
     concavity_check,
     detect_cusps,

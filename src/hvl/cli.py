@@ -48,7 +48,6 @@ from .criterion import (
     check_monotonicity_margin,
 )
 from .fncore import (
-    DEFAULT_QUAD,
     DomainError,
     HarmonicMapSpec,
     HvlError,
@@ -56,7 +55,6 @@ from .fncore import (
     ParameterError,
     PoleError,
     PolySeries,
-    QuadratureConfig,
     RationalDeriv,
     ResolutionError,
     SpecFileError,
@@ -80,11 +78,21 @@ _FIELDS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_pair(v) -> bool:
+    """An [re, im] pair of JSON numbers."""
+    return (isinstance(v, list) and len(v) == 2
+            and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in v))
+
+
 def _as_int(doc: dict, key: str) -> int:
     if key not in doc:
         raise SpecFileError(f"missing field '{key}'")
     v = doc[key]
-    if not isinstance(v, int) or isinstance(v, bool):
+    if not _is_int(v):
         raise SpecFileError(f"field '{key}' must be an integer, got {v!r}")
     return v
 
@@ -97,9 +105,7 @@ def _as_complex_list(doc: dict, key: str) -> tuple[complex, ...]:
         raise SpecFileError(f"field '{key}' must be a nonempty list of [re, im] pairs")
     out = []
     for i, item in enumerate(v):
-        if (not isinstance(item, list) or len(item) != 2
-                or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                           for x in item)):
+        if not _is_pair(item):
             raise SpecFileError(f"field '{key}' entry {i} is not a [re, im] pair: {item!r}")
         out.append(complex(item[0], item[1]))
     return tuple(out)
@@ -134,29 +140,39 @@ def parse_spec_doc(doc) -> HarmonicMapSpec:
             RationalDeriv(p, _as_complex_list(doc, "numer"),
                           _as_complex_list(doc, "denom")), m
         )
-    name = doc.get("name")
-    if name not in PRESETS:
-        raise SpecFileError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
-    factory, accepted = PRESETS[name]
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SpecFileError("field 'params' must be an object")
+    return _build_preset(doc.get("name"), params, text=False)
+
+
+def _build_preset(name, params: dict, text: bool) -> HarmonicMapSpec:
+    """The preset ``name`` with ``params`` overriding its defaults.
+
+    Values are strings from a ``preset:`` argument when ``text`` is set
+    (c as Python complex literal, the rest as integers), else JSON values
+    from a spec file (c as an [re, im] pair, the rest as integers).
+    """
+    if not isinstance(name, str) or name not in PRESETS:
+        raise SpecFileError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
+    factory, accepted = PRESETS[name]
     kwargs = {}
     for key, val in params.items():
         if key not in accepted:
             raise SpecFileError(f"preset '{name}' does not take parameter '{key}'")
-        if key == "c":
-            kwargs[key] = complex(*val) if isinstance(val, list) and len(val) == 2 \
-                else _bad_param(name, key, val)
-        else:
-            if not isinstance(val, int) or isinstance(val, bool):
-                _bad_param(name, key, val)
-            kwargs[key] = val
+        try:
+            if text:
+                kwargs[key] = complex(val) if key == "c" else int(val)
+            elif key == "c" and _is_pair(val):
+                kwargs[key] = complex(*val)
+            elif key != "c" and _is_int(val):
+                kwargs[key] = val
+            else:
+                raise ValueError
+        except (ValueError, OverflowError):
+            raise SpecFileError(
+                f"preset '{name}' parameter '{key}' is malformed: {val!r}") from None
     return factory(**kwargs)
-
-
-def _bad_param(name, key, val):
-    raise SpecFileError(f"preset '{name}' parameter '{key}' is malformed: {val!r}")
 
 
 def spec_to_doc(map_spec: HarmonicMapSpec) -> dict:
@@ -180,30 +196,14 @@ def spec_to_doc(map_spec: HarmonicMapSpec) -> dict:
     }
 
 
-def _parse_preset_arg(text: str) -> HarmonicMapSpec:
-    parts = text.split(",")
-    name = parts[0]
-    if name not in PRESETS:
-        raise SpecFileError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
-    factory, accepted = PRESETS[name]
-    kwargs = {}
-    for part in parts[1:]:
-        if "=" not in part:
-            raise SpecFileError(f"preset parameter {part!r} is not key=value")
-        key, val = part.split("=", 1)
-        if key not in accepted:
-            raise SpecFileError(f"preset '{name}' does not take parameter '{key}'")
-        try:
-            kwargs[key] = complex(val) if key == "c" else int(val)
-        except ValueError:
-            raise SpecFileError(f"cannot parse preset parameter {part!r}") from None
-    return factory(**kwargs)
-
-
 def load_input(arg: str) -> HarmonicMapSpec:
     """Resolve --input: either ``preset:<name>[,k=v...]`` or a JSON path."""
     if arg.startswith("preset:"):
-        return _parse_preset_arg(arg[len("preset:"):])
+        name, *parts = arg[len("preset:"):].split(",")
+        bad = [part for part in parts if "=" not in part]
+        if bad:
+            raise SpecFileError(f"preset parameter {bad[0]!r} is not key=value")
+        return _build_preset(name, dict(part.split("=", 1) for part in parts), text=True)
     try:
         with open(arg, encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -255,15 +255,6 @@ def _emit_json(report: dict, path: str | None) -> None:
           path)
 
 
-def _quad_from(args) -> QuadratureConfig:
-    tol = getattr(args, "tol", None)
-    if tol is None:
-        return DEFAULT_QUAD
-    if tol <= 0:
-        raise ParameterError("--tol must be positive")
-    return QuadratureConfig(abs_tol=tol, rel_tol=tol)
-
-
 def _grid_pair(text: str) -> tuple[int, int]:
     try:
         gx, gy = text.lower().split("x")
@@ -279,7 +270,7 @@ def cmd_verify(args) -> int:
     map_spec = load_input(args.input)
     cfg = DEFAULT_CRITERION if args.samples is None else CriterionConfig(
         grid_size=args.samples)
-    report = check_criterion(map_spec.h, map_spec.m, cfg, _quad_from(args))
+    report = check_criterion(map_spec.h, map_spec.m, cfg)
     doc = {"schema_version": SCHEMA_VERSION, "command": "verify",
            **report.to_dict()}
     _emit_json(doc, args.report)
@@ -288,22 +279,21 @@ def cmd_verify(args) -> int:
 
 def cmd_trace(args) -> int:
     map_spec = load_input(args.input)
-    trace = trace_circle(map_spec, args.radius, args.points, _quad_from(args))
+    trace = trace_circle(map_spec, args.radius, args.points)
     _emit(trace.to_csv(), args.out)
     return 0
 
 
 def cmd_render(args) -> int:
     map_spec = load_input(args.input)
-    quad = _quad_from(args)
     criterion = None
     try:
-        criterion = check_criterion(map_spec.h, map_spec.m, DEFAULT_CRITERION, quad)
+        criterion = check_criterion(map_spec.h, map_spec.m)
     except HvlError:
         pass  # draw without cusp markers
     opts = RenderOptions() if args.samples is None else RenderOptions(
         samples_per_curve=args.samples)
-    svg = render_scene(map_spec, criterion, opts, quad)
+    svg = render_scene(map_spec, criterion, opts)
     _emit(svg, args.out)
     return 0
 
@@ -312,7 +302,7 @@ def cmd_valence(args) -> int:
     map_spec = load_input(args.input)
     report = valence_scan(
         map_spec, r=args.radius, grid=_grid_pair(args.grid),
-        cfg=_quad_from(args), n_samples=args.samples or 4096,
+        n_samples=args.samples or 4096,
     )
     doc = {"schema_version": SCHEMA_VERSION, "command": "valence",
            **report.to_dict()}
@@ -322,9 +312,8 @@ def cmd_valence(args) -> int:
 
 def cmd_oracle(args) -> int:
     map_spec = load_input(args.input)
-    quad = _quad_from(args)
     n_probes = args.samples or 20
-    trace = trace_circle(map_spec, args.radius, 4096, quad)
+    trace = trace_circle(map_spec, args.radius, 4096)
     re, im = trace.points.real, trace.points.imag
     pad_x = 0.1 * max(float(np.ptp(re)), 1e-9)
     pad_y = 0.1 * max(float(np.ptp(im)), 1e-9)
@@ -337,8 +326,7 @@ def cmd_oracle(args) -> int:
         w = complex(rng.uniform(re.min() - pad_x, re.max() + pad_x),
                     rng.uniform(im.min() - pad_y, im.max() + pad_y))
         try:
-            verdict, details = cross_check(map_spec, w, r=args.radius, cfg=quad,
-                                           trace=trace)
+            verdict, details = cross_check(map_spec, w, r=args.radius, trace=trace)
         except (IndeterminateProbeError, ResolutionError):
             n_skipped += 1
             continue
@@ -407,8 +395,7 @@ class SweepConfig:
 _SWEEP_BLOCK = 16  # trials per thread task; results never depend on workers
 
 
-def _sweep_trial(config: SweepConfig, quad: QuadratureConfig, trial: int,
-                 spec: PolySeries) -> dict:
+def _sweep_trial(config: SweepConfig, trial: int, spec: PolySeries) -> dict:
     """Margin test, and a valence scan when kept, for one sweep trial."""
     try:
         margin = check_monotonicity_margin(spec, config.m)
@@ -426,8 +413,7 @@ def _sweep_trial(config: SweepConfig, quad: QuadratureConfig, trial: int,
     }
     if kept:
         report = valence_scan(
-            derive_g(spec, config.m), r=config.radius, grid=config.grid,
-            cfg=quad, n_samples=2048,
+            derive_g(spec, config.m), r=config.radius, grid=config.grid, n_samples=2048,
         )
         row["max_valence"] = report.max_valence
         row["consistent_with_p"] = report.consistent_with_p
@@ -435,8 +421,7 @@ def _sweep_trial(config: SweepConfig, quad: QuadratureConfig, trial: int,
     return row
 
 
-def run_sweep(config: SweepConfig, workers: int = 1,
-              quad: QuadratureConfig = DEFAULT_QUAD) -> dict:
+def run_sweep(config: SweepConfig, workers: int = 1) -> dict:
     """Draw random h, keep those passing the margin test, scan their valence.
 
     One fixed-size block of normal deviates is drawn per trial whether or
@@ -463,7 +448,7 @@ def run_sweep(config: SweepConfig, workers: int = 1,
         )))
 
     def run_block(start: int) -> list[dict]:
-        return [_sweep_trial(config, quad, trial, specs[trial])
+        return [_sweep_trial(config, trial, specs[trial])
                 for trial in range(start, min(start + _SWEEP_BLOCK, len(specs)))]
 
     starts = range(0, len(specs), _SWEEP_BLOCK)
@@ -503,7 +488,7 @@ def cmd_conjecture(args) -> int:
         margin_requirement=args.margin_requirement,
         grid=_grid_pair(args.grid),
     )
-    report = run_sweep(config, workers=resolve_workers(), quad=_quad_from(args))
+    report = run_sweep(config, workers=resolve_workers())
     _emit_json(report, args.report)
     if report["n_kept"] == 0:
         print("error: acceptance region empty; lower coefficient_scale",
@@ -531,12 +516,6 @@ def _add_input(sp):
                     help="spec file path, or preset:<name>[,k=v...]")
 
 
-def _add_tol(sp):
-    sp.add_argument("--tol", type=float, default=None,
-                    help="arc-integral tolerance (abs and rel); rational h is "
-                         "evaluated in closed form and does not use it")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hvl", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True,
@@ -544,7 +523,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the cusp-count criterion")
     _add_input(sp)
-    _add_tol(sp)
     sp.add_argument("--report", "--out", dest="report", default=None)
     sp.add_argument("--samples", type=int, default=None,
                     help="phase grid size (power of two >= 1024)")
@@ -552,7 +530,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("trace", help="sample an image circle to CSV")
     _add_input(sp)
-    _add_tol(sp)
     sp.add_argument("--radius", type=float, default=1.0)
     sp.add_argument("--points", "--samples", dest="points", type=int, default=4096)
     sp.add_argument("--out", "--report", dest="out", default=None)
@@ -560,7 +537,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("render", help="draw the image domain to SVG")
     _add_input(sp)
-    _add_tol(sp)
     sp.add_argument("--samples", type=int, default=None,
                     help="samples per curve (>= 512)")
     sp.add_argument("--out", "--report", dest="out", default=None)
@@ -568,7 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("valence", help="winding-number sweep over a probe grid")
     _add_input(sp)
-    _add_tol(sp)
     sp.add_argument("--radius", type=float, default=0.999)
     sp.add_argument("--grid", default="64x64", help="probe grid, WxH")
     sp.add_argument("--samples", type=int, default=None,
@@ -579,7 +554,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("oracle",
                         help="cross-check windings against Newton preimages")
     _add_input(sp)
-    _add_tol(sp)
     sp.add_argument("--radius", type=float, default=0.999)
     sp.add_argument("--samples", type=int, default=None,
                     help="number of probes (default 20)")
@@ -588,7 +562,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_oracle)
 
     sp = sub.add_parser("conjecture", help="seeded random sweep of the margin class")
-    _add_tol(sp)
     sp.add_argument("--trials", type=int, default=50)
     sp.add_argument("--p", type=int, default=1)
     sp.add_argument("--m", type=int, default=2)

@@ -25,19 +25,15 @@ once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fncore import (
     BoundaryHypothesisError,
-    DEFAULT_QUAD,
     FunctionSpec,
-    HarmonicMapSpec,
     ParameterError,
     PoleError,
-    PolySeries,
-    QuadratureConfig,
     RationalDeriv,
     UnwrapError,
     denominator_roots,
@@ -47,6 +43,7 @@ from .fncore import (
     eval_h_second_many,
     eval_normalized_deriv_many,
     normalized_deriv_roots,
+    require_int,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -161,10 +158,6 @@ def phase_function_many(spec: FunctionSpec, m: int, t, table: PhaseTable) -> np.
     return (2 * spec.p + m - 1) * t + 2.0 * table.eval_many(t)
 
 
-def phase_function(spec: FunctionSpec, m: int, t: float, table: PhaseTable) -> float:
-    return float(phase_function_many(spec, m, np.asarray(t, dtype=float), table))
-
-
 def phase_function_derivative_many(spec: FunctionSpec, m: int, t) -> np.ndarray:
     """F'(t) = m + 1 + 2 Re(z h''(z)/h'(z)) at z = e^{it}.
 
@@ -178,13 +171,9 @@ def phase_function_derivative_many(spec: FunctionSpec, m: int, t) -> np.ndarray:
         ratio = z * hpp / hp
     bad = ~np.isfinite(ratio)
     if np.any(bad):
-        loc = z[np.atleast_1d(bad)].ravel()[0] if np.any(bad) else None
+        loc = z[np.atleast_1d(bad)].ravel()[0]
         raise PoleError("h' vanishes on the boundary circle", location=complex(loc))
     return m + 1 + 2.0 * np.real(ratio)
-
-
-def phase_function_derivative(spec: FunctionSpec, m: int, t: float) -> float:
-    return float(phase_function_derivative_many(spec, m, np.asarray(t, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -234,8 +223,7 @@ def _bisect_level(fn, a: float, b: float, fa: float, fb: float, tol: float):
 
 def find_criterion_roots(spec: FunctionSpec, m: int,
                          cfg: CriterionConfig = DEFAULT_CRITERION,
-                         table: PhaseTable | None = None,
-                         quad: QuadratureConfig = DEFAULT_QUAD) -> tuple[RootRecord, ...]:
+                         table: PhaseTable | None = None) -> tuple[RootRecord, ...]:
     """All crossings of F with the levels 2 k pi for k in the searched set.
 
     Sign changes on the dense grid are refined by bisection to ``bisect_tol``
@@ -289,7 +277,7 @@ def find_criterion_roots(spec: FunctionSpec, m: int,
                 continue
             deduped.append((t_root, resid))
         if deduped:
-            images = eval_f_many(map_spec, np.exp(1j * np.array([tr for tr, _ in deduped])), quad)
+            images = eval_f_many(map_spec, np.exp(1j * np.array([tr for tr, _ in deduped])))
             for (t_root, resid), img in zip(deduped, np.atleast_1d(images)):
                 records.append(RootRecord(k=k, t=t_root, boundary_image=complex(img),
                                           suspected_tangency=False, residual=resid))
@@ -382,8 +370,7 @@ class CriterionReport:
 
 
 def check_criterion(spec: FunctionSpec, m: int,
-                    cfg: CriterionConfig = DEFAULT_CRITERION,
-                    quad: QuadratureConfig = DEFAULT_QUAD) -> CriterionReport:
+                    cfg: CriterionConfig = DEFAULT_CRITERION) -> CriterionReport:
     """Run the full sufficient-condition check and assemble a report.
 
     ``criterion_satisfied`` is true exactly when H is zero-free on the closed
@@ -391,8 +378,7 @@ def check_criterion(spec: FunctionSpec, m: int,
     analytic there), every searched level is crossed at most once, the total
     crossing count is 2p+m-1, and no tangency is suspected.
     """
-    if not isinstance(m, int) or m < 2:
-        raise ParameterError("m must be an integer >= 2")
+    m = require_int(m, 2, "m must be an integer >= 2")
     p = spec.p
     counts = {k: 0 for k in level_set(p, m)}
 
@@ -407,10 +393,9 @@ def check_criterion(spec: FunctionSpec, m: int,
     margin: float | None
     try:
         margin = check_monotonicity_margin(spec, m, cfg)
-    except PoleError as exc:
+    except PoleError:
         margin = None
 
-    analytic = True
     if isinstance(spec, RationalDeriv):
         roots_q = denominator_roots(spec.denom)
         if roots_q.size and np.any(np.abs(roots_q) < 1.0 - 1e-8):
@@ -422,8 +407,8 @@ def check_criterion(spec: FunctionSpec, m: int,
         return failed(str(exc), margin)
 
     winding = table.winding
-    h_nonvanishing = analytic and table.min_modulus > cfg.h_nonvanish_tol and winding == 0
-    roots = find_criterion_roots(spec, m, cfg, table=table, quad=quad)
+    h_nonvanishing = table.min_modulus > cfg.h_nonvanish_tol and winding == 0
+    roots = find_criterion_roots(spec, m, cfg, table=table)
     tangencies = sum(1 for r in roots if r.suspected_tangency)
     for r in roots:
         if not r.suspected_tangency:

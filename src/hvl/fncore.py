@@ -17,9 +17,9 @@ is a series.  All evaluators are pure functions of immutable specs and are
 safe to share across threads.
 
 Rational specs may have poles of h' on the unit circle (the flat-sided
-presets do).  Evaluation requests that land within ``boundary_epsilon`` of
-such a pole at near-boundary radius are pulled back to radius
-1 - boundary_epsilon; see ``clamp_to_interior``.  The radial integrals of
+presets do).  Evaluation requests that land within ``BOUNDARY_EPSILON``
+(1e-6) of such a pole at near-boundary radius are pulled back to radius
+1 - BOUNDARY_EPSILON; see ``clamp_to_interior``.  The radial integrals of
 u**q h'(u) (q = 0 for h, q = m-1 for g) are evaluated in closed form, as a
 polynomial plus sum_k c_k log(1 - z/z_k) over the simple poles z_k of h'.
 Points whose segment [0, z] meets a pole fail with ``QuadratureError``;
@@ -66,9 +66,9 @@ class RepeatedPoleError(PoleError):
 
 
 class QuadratureError(HvlError):
-    """An integral of h' has no reliable value: the radial segment [0, z]
+    """A primitive of h' has no reliable value: the radial segment [0, z]
     meets a pole (``where`` is z, ``worst_estimate`` the jump 2 pi |c_k| of
-    the primitive there), or ``h_prime_arc_integral`` did not converge."""
+    the primitive there)."""
 
     def __init__(self, message: str, worst_estimate: float | None = None, where=None):
         super().__init__(message)
@@ -105,39 +105,15 @@ class SpecFileError(HvlError, ValueError):
 
 
 # ---------------------------------------------------------------------------
-# Configuration
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Numerical settings for rational evaluation.
-
-    ``boundary_epsilon`` sets the pole clamp of ``clamp_to_interior``, which
-    every rational evaluation of h, g and f applies.  Those evaluations are
-    closed-form, so ``abs_tol`` and ``rel_tol`` govern only
-    ``h_prime_arc_integral``.  ``max_depth`` is unused; it keeps its field and
-    its validation so existing configurations stay valid.
-    """
-
-    abs_tol: float = 1e-12
-    rel_tol: float = 1e-12
-    max_depth: int = 40
-    boundary_epsilon: float = 1e-6
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0) or not (self.rel_tol > 0.0):
-            raise ParameterError("quadrature tolerances must be positive")
-        if not (0.0 < self.boundary_epsilon < 0.01):
-            raise ParameterError("boundary_epsilon must lie in (0, 0.01)")
-        if self.max_depth < 10:
-            raise ParameterError("max_depth must be at least 10")
-
-
-DEFAULT_QUAD = QuadratureConfig()
-
-
-# ---------------------------------------------------------------------------
 # Function specs
+
+
+def require_int(value, lo: int, message: str) -> int:
+    """``value`` as an int, or ``ParameterError(message)`` unless it is an
+    integer (numpy integers count, bools do not) of at least ``lo``."""
+    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < lo:
+        raise ParameterError(message)
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -152,9 +128,7 @@ class PolySeries:
     coeffs: tuple[complex, ...]
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or isinstance(self.p, bool) or self.p < 1:
-            raise ParameterError("p must be a positive integer")
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", require_int(self.p, 1, "p must be a positive integer"))
         try:
             coeffs = tuple(complex(c) for c in self.coeffs)
         except (TypeError, ValueError) as exc:
@@ -186,9 +160,7 @@ class RationalDeriv:
     denom: tuple[complex, ...]
 
     def __post_init__(self):
-        if not isinstance(self.p, (int, np.integer)) or isinstance(self.p, bool) or self.p < 1:
-            raise ParameterError("p must be a positive integer")
-        object.__setattr__(self, "p", int(self.p))
+        object.__setattr__(self, "p", require_int(self.p, 1, "p must be a positive integer"))
         numer = _trim_poly(self.numer, "numer")
         denom = _trim_poly(self.denom, "denom")
         if denom[0] == 0:
@@ -233,9 +205,7 @@ class HarmonicMapSpec:
     g_coeffs: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        if not isinstance(self.m, (int, np.integer)) or isinstance(self.m, bool) or self.m < 2:
-            raise ParameterError("m must be an integer >= 2")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", require_int(self.m, 2, "m must be an integer >= 2"))
 
     @property
     def p(self) -> int:
@@ -248,14 +218,13 @@ def derive_g(h: FunctionSpec, m: int) -> HarmonicMapSpec:
     For a series h the coefficient of z**(n+m-1) in g is (n/(n+m-1)) a_n,
     which is exactly the antiderivative of z**(m-1) h'(z).
     """
-    if not isinstance(m, (int, np.integer)) or isinstance(m, bool) or m < 2:
-        raise ParameterError("m must be an integer >= 2")
+    m = require_int(m, 2, "m must be an integer >= 2")
     if isinstance(h, PolySeries):
         n = h.p + np.arange(len(h.coeffs))
         g = (n / (n + m - 1)) * np.asarray(h.coeffs, dtype=complex)
-        return HarmonicMapSpec(h=h, m=int(m), g_coeffs=tuple(complex(c) for c in g))
+        return HarmonicMapSpec(h=h, m=m, g_coeffs=tuple(complex(c) for c in g))
     if isinstance(h, RationalDeriv):
-        return HarmonicMapSpec(h=h, m=int(m), g_coeffs=None)
+        return HarmonicMapSpec(h=h, m=m, g_coeffs=None)
     raise ParameterError(f"unsupported function spec: {type(h).__name__}")
 
 
@@ -268,7 +237,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _series_tables(spec: PolySeries):
     a = np.asarray(spec.coeffs, dtype=complex)
     n = spec.p + np.arange(a.size)
@@ -277,7 +246,7 @@ def _series_tables(spec: PolySeries):
     return _frozen(a), d1, d2
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def _rational_tables(spec: RationalDeriv):
     numer = np.asarray(spec.numer, dtype=complex)
     denom = np.asarray(spec.denom, dtype=complex)
@@ -290,7 +259,7 @@ def _rational_tables(spec: RationalDeriv):
     return _frozen(numer), _frozen(denom), hnum, _frozen(np.asarray(second_num, dtype=complex))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def denominator_roots(denom: tuple[complex, ...]) -> np.ndarray:
     """Roots of an ascending-coefficient polynomial (cached)."""
     c = np.asarray(denom, dtype=complex)
@@ -299,7 +268,7 @@ def denominator_roots(denom: tuple[complex, ...]) -> np.ndarray:
     return _frozen(np.asarray(npoly.polyroots(c), dtype=complex))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def normalized_deriv_roots(spec: FunctionSpec) -> np.ndarray:
     """Zeros of the normalized derivative h'(z)/z**(p-1) (cached)."""
     if isinstance(spec, PolySeries):
@@ -326,11 +295,15 @@ def _prepare(z):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
-def clamp_to_interior(spec: FunctionSpec, zs, cfg: QuadratureConfig = DEFAULT_QUAD):
+# Half-width of the pole clamp of ``clamp_to_interior``.
+BOUNDARY_EPSILON = 1e-6
+
+
+def clamp_to_interior(spec: FunctionSpec, zs):
     """Pull near-boundary points out of pole sectors of a rational h'.
 
-    A point with |z| > 1 - boundary_epsilon lying within boundary_epsilon of
-    a denominator root is moved radially to radius 1 - boundary_epsilon.
+    A point with |z| > 1 - BOUNDARY_EPSILON lying within BOUNDARY_EPSILON of
+    a denominator root is moved radially to radius 1 - BOUNDARY_EPSILON.
     Returns ``(points, clamped_mask)``; series specs never clamp.
     """
     zs = np.asarray(zs, dtype=complex)
@@ -339,11 +312,11 @@ def clamp_to_interior(spec: FunctionSpec, zs, cfg: QuadratureConfig = DEFAULT_QU
         poles = denominator_roots(spec.denom)
         if poles.size:
             dist = np.min(np.abs(zs[..., None] - poles), axis=-1)
-            near = (dist < cfg.boundary_epsilon) & (np.abs(zs) > 1.0 - cfg.boundary_epsilon)
+            near = (dist < BOUNDARY_EPSILON) & (np.abs(zs) > 1.0 - BOUNDARY_EPSILON)
             if np.any(near):
                 zs = np.array(zs, copy=True)
                 zn = zs[near]
-                zs[near] = zn * ((1.0 - cfg.boundary_epsilon) / np.abs(zn))
+                zs[near] = zn * ((1.0 - BOUNDARY_EPSILON) / np.abs(zn))
                 clamped = near
     return zs, clamped
 
@@ -411,15 +384,14 @@ def _log_tails(zeta: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _rational_primitive(spec: RationalDeriv, zs: np.ndarray, qs, cfg: QuadratureConfig,
-                        on_failure: str):
+def _rational_primitive(spec: RationalDeriv, zs: np.ndarray, qs, on_failure: str):
     """F_q(z) = integral of u**q h'(u) along [0, z] for each q, after clamping.
 
     Returns ``(values, failed)``: one array per q shaped like zs (NaN where
     failed) and the mask of points whose segment meets a pole.  Raises
     ``QuadratureError`` on such points unless ``on_failure == "mask"``.
     """
-    zeff, _ = clamp_to_interior(spec, zs, cfg)
+    zeff, _ = clamp_to_interior(spec, zs)
     flat = zeff.ravel()
     tables = [_primitive_tables(spec, q) for q in qs]
     zeta = flat[:, None] / tables[0][1]
@@ -444,45 +416,11 @@ def _rational_primitive(spec: RationalDeriv, zs: np.ndarray, qs, cfg: Quadrature
     return vals, failed.reshape(zs.shape)
 
 
-_GAUSS_ORDER = 16
-
-
-def h_prime_arc_integral(spec: FunctionSpec, r: float, t0: float, t1: float,
-                         cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
-    """Integral of h' along the arc z = r e^{i t}, t from t0 to t1.
-
-    Gauss-Legendre quadrature with uniform panel doubling, independent of the
-    closed-form radial primitive; used to check path independence.
-    """
-    if not 0.0 < r <= 1.0:
-        raise DomainError("arc radius must lie in (0, 1]")
-    x, w = np.polynomial.legendre.leggauss(_GAUSS_ORDER)
-    prev = None
-    panels = 8
-    for _ in range(16):
-        edges = np.linspace(t0, t1, panels + 1)
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        ts = (mid[:, None] + half[:, None] * x).ravel()
-        ws = (half[:, None] * w).ravel()
-        zs = r * np.exp(1j * ts)
-        hp = eval_h_prime_many(spec, zs, on_pole="nan")
-        cur = complex(np.sum(ws * hp * 1j * zs))
-        if prev is not None:
-            err = abs(cur - prev)
-            if err <= max(cfg.abs_tol, cfg.rel_tol * abs(cur)):
-                return cur
-        prev = cur
-        panels *= 2
-    raise QuadratureError("arc quadrature failed to converge", worst_estimate=err)
-
-
 # ---------------------------------------------------------------------------
 # Evaluators
 
 
-def eval_h_many(spec: FunctionSpec, zs, cfg: QuadratureConfig = DEFAULT_QUAD,
-                on_failure: str = "raise"):
+def eval_h_many(spec: FunctionSpec, zs, *, on_failure: str = "raise"):
     """h at an array of points inside the closed disk.
 
     Rational specs use the closed-form radial primitive (clamping near
@@ -497,15 +435,11 @@ def eval_h_many(spec: FunctionSpec, zs, cfg: QuadratureConfig = DEFAULT_QUAD,
         vals = arr ** spec.p * npoly.polyval(arr, a)
         failed = np.zeros(arr.shape, dtype=bool)
     else:
-        (vals,), failed = _rational_primitive(spec, arr, (0,), cfg, on_failure)
+        (vals,), failed = _rational_primitive(spec, arr, (0,), on_failure)
     if on_failure == "mask":
         return vals, failed
     return vals[0] if scalar else vals
 
-
-def eval_h(spec: FunctionSpec, z: complex, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
-    """h at a single point; see eval_h_many."""
-    return complex(eval_h_many(spec, z, cfg))
 
 
 def eval_h_prime_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
@@ -531,9 +465,6 @@ def eval_h_prime_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
             vals = np.where(bad, np.nan + 0j, vals)
     return vals[0] if scalar else vals
 
-
-def eval_h_prime(spec: FunctionSpec, z: complex) -> complex:
-    return complex(eval_h_prime_many(spec, z))
 
 
 def eval_h_second_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
@@ -562,9 +493,6 @@ def eval_h_second_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     return vals[0] if scalar else vals
 
 
-def eval_h_second(spec: FunctionSpec, z: complex) -> complex:
-    return complex(eval_h_second_many(spec, z))
-
 
 def eval_normalized_deriv_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     """The normalized derivative h'(z)/z**(p-1), evaluated without division.
@@ -591,9 +519,6 @@ def eval_normalized_deriv_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     return vals[0] if scalar else vals
 
 
-def eval_normalized_deriv(spec: FunctionSpec, z: complex) -> complex:
-    return complex(eval_normalized_deriv_many(spec, z))
-
 
 def eval_g_prime_many(map_spec: HarmonicMapSpec, zs, on_pole: str = "raise"):
     """g'(z) = z**(m-1) h'(z), exact."""
@@ -603,12 +528,8 @@ def eval_g_prime_many(map_spec: HarmonicMapSpec, zs, on_pole: str = "raise"):
     return vals[0] if scalar else vals
 
 
-def eval_g_prime(map_spec: HarmonicMapSpec, z: complex) -> complex:
-    return complex(eval_g_prime_many(map_spec, z))
 
-
-def eval_g_many(map_spec: HarmonicMapSpec, zs, cfg: QuadratureConfig = DEFAULT_QUAD,
-                on_failure: str = "raise"):
+def eval_g_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
     """g at an array of points; series form when available, else the closed-form
     primitive of z**(m-1) h'."""
     arr, scalar = _prepare(zs)
@@ -618,19 +539,14 @@ def eval_g_many(map_spec: HarmonicMapSpec, zs, cfg: QuadratureConfig = DEFAULT_Q
         vals = arr ** (map_spec.p + map_spec.m - 1) * npoly.polyval(arr, gc)
         failed = np.zeros(arr.shape, dtype=bool)
     else:
-        (vals,), failed = _rational_primitive(map_spec.h, arr, (map_spec.m - 1,), cfg,
-                                              on_failure)
+        (vals,), failed = _rational_primitive(map_spec.h, arr, (map_spec.m - 1,), on_failure)
     if on_failure == "mask":
         return vals, failed
     return vals[0] if scalar else vals
 
 
-def eval_g(map_spec: HarmonicMapSpec, z: complex, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
-    return complex(eval_g_many(map_spec, z, cfg))
 
-
-def eval_f_many(map_spec: HarmonicMapSpec, zs, cfg: QuadratureConfig = DEFAULT_QUAD,
-                on_failure: str = "raise"):
+def eval_f_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
     """f = h + conj(g) at an array of points.
 
     For rational h both primitives share one set of logarithms.
@@ -638,19 +554,15 @@ def eval_f_many(map_spec: HarmonicMapSpec, zs, cfg: QuadratureConfig = DEFAULT_Q
     arr, scalar = _prepare(zs)
     _check_disk(arr)
     if map_spec.g_coeffs is not None:
-        h_vals = eval_h_many(map_spec.h, arr, cfg)
-        g_vals = eval_g_many(map_spec, arr, cfg)
+        h_vals = eval_h_many(map_spec.h, arr)
+        g_vals = eval_g_many(map_spec, arr)
         vals = h_vals + np.conj(g_vals)
         failed = np.zeros(arr.shape, dtype=bool)
     else:
         (h_vals, g_vals), failed = _rational_primitive(
-            map_spec.h, arr, (0, map_spec.m - 1), cfg, on_failure
+            map_spec.h, arr, (0, map_spec.m - 1), on_failure
         )
         vals = h_vals + np.conj(g_vals)
     if on_failure == "mask":
         return vals, failed
     return vals[0] if scalar else vals
-
-
-def eval_f(map_spec: HarmonicMapSpec, z: complex, cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
-    return complex(eval_f_many(map_spec, z, cfg))

@@ -31,12 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fncore import (
-    DEFAULT_QUAD,
     DomainError,
     HarmonicMapSpec,
     InconsistencyError,
     ParameterError,
-    QuadratureConfig,
     QuadratureError,
     ResolutionError,
     clamp_to_interior,
@@ -58,10 +56,6 @@ def boundary_velocity_many(map_spec: HarmonicMapSpec, t, on_pole: str = "raise")
     return 1j * z * hp - 1j * w ** map_spec.m * np.conj(hp)
 
 
-def boundary_velocity(map_spec: HarmonicMapSpec, t: float) -> complex:
-    return complex(boundary_velocity_many(map_spec, np.asarray(t, dtype=float)))
-
-
 def boundary_acceleration_many(map_spec: HarmonicMapSpec, t, on_pole: str = "raise") -> np.ndarray:
     """d^2/dt^2 f(e^{it}) via the closed form."""
     t = np.asarray(t, dtype=float)
@@ -71,16 +65,6 @@ def boundary_acceleration_many(map_spec: HarmonicMapSpec, t, on_pole: str = "rai
     hpp = eval_h_second_many(map_spec.h, z, on_pole=on_pole)
     w = np.conj(z)
     return -(z * hp + z ** 2 * hpp + m * w ** m * np.conj(hp) + w ** (m + 1) * np.conj(hpp))
-
-
-def boundary_acceleration(map_spec: HarmonicMapSpec, t: float) -> complex:
-    return complex(boundary_acceleration_many(map_spec, np.asarray(t, dtype=float)))
-
-
-def boundary_point(map_spec: HarmonicMapSpec, t: float,
-                   cfg: QuadratureConfig = DEFAULT_QUAD) -> complex:
-    """f(e^{it}) (clamped into the disk near boundary poles of h')."""
-    return complex(eval_f_many(map_spec, np.exp(1j * float(t)), cfg))
 
 
 @dataclass
@@ -100,7 +84,6 @@ class CurveTrace:
     clamped: np.ndarray
     velocity: np.ndarray | None = None
     acceleration: np.ndarray | None = None
-    quad: QuadratureConfig = DEFAULT_QUAD
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -123,7 +106,7 @@ class CurveTrace:
                 missing.append(i)
         if missing:
             zq = self.radius * np.exp(1j * tq[missing])
-            vals = np.atleast_1d(eval_f_many(self.map, zq, self.quad))
+            vals = np.atleast_1d(eval_f_many(self.map, zq))
             for i, v in zip(missing, vals):
                 self._cache[float(tq[i])] = complex(v)
                 out[i] = v
@@ -136,12 +119,11 @@ class CurveTrace:
         return "\n".join(lines) + "\n"
 
 
-def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096,
-                 cfg: QuadratureConfig = DEFAULT_QUAD) -> CurveTrace:
+def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTrace:
     """Sample f on the circle |z| = r at n uniform angles starting at -pi.
 
     Requires n >= 256 so downstream winding estimates have headroom; points
-    within ``cfg.boundary_epsilon`` of a pole of a rational h' are flagged in
+    within ``fncore.BOUNDARY_EPSILON`` of a pole of a rational h' are flagged in
     ``clamped`` and evaluated at the pulled-in radius.  Angles whose radial
     segment meets a pole of h' abort with a ``QuadratureError`` naming the
     first of them.
@@ -152,8 +134,8 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096,
         raise DomainError("trace radius must lie in (0, 1]")
     t = -math.pi + _TWO_PI * np.arange(n) / n
     z = r * np.exp(1j * t)
-    _, clamped = clamp_to_interior(map_spec.h, z, cfg)
-    vals, failed = eval_f_many(map_spec, z, cfg, on_failure="mask")
+    _, clamped = clamp_to_interior(map_spec.h, z)
+    vals, failed = eval_f_many(map_spec, z, on_failure="mask")
     if np.any(failed):
         bad_t = t[failed][:4]
         raise QuadratureError(
@@ -171,7 +153,7 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096,
             vel = np.where(clamped, np.nan + 0j, vel)
             acc = np.where(clamped, np.nan + 0j, acc)
     trace = CurveTrace(map=map_spec, radius=r, t=t, points=vals,
-                       clamped=clamped, velocity=vel, acceleration=acc, quad=cfg)
+                       clamped=clamped, velocity=vel, acceleration=acc)
     return trace
 
 
@@ -242,8 +224,7 @@ class CuspSet:
 
 
 def detect_cusps(map_spec: HarmonicMapSpec, report: CriterionReport,
-                 override: bool = False,
-                 cfg: QuadratureConfig = DEFAULT_QUAD) -> CuspSet:
+                 override: bool = False) -> CuspSet:
     """Confirm that the phase-criterion roots are genuine stationary points.
 
     Requires a report with ``criterion_satisfied`` (pass ``override=True`` to
@@ -277,7 +258,7 @@ def detect_cusps(map_spec: HarmonicMapSpec, report: CriterionReport,
         )
     points = np.array([
         complex(r.boundary_image) if r.boundary_image is not None
-        else complex(eval_f_many(map_spec, np.exp(1j * r.t), cfg))
+        else complex(eval_f_many(map_spec, np.exp(1j * r.t)))
         for r in report.roots if not r.suspected_tangency
     ])
     return CuspSet(angles=angles, points=points, speeds=speeds, cusp_tol=cusp_tol)

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .criterion import CriterionReport
-from .fncore import (
-    DEFAULT_QUAD,
-    HarmonicMapSpec,
-    HvlError,
-    ParameterError,
-    QuadratureConfig,
-    eval_f_many,
-)
+from .fncore import HarmonicMapSpec, HvlError, ParameterError, eval_f_many
 
 _TWO_PI = 2.0 * math.pi
 
@@ -68,9 +61,8 @@ def _polyline_points(pts: np.ndarray) -> str:
     return " ".join(_fmt(p.real) + "," + _fmt(-p.imag) for p in pts)
 
 
-def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray,
-                   cfg: QuadratureConfig) -> np.ndarray:
-    vals, failed = eval_f_many(map_spec, zs, cfg, on_failure="mask")
+def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray) -> np.ndarray:
+    vals, failed = eval_f_many(map_spec, zs, on_failure="mask")
     vals = np.atleast_1d(vals)
     keep = ~np.atleast_1d(failed) & np.isfinite(vals)
     return vals[keep]
@@ -78,14 +70,13 @@ def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray,
 
 def render_scene(map_spec: HarmonicMapSpec,
                  criterion: CriterionReport | None = None,
-                 opts: RenderOptions = RenderOptions(),
-                 cfg: QuadratureConfig = DEFAULT_QUAD) -> str:
+                 opts: RenderOptions = RenderOptions()) -> str:
     """Compose the SVG scene for one map; returns the file content."""
     n = opts.samples_per_curve
     t = -math.pi + _TWO_PI * np.arange(n) / n
     warnings: list[str] = []
 
-    boundary = _curve_samples(map_spec, opts.max_radius * np.exp(1j * t), cfg)
+    boundary = _curve_samples(map_spec, opts.max_radius * np.exp(1j * t))
     if boundary.size < 2:
         raise ParameterError("boundary curve failed to evaluate; nothing to draw")
     re, im = boundary.real, -boundary.imag
@@ -107,7 +98,7 @@ def render_scene(map_spec: HarmonicMapSpec,
     for j in range(opts.ray_count):
         theta = -math.pi + _TWO_PI * j / opts.ray_count
         try:
-            pts = _curve_samples(map_spec, s * np.exp(1j * theta), cfg)
+            pts = _curve_samples(map_spec, s * np.exp(1j * theta))
             if pts.size < 2:
                 raise HvlError("fewer than 2 finite samples")
             parts.append(
@@ -119,7 +110,7 @@ def render_scene(map_spec: HarmonicMapSpec,
 
     for r in opts.circle_radii:
         try:
-            pts = _curve_samples(map_spec, r * np.exp(1j * t), cfg)
+            pts = _curve_samples(map_spec, r * np.exp(1j * t))
             if pts.size < 2:
                 raise HvlError("fewer than 2 finite samples")
             closed = np.concatenate([pts, pts[:1]])
@@ -143,7 +134,7 @@ def render_scene(map_spec: HarmonicMapSpec,
                 continue
             img = rec.boundary_image
             if img is None:
-                img = complex(eval_f_many(map_spec, np.exp(1j * rec.t), cfg))
+                img = complex(eval_f_many(map_spec, np.exp(1j * rec.t)))
             parts.append(
                 '<circle cx="%s" cy="%s" r="%s" fill="%s"/>'
                 % (_fmt(img.real), _fmt(-img.imag), _fmt(marker_r), opts.cusp_color)

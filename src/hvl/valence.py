@@ -27,11 +27,9 @@ from enum import Enum
 import numpy as np
 
 from .fncore import (
-    DEFAULT_QUAD,
     HarmonicMapSpec,
     IndeterminateProbeError,
     ParameterError,
-    QuadratureConfig,
     ResolutionError,
     ScanQualityError,
     eval_f_many,
@@ -250,7 +248,6 @@ def _scan_windings(trace: CurveTrace, xs: np.ndarray, ys: np.ndarray,
 
 def valence_scan(map_spec: HarmonicMapSpec, r: float = 0.999,
                  grid: tuple[int, int] = (64, 64),
-                 cfg: QuadratureConfig = DEFAULT_QUAD,
                  n_samples: int = 4096,
                  *, trace: CurveTrace | None = None) -> ValenceReport:
     """Max winding number of the image of |z| = r over a grid of probes.
@@ -268,7 +265,7 @@ def valence_scan(map_spec: HarmonicMapSpec, r: float = 0.999,
     if gx < 2 or gy < 2:
         raise ParameterError("scan grid must be at least 2 x 2")
     if trace is None:
-        trace = trace_circle(map_spec, r, n_samples, cfg)
+        trace = trace_circle(map_spec, r, n_samples)
     xs, ys = _probe_grid(trace.points, gx, gy)
     probes = (xs[None, :] + 1j * ys[:, None]).ravel()
     if np.isfinite(xs).all() and np.isfinite(ys).all():
@@ -339,7 +336,6 @@ def _halton_starts(n: int) -> np.ndarray:
 
 
 def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
-                     cfg: QuadratureConfig = DEFAULT_QUAD,
                      newton_tol: float = 1e-10,
                      dedupe_radius: float = 1e-6,
                      max_iter: int = 100) -> PreimageSet:
@@ -359,7 +355,7 @@ def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
         raise ParameterError("newton_preimages needs at least 100 starts")
     w = complex(w)
     z = _halton_starts(n_starts)
-    vals, failed = eval_f_many(map_spec, z, cfg, on_failure="mask")
+    vals, failed = eval_f_many(map_spec, z, on_failure="mask")
     res = np.atleast_1d(vals) - w
     alive = ~np.atleast_1d(failed)
     res[~alive] = np.inf
@@ -392,8 +388,7 @@ def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
             inside = np.abs(z_try) < 0.9995
             r_try = np.full(todo.size, np.inf, dtype=complex)
             if np.any(inside):
-                f_try, f_bad = eval_f_many(map_spec, z_try[inside], cfg,
-                                           on_failure="mask")
+                f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask")
                 f_try = np.atleast_1d(f_try).astype(complex)
                 f_try[np.atleast_1d(f_bad)] = np.nan
                 r_try[inside] = f_try - w
@@ -436,7 +431,6 @@ class CrossCheck(str, Enum):
 
 
 def cross_check(map_spec: HarmonicMapSpec, w, r: float = 0.999,
-                cfg: QuadratureConfig = DEFAULT_QUAD,
                 n_samples: int = 4096,
                 n_starts: int = 256,
                 newton_tol: float = 1e-10,
@@ -455,10 +449,9 @@ def cross_check(map_spec: HarmonicMapSpec, w, r: float = 0.999,
     amortize the tracing cost over many probes.
     """
     if trace is None:
-        trace = trace_circle(map_spec, r, n_samples, cfg)
+        trace = trace_circle(map_spec, r, n_samples)
     wres = winding_number(trace, w)
-    pre = newton_preimages(map_spec, w, n_starts=n_starts, cfg=cfg,
-                           newton_tol=newton_tol)
+    pre = newton_preimages(map_spec, w, n_starts=n_starts, newton_tol=newton_tol)
     inside = pre.roots[np.abs(pre.roots) < r]
     details: dict = {
         "winding": wres.winding,

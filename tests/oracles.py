@@ -1,15 +1,18 @@
 """Independent reference implementations used by the test suite.
 
 Everything in this module is computed without touching the evaluators under
-test: series are summed directly with explicit powers, derivatives come from
-finite differences, and winding numbers are counted by ray crossings.  The
-point is to have a second route to every quantity so the library can be
-checked against something it does not share code with.
+test (only hvl's error classes are imported): series are summed directly
+with explicit powers, derivatives come from finite differences, and winding
+numbers are counted by ray crossings.  The point is to have a second route
+to every quantity so the library can be checked against something it does
+not share code with.
 """
 
 import functools
 
 import numpy as np
+
+from hvl import DomainError, QuadratureError  # error types only, no evaluator
 
 
 def horner(coeffs, z):
@@ -167,6 +170,37 @@ def rational_primitive(numer, denom, zs, q=0):
     vals, fail_idx, _ = radial_integrals(numer, denom, zs, (q,))
     assert fail_idx.size == 0, f"oracle quadrature failed at {zs.ravel()[fail_idx]}"
     return (zs.ravel() ** (q + 1) * vals[0]).reshape(zs.shape)
+
+
+def h_prime_arc_integral(numer, denom, r, t0, t1):
+    """Integral of h' = numer/denom along the arc z = r e^{i t}, t from t0 to t1.
+
+    Gauss-Legendre quadrature on uniform panels, doubled until two rounds
+    agree to 1e-12 (absolute, or relative to the value), at most 16 rounds;
+    an independent route to h(z1) - h(z0) for checking path independence.
+    """
+    if not 0.0 < r <= 1.0:
+        raise DomainError("arc radius must lie in (0, 1]")
+    x, w = np.polynomial.legendre.leggauss(GAUSS_ORDER)
+    prev = None
+    panels = 8
+    for _ in range(16):
+        edges = np.linspace(t0, t1, panels + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        ts = (mid[:, None] + half[:, None] * x).ravel()
+        ws = (half[:, None] * w).ravel()
+        zs = r * np.exp(1j * ts)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            hp = horner(numer, zs) / horner(denom, zs)
+        cur = complex(np.sum(ws * hp * 1j * zs))
+        if prev is not None:
+            err = abs(cur - prev)
+            if err <= max(1e-12, 1e-12 * abs(cur)):
+                return cur
+        prev = cur
+        panels *= 2
+    raise QuadratureError("arc quadrature failed to converge", worst_estimate=err)
 
 
 def unwrap_ref(angles):

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from hvl import PolySeries, SpecFileError, ParameterError, derive_g, presets
+from hvl import PolySeries, SpecFileError, ParameterError, derive_g, fncore, presets
 from hvl.cli import (
     SweepConfig,
     load_input,
@@ -59,6 +59,8 @@ def test_spec_doc_strictness():
         parse_spec_doc({**POLY_DOC, "schema_version": "2"})
     with pytest.raises(SpecFileError, match="unexpected field 'extra'"):
         parse_spec_doc({**POLY_DOC, "extra": 1})
+    with pytest.raises(SpecFileError, match="malformed"):
+        parse_spec_doc({"kind": "preset", "name": "example2", "params": {"c": ["a", "b"]}})
     # ints must be real ints (bool is not an int here)
     with pytest.raises(SpecFileError):
         parse_spec_doc({**POLY_DOC, "p": True})
@@ -77,11 +79,22 @@ def test_spec_doc_presets():
         parse_spec_doc({"kind": "preset", "name": "star", "params": {"c": [1, 0]}})
     with pytest.raises(SpecFileError, match="malformed"):
         parse_spec_doc({"kind": "preset", "name": "example2", "params": {"c": 1.0}})
+    with pytest.raises(SpecFileError, match="malformed"):
+        parse_spec_doc({"kind": "preset", "name": "example2", "params": {"p": "3"}})
+    with pytest.raises(SpecFileError, match="unknown preset"):
+        parse_spec_doc({"kind": "preset", "name": ["example2"]})
 
 
 def test_load_input_preset_strings():
     spec = load_input("preset:example1,p=2,m=4")
     assert spec.p == 2 and spec.m == 4
+    # both input forms of c build the same map
+    want = presets.example2(c=0.1 + 0.2j)
+    assert load_input("preset:example2,c=0.1+0.2j") == want
+    assert parse_spec_doc({"kind": "preset", "name": "example2",
+                           "params": {"c": [0.1, 0.2]}}) == want
+    with pytest.raises(SpecFileError, match="malformed"):
+        load_input("preset:example2,c=abc")
     with pytest.raises(SpecFileError):
         load_input("preset:unknown")
     with pytest.raises(SpecFileError):
@@ -127,6 +140,9 @@ def test_usage_errors_exit_1():
     assert info.value.code == 1
     with pytest.raises(SystemExit) as info:
         main(["verify"])  # missing --input
+    assert info.value.code == 1
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--input", "preset:example1", "--tol", "1e-3"])  # no such flag
     assert info.value.code == 1
 
 
@@ -280,6 +296,17 @@ def test_sweep_keeps_and_scans():
         else:
             assert row["max_valence"] is None
     assert report["n_candidates"] == 0
+
+
+def test_sweep_leaves_spec_caches_bounded():
+    """Every sweep trial is a new spec; the spec-keyed caches must not keep
+    one entry per trial."""
+    caches = (fncore._series_tables, fncore._rational_tables,
+              fncore.denominator_roots, fncore.normalized_deriv_roots)
+    for cache in caches:
+        cache.cache_clear()
+    run_sweep(SweepConfig(trials=100, seed=3, grid=(16, 16)))
+    assert [cache.cache_info().currsize <= 64 for cache in caches] == [True] * 4
 
 
 def test_sweep_stream_is_seed_stable():

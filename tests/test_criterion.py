@@ -22,8 +22,6 @@ from hvl import (
     check_monotonicity_margin,
     find_criterion_roots,
     level_set,
-    phase_function,
-    phase_function_derivative,
     phase_function_derivative_many,
     phase_function_many,
     presets,
@@ -91,7 +89,7 @@ def test_phase_function_endpoint_values():
     """F(-pi), F(0), F(pi) for the p=3 preset, closed form."""
     table = unwrap_boundary_phase(EX2.h)
     a = math.atan(1.0 / 3.0)
-    f = lambda t: phase_function(EX2.h, EX2.m, t, table)
+    f = lambda t: float(phase_function_many(EX2.h, EX2.m, t, table))
     assert f(-math.pi) == pytest.approx(-7 * math.pi - 2 * a, abs=1e-10)
     assert f(0.0) == pytest.approx(2 * a, abs=1e-10)
     assert f(math.pi) == pytest.approx(7 * math.pi - 2 * a, abs=1e-10)
@@ -107,7 +105,8 @@ def test_phase_function_derivative_closed_forms():
     vals = phase_function_derivative_many(EX1.h, EX1.m, ts)
     assert np.max(np.abs(vals - 7.0)) < 1e-12
     # p=3 preset at t = 0: 3 + 2 Re((6+3i)/(3+i)) = 3 + 2*2.1
-    assert phase_function_derivative(EX2.h, EX2.m, 0.0) == pytest.approx(7.2, abs=1e-12)
+    at_0 = float(phase_function_derivative_many(EX2.h, EX2.m, 0.0))
+    assert at_0 == pytest.approx(7.2, abs=1e-12)
 
 
 def test_phase_function_derivative_against_differences():
@@ -263,3 +262,9 @@ def test_interior_pole_rejected():
 def test_check_criterion_validates_m():
     with pytest.raises(ParameterError):
         check_criterion(EX1.h, 1)
+    with pytest.raises(ParameterError):
+        check_criterion(EX1.h, True)
+    # numpy integers pass, as they do in derive_g
+    report = check_criterion(EX1.h, np.int64(4))
+    assert type(report.m) is int
+    assert report.to_dict() == check_criterion(EX1.h, 4).to_dict()

@@ -25,16 +25,13 @@ from hvl import (
     RationalDeriv,
     ResolutionError,
     RootRecord,
-    boundary_acceleration,
     boundary_acceleration_many,
-    boundary_point,
-    boundary_velocity,
     boundary_velocity_many,
     check_criterion,
     concavity_check,
     derive_g,
     detect_cusps,
-    eval_f,
+    eval_f_many,
     presets,
     segment_collinearity,
     trace_circle,
@@ -58,11 +55,18 @@ def test_velocity_closed_form():
 
 
 def test_acceleration_closed_form():
-    assert boundary_acceleration(EX1, 0.0) == pytest.approx(-14.0 + 0j, abs=1e-13)
+    assert complex(boundary_acceleration_many(EX1, 0.0)) == pytest.approx(-14.0 + 0j, abs=1e-13)
     rng = np.random.default_rng(37)
     ts = rng.uniform(-np.pi, np.pi, size=128)
     got = boundary_acceleration_many(EX1, ts)
     assert np.max(np.abs(got - oracles.example1_acceleration(ts))) < 1e-13
+
+
+def test_boundary_point_is_f_on_circle():
+    t = 0.9
+    z = np.exp(1j * t)
+    want = complex(oracles.example2_h(z) + np.conj(oracles.example2_g(z)))
+    assert eval_f_many(EX2, z) == pytest.approx(want, abs=1e-14)
 
 
 def test_velocity_against_differences():
@@ -70,14 +74,10 @@ def test_velocity_against_differences():
     step = 1e-6
     rng = np.random.default_rng(41)
     for t in rng.uniform(-3.0, 3.0, size=10):
-        fd = (boundary_point(EX2, t + step) - boundary_point(EX2, t - step)) / (2 * step)
-        got = boundary_velocity(EX2, float(t))
+        fd = (eval_f_many(EX2, np.exp(1j * (t + step)))
+              - eval_f_many(EX2, np.exp(1j * (t - step)))) / (2 * step)
+        got = complex(boundary_velocity_many(EX2, float(t)))
         assert abs(got - fd) < 1e-6 * max(1.0, abs(got))
-
-
-def test_boundary_point_is_f_on_circle():
-    t = 0.9
-    assert boundary_point(EX2, t) == pytest.approx(eval_f(EX2, np.exp(1j * t)), abs=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +131,7 @@ def test_trace_point_at_caches_and_matches():
     v1 = tr.point_at(0.123)
     v2 = tr.point_at(0.123)
     assert v1 == v2
-    assert v1 == pytest.approx(eval_f(EX2, 0.999 * np.exp(0.123j)), abs=1e-13)
+    assert v1 == pytest.approx(eval_f_many(EX2, 0.999 * np.exp(0.123j)), abs=1e-13)
 
 
 def test_trace_csv_shape():

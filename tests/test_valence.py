@@ -14,7 +14,7 @@ from hvl import (
     ScanQualityError,
     cross_check,
     derive_g,
-    eval_f,
+    eval_f_many,
     newton_preimages,
     presets,
     trace_circle,
@@ -220,7 +220,7 @@ def test_preimages_match_polynomial_oracle():
     assert np.max(np.abs(got - real)) < 1e-8
     # residuals are |f(z) - w| after convergence
     for z in pre.roots:
-        assert abs(eval_f(EX1, complex(z)) - 0.5) < 1e-9
+        assert abs(eval_f_many(EX1, complex(z)) - 0.5) < 1e-9
     assert max(pre.residuals) < 1e-9
 
 
