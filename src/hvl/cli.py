@@ -107,7 +107,10 @@ def _as_complex_list(doc: dict, key: str) -> tuple[complex, ...]:
     for i, item in enumerate(v):
         if not _is_pair(item):
             raise SpecFileError(f"field '{key}' entry {i} is not a [re, im] pair: {item!r}")
-        out.append(complex(item[0], item[1]))
+        try:
+            out.append(complex(item[0], item[1]))
+        except OverflowError:
+            raise SpecFileError(f"field '{key}' entry {i} is too large for a float") from None
     return tuple(out)
 
 

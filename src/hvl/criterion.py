@@ -34,15 +34,12 @@ from .fncore import (
     FunctionSpec,
     ParameterError,
     PoleError,
-    RationalDeriv,
     UnwrapError,
-    denominator_roots,
     derive_g,
     eval_f_many,
     eval_h_prime_many,
     eval_h_second_many,
     eval_normalized_deriv_many,
-    normalized_deriv_roots,
     require_int,
 )
 
@@ -113,23 +110,23 @@ def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192,
 
     Raises ``BoundaryHypothesisError`` when H vanishes on the boundary (its
     minimum sampled modulus falls to nonvanish_tol) or blows up there (a
-    denominator root sits on the unit circle), and ``UnwrapError`` when the
-    refinement budget is exhausted.
+    pole of h' sits on the unit circle, or a sample is not finite), and
+    ``UnwrapError`` when the refinement budget is exhausted.
     """
     if grid_size < 1024:
         raise ParameterError("grid_size must be at least 1024")
-    if isinstance(spec, RationalDeriv):
-        roots = denominator_roots(spec.denom)
-        if roots.size and np.any(np.abs(np.abs(roots) - 1.0) <= 1e-8):
-            raise BoundaryHypothesisError(
-                "normalized derivative blows up on the boundary "
-                "(denominator root on |z| = 1)"
-            )
+    if np.any(np.abs(np.abs(spec.poles) - 1.0) <= 1e-8):
+        raise BoundaryHypothesisError(
+            "normalized derivative blows up on the boundary "
+            "(denominator root on |z| = 1)"
+        )
     t = np.linspace(-math.pi, math.pi, grid_size + 1)
-    hv = eval_normalized_deriv_many(spec, np.exp(1j * t))
+    hv = eval_normalized_deriv_many(spec, np.exp(1j * t), on_pole="nan")
     pv = np.angle(hv)
     mod = np.abs(hv)
     while True:
+        if not np.all(np.isfinite(mod)):
+            raise BoundaryHypothesisError("normalized derivative is not finite on the boundary")
         if float(mod.min()) <= nonvanish_tol:
             raise BoundaryHypothesisError(
                 f"normalized derivative vanishes on the boundary "
@@ -144,7 +141,7 @@ def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192,
                 f"phase refinement exceeded {_MAX_UNWRAP_POINTS} grid points"
             )
         t_mid = 0.5 * (t[bad] + t[bad + 1])
-        hv_mid = eval_normalized_deriv_many(spec, np.exp(1j * t_mid))
+        hv_mid = eval_normalized_deriv_many(spec, np.exp(1j * t_mid), on_pole="nan")
         t = np.insert(t, bad + 1, t_mid)
         pv = np.insert(pv, bad + 1, np.angle(hv_mid))
         mod = np.insert(mod, bad + 1, np.abs(hv_mid))
@@ -297,10 +294,7 @@ def check_monotonicity_margin(spec: FunctionSpec, m: int,
     wherever the sampled circles are representative.
     """
     radii = [0.9, 0.99, 0.999, 1.0 - 1e-6]
-    special = np.asarray(normalized_deriv_roots(spec), dtype=complex)
-    if isinstance(spec, RationalDeriv):
-        special = np.concatenate([special, denominator_roots(spec.denom)])
-    for z0 in special:
+    for z0 in np.concatenate([spec.H_zeros, spec.poles]):
         r0 = abs(z0)
         if 1e-9 < r0 < 1.0 - 1e-9:
             radii.extend([min(r0 * (1 + 1e-3), 1.0 - 1e-9), r0 * (1 - 1e-3)])
@@ -396,11 +390,9 @@ def check_criterion(spec: FunctionSpec, m: int,
     except PoleError:
         margin = None
 
-    if isinstance(spec, RationalDeriv):
-        roots_q = denominator_roots(spec.denom)
-        if roots_q.size and np.any(np.abs(roots_q) < 1.0 - 1e-8):
-            return failed("h is not analytic on the closed disk "
-                          "(denominator root inside |z| < 1)", margin)
+    if np.any(np.abs(spec.poles) < 1.0 - 1e-8):
+        return failed("h is not analytic on the closed disk "
+                      "(denominator root inside |z| < 1)", margin)
     try:
         table = unwrap_boundary_phase(spec, cfg.grid_size, cfg.h_nonvanish_tol)
     except BoundaryHypothesisError as exc:

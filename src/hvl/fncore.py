@@ -13,8 +13,15 @@ The co-analytic part is never stored independently: it is tied to h through
     g'(z) = z**(m-1) * h'(z),        m = 2, 3, 4, ...
 
 so a ``HarmonicMapSpec`` is just (h, m) plus the derived series for g when h
-is a series.  All evaluators are pure functions of immutable specs and are
-safe to share across threads.
+is a series.
+
+Evaluation is per kind: each spec class carries its own arithmetic for h',
+h'', H = h'/z**(p-1) and the radial primitives that give h and g, and the
+public ``eval_*_many`` functions only check their arguments and call it.
+The coefficient tables, roots and residues are cached properties of the
+frozen spec, built on first use and freed with the spec; there is no
+module-level cache.  All evaluators are pure functions of immutable specs
+and are safe to share across threads.
 
 Rational specs may have poles of h' on the unit circle (the flat-sided
 presets do).  Evaluation requests that land within ``BOUNDARY_EPSILON``
@@ -28,6 +35,7 @@ repeated or nearly coincident poles raise ``RepeatedPoleError``.
 
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 from typing import Union
@@ -116,8 +124,52 @@ def require_int(value, lo: int, message: str) -> int:
     return int(value)
 
 
+def _complex_tuple(values, name: str) -> tuple[complex, ...]:
+    try:
+        vals = tuple(complex(c) for c in values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParameterError(f"{name} must be complex numbers: {exc}") from None
+    bad = [c for c in vals if not cmath.isfinite(c)]
+    if bad:
+        raise ParameterError(f"{name} must be finite, got {bad[0]!r}")
+    return vals
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _roots(c: np.ndarray) -> np.ndarray:
+    """Roots of an ascending complex coefficient array (none for a constant)."""
+    return _frozen(np.asarray(npoly.polyroots(c), dtype=complex))
+
+
+class _Kind:
+    """The arithmetic of one kind of h, behind the public evaluators.
+
+    Each kind provides ``poles`` (of h') and ``H_zeros`` (of the normalized
+    derivative H = h'/z**(p-1)) as arrays, raw ``_h_prime``, ``_h_second``
+    and ``_H`` (non-finite at poles), and ``_primitive``, the radial
+    primitives F_q(z) = integral of u**q h'(u) over [0, z] (q = 0 gives h,
+    q = m-1 gives g).  Every table is a cached property of the frozen spec
+    (the F_q tables sit in one dict keyed by q): built on first use,
+    read-only, freed with the spec.
+    """
+
+    @functools.cached_property
+    def _tables(self) -> dict:
+        return {}
+
+    def _table(self, q: int):
+        """The table of F_q (see ``_primitive_table``), built on first use."""
+        if q not in self._tables:
+            self._tables[q] = self._primitive_table(q)
+        return self._tables[q]
+
+
 @dataclass(frozen=True)
-class PolySeries:
+class PolySeries(_Kind):
     """h as a finite series z**p + a[p+1] z**(p+1) + ... + a[N] z**N.
 
     ``coeffs[j]`` holds the coefficient of z**(p+j); ``coeffs[0]`` must be
@@ -127,12 +179,11 @@ class PolySeries:
     p: int
     coeffs: tuple[complex, ...]
 
+    poles = _frozen(np.zeros(0, dtype=complex))  # a series h' has none
+
     def __post_init__(self):
         object.__setattr__(self, "p", require_int(self.p, 1, "p must be a positive integer"))
-        try:
-            coeffs = tuple(complex(c) for c in self.coeffs)
-        except (TypeError, ValueError) as exc:
-            raise ParameterError(f"coeffs must be complex numbers: {exc}") from None
+        coeffs = _complex_tuple(self.coeffs, "coeffs")
         if not coeffs:
             raise ParameterError("coeffs must be non-empty")
         if coeffs[0] != 1:
@@ -141,13 +192,74 @@ class PolySeries:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
-    @property
-    def degree(self) -> int:
-        return self.p + len(self.coeffs) - 1
+    @functools.cached_property
+    def _a(self) -> np.ndarray:
+        return _frozen(np.asarray(self.coeffs, dtype=complex))
+
+    @functools.cached_property
+    def _n(self) -> np.ndarray:
+        return _frozen(self.p + np.arange(len(self.coeffs)))
+
+    @functools.cached_property
+    def _d1(self) -> np.ndarray:
+        return _frozen(self._n * self._a)                 # h'  = z**(p-1) * D1(z)
+
+    @functools.cached_property
+    def _d2(self) -> np.ndarray:
+        return _frozen(self._n * (self._n - 1) * self._a)  # h'' = z**(p-2) * D2(z)  (p >= 2)
+
+    @functools.cached_property
+    def H_zeros(self) -> np.ndarray:
+        return _roots(self._d1)
+
+    def _h_prime(self, z):
+        return z ** (self.p - 1) * npoly.polyval(z, self._d1)
+
+    def _h_second(self, z):
+        if self.p >= 2:
+            return z ** (self.p - 2) * npoly.polyval(z, self._d2)
+        if self._d2.size > 1:
+            return npoly.polyval(z, self._d2[1:])  # d2[0] == 0 for p == 1
+        return np.zeros(z.shape, dtype=complex)
+
+    def _H(self, z):
+        return npoly.polyval(z, self._d1)
+
+    def _primitive_table(self, q: int):
+        """(p + q, c): F_q(z) = z**(p+q) * sum_j c_j z**j, c_j = n a_n/(n+q)."""
+        if q == 0:  # n/n * a would turn a -0.0 imaginary part into +0.0
+            return self.p, self._a
+        return self.p + q, _frozen(self._n / (self._n + q) * self._a)
+
+    def _primitive(self, z, qs, on_failure):
+        vals = [z ** k * npoly.polyval(z, c) for k, c in map(self._table, qs)]
+        return vals, np.zeros(z.shape, dtype=bool)
+
+
+# Closed-form primitive of a rational h' = P/Q
+#
+# With residues c_k = (u**q P)(z_k) / Q'(z_k) at the simple poles z_k of Q,
+#
+#     F_q(z) = T(z) + sum_k c_k L_n(z/z_k),  L_n(w) = log(1-w) + sum_{j<=n} w**j/j,
+#
+# where T is the Taylor polynomial of F_q of degree n = deg(u**q P) + 1.  A
+# pole far outside the disk has a huge residue that cancels against the
+# polynomial part; its tail c_k L_n = -c_k sum_{j>n} (z/z_k)**j / j does not.
+# L_n is summed as that series where |w| <= 1/2 (53 terms reach rounding).
+
+# Above this relative condition number times eps a pole has fewer than ten
+# correct digits: a double pole gives about 1.5e-8, simple poles 1e-9 apart
+# 1.6e-8, poles 1e-4 apart 7e-12.
+_POLE_COND_LIMIT = 1e-10
+# A pole within _CUT_BAND * |z_k| of the segment [0, z] counts as lying on it:
+# a hundred times the pole error allowed above, so rounding cannot move a
+# pole across the path and add 2 pi i c_k unnoticed.
+_CUT_BAND = 1e-8
+_TAIL_RADIUS, _TAIL_TERMS = 0.5, 53
 
 
 @dataclass(frozen=True)
-class RationalDeriv:
+class RationalDeriv(_Kind):
     """h given through h'(z) = numer(z)/denom(z), with h(0) = 0.
 
     Coefficient tuples are ascending in the exponent.  numer must vanish to
@@ -175,17 +287,111 @@ class RationalDeriv:
         object.__setattr__(self, "numer", numer)
         object.__setattr__(self, "denom", denom)
 
+    @functools.cached_property
+    def _P(self) -> np.ndarray:
+        return _frozen(np.asarray(self.numer, dtype=complex))
+
+    @functools.cached_property
+    def _Q(self) -> np.ndarray:
+        return _frozen(np.asarray(self.denom, dtype=complex))
+
+    @functools.cached_property
+    def _second_num(self) -> np.ndarray:
+        """Numerator of h'' = (P' Q - P Q') / Q**2."""
+        P, Q = self._P, self._Q
+        num = npoly.polysub(npoly.polymul(npoly.polyder(P), Q), npoly.polymul(P, npoly.polyder(Q)))
+        return _frozen(np.asarray(num, dtype=complex))
+
+    @functools.cached_property
+    def poles(self) -> np.ndarray:
+        return _roots(self._Q)
+
+    @functools.cached_property
+    def H_zeros(self) -> np.ndarray:
+        return _roots(self._P[self.p - 1:])
+
+    def _h_prime(self, z):
+        return npoly.polyval(z, self._P) / npoly.polyval(z, self._Q)
+
+    def _h_second(self, z):
+        q = npoly.polyval(z, self._Q)
+        return npoly.polyval(z, self._second_num) / (q * q)
+
+    def _H(self, z):
+        return npoly.polyval(z, self._P[self.p - 1:]) / npoly.polyval(z, self._Q)
+
+    def _primitive_table(self, q: int):
+        """(T, residues c_k, n) for F_q; see the formula above."""
+        P, Q, poles = self._P, self._Q, self.poles
+        num = np.concatenate([np.zeros(q, dtype=complex), P])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dq = npoly.polyval(poles, npoly.polyder(Q))
+            cond = (np.finfo(float).eps * npoly.polyval(np.abs(poles), np.abs(Q))
+                    / (np.abs(poles) * np.abs(dq)))
+        bad = ~(cond <= _POLE_COND_LIMIT)
+        if np.any(bad):
+            loc = complex(poles[bad][0])
+            raise RepeatedPoleError(
+                f"h' has repeated or nearly coincident poles near z = {loc:.6g}; "
+                "their partial fractions cancel too strongly to evaluate h and g",
+                location=loc,
+            )
+        n = num.size
+        t = np.zeros(n, dtype=complex)  # Taylor coefficients of u**q h'(u)
+        for j in range(n):
+            k = min(j, Q.size - 1)
+            t[j] = (num[j] - Q[1:k + 1] @ t[j - k:j][::-1]) / Q[0]
+        taylor = np.concatenate([[0.0], t / np.arange(1, n + 1)])
+        return _frozen(taylor), _frozen(npoly.polyval(poles, num) / dq), n
+
+    def _primitive(self, z, qs, on_failure):
+        """F_q at z for each q after clamping, and the mask of points whose
+        segment meets a pole (NaN there; ``QuadratureError`` unless masking)."""
+        zeff, _ = clamp_to_interior(self, z)
+        flat = zeff.ravel()
+        tables = [self._table(q) for q in qs]
+        zeta = flat[:, None] / self.poles
+        on_cut = (zeta.real >= 1.0 - _CUT_BAND) & (np.abs(zeta.imag) <= _CUT_BAND * np.abs(zeta))
+        failed = np.any(on_cut, axis=1)
+        vals = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log1p(-zeta)
+            for taylor, residues, n in tables:
+                v = npoly.polyval(flat, taylor) + _log_tails(zeta, logs, n) @ residues
+                v[failed] = np.nan
+                vals.append(v.reshape(z.shape))
+        if np.any(failed) and on_failure == "raise":
+            hit = np.any(on_cut, axis=0)
+            jump = 2.0 * np.pi * max(np.max(np.abs(t[1][hit])) for t in tables)
+            raise QuadratureError(
+                f"the radial segment passes through a pole of h' at {np.count_nonzero(failed)} "
+                f"point(s); the primitive jumps by {jump:.3g} across it",
+                worst_estimate=float(jump) if jump > 0 else np.inf,
+                where=complex(flat[np.argmax(failed)]),
+            )
+        return vals, failed.reshape(z.shape)
+
 
 def _trim_poly(coeffs, name: str) -> tuple[complex, ...]:
-    try:
-        vals = [complex(c) for c in coeffs]
-    except (TypeError, ValueError) as exc:
-        raise ParameterError(f"{name} must be complex numbers: {exc}") from None
+    vals = list(_complex_tuple(coeffs, name))
     while len(vals) > 1 and vals[-1] == 0:
         vals.pop()
     if not vals or all(c == 0 for c in vals):
         raise ParameterError(f"{name} must not be the zero polynomial")
     return tuple(vals)
+
+
+def _log_tails(zeta: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
+    """L_n(zeta) elementwise, given logs = log(1 - zeta)."""
+    out = logs + npoly.polyval(zeta, np.concatenate([[0.0], 1.0 / np.arange(1, n + 1)]))
+    small = np.abs(zeta) <= _TAIL_RADIUS
+    if np.any(small):
+        w = zeta[small]
+        acc = np.zeros_like(w)
+        for j in range(n + _TAIL_TERMS, n, -1):
+            acc = acc * w + 1.0 / j
+        out[small] = -acc * w ** (n + 1)
+    return out
 
 
 FunctionSpec = Union[PolySeries, RationalDeriv]
@@ -197,7 +403,7 @@ class HarmonicMapSpec:
 
     ``g_coeffs`` is the derived series for g when h is a ``PolySeries``:
     ``g_coeffs[j]`` is the coefficient of z**(p+m-1+j).  For rational h it is
-    None and g is evaluated by integration.
+    None.  Evaluation reads g from h's own tables either way.
     """
 
     h: FunctionSpec
@@ -220,62 +426,11 @@ def derive_g(h: FunctionSpec, m: int) -> HarmonicMapSpec:
     """
     m = require_int(m, 2, "m must be an integer >= 2")
     if isinstance(h, PolySeries):
-        n = h.p + np.arange(len(h.coeffs))
-        g = (n / (n + m - 1)) * np.asarray(h.coeffs, dtype=complex)
+        _, g = h._table(m - 1)
         return HarmonicMapSpec(h=h, m=m, g_coeffs=tuple(complex(c) for c in g))
     if isinstance(h, RationalDeriv):
         return HarmonicMapSpec(h=h, m=m, g_coeffs=None)
     raise ParameterError(f"unsupported function spec: {type(h).__name__}")
-
-
-# ---------------------------------------------------------------------------
-# Cached derived coefficient tables
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
-@functools.lru_cache(maxsize=64)
-def _series_tables(spec: PolySeries):
-    a = np.asarray(spec.coeffs, dtype=complex)
-    n = spec.p + np.arange(a.size)
-    d1 = _frozen(n * a)                    # h'  = z**(p-1) * D1(z)
-    d2 = _frozen(n * (n - 1) * a)          # h'' = z**(p-2) * D2(z)   (p >= 2)
-    return _frozen(a), d1, d2
-
-
-@functools.lru_cache(maxsize=64)
-def _rational_tables(spec: RationalDeriv):
-    numer = np.asarray(spec.numer, dtype=complex)
-    denom = np.asarray(spec.denom, dtype=complex)
-    hnum = _frozen(numer[spec.p - 1:])     # normalized derivative = hnum/denom
-    # h'' = (numer' denom - numer denom') / denom**2
-    second_num = npoly.polysub(
-        npoly.polymul(npoly.polyder(numer), denom),
-        npoly.polymul(numer, npoly.polyder(denom)),
-    )
-    return _frozen(numer), _frozen(denom), hnum, _frozen(np.asarray(second_num, dtype=complex))
-
-
-@functools.lru_cache(maxsize=64)
-def denominator_roots(denom: tuple[complex, ...]) -> np.ndarray:
-    """Roots of an ascending-coefficient polynomial (cached)."""
-    c = np.asarray(denom, dtype=complex)
-    if c.size <= 1:
-        return _frozen(np.zeros(0, dtype=complex))
-    return _frozen(np.asarray(npoly.polyroots(c), dtype=complex))
-
-
-@functools.lru_cache(maxsize=64)
-def normalized_deriv_roots(spec: FunctionSpec) -> np.ndarray:
-    """Zeros of the normalized derivative h'(z)/z**(p-1) (cached)."""
-    if isinstance(spec, PolySeries):
-        _, d1, _ = _series_tables(spec)
-        return denominator_roots(tuple(d1))
-    _, _, hnum, _ = _rational_tables(spec)
-    return denominator_roots(tuple(hnum))
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +450,11 @@ def _prepare(z):
     return np.atleast_1d(arr), arr.ndim == 0
 
 
+def _require_mode(name: str, mode, allowed: tuple[str, str]) -> None:
+    if mode not in allowed:
+        raise ParameterError(f"{name} must be one of {allowed}, got {mode!r}")
+
+
 # Half-width of the pole clamp of ``clamp_to_interior``.
 BOUNDARY_EPSILON = 1e-6
 
@@ -303,117 +463,50 @@ def clamp_to_interior(spec: FunctionSpec, zs):
     """Pull near-boundary points out of pole sectors of a rational h'.
 
     A point with |z| > 1 - BOUNDARY_EPSILON lying within BOUNDARY_EPSILON of
-    a denominator root is moved radially to radius 1 - BOUNDARY_EPSILON.
-    Returns ``(points, clamped_mask)``; series specs never clamp.
+    a pole of h' is moved radially to radius 1 - BOUNDARY_EPSILON.  Returns
+    ``(points, clamped_mask)``; series specs have no poles and never clamp.
     """
     zs = np.asarray(zs, dtype=complex)
     clamped = np.zeros(zs.shape, dtype=bool)
-    if isinstance(spec, RationalDeriv):
-        poles = denominator_roots(spec.denom)
-        if poles.size:
-            dist = np.min(np.abs(zs[..., None] - poles), axis=-1)
-            near = (dist < BOUNDARY_EPSILON) & (np.abs(zs) > 1.0 - BOUNDARY_EPSILON)
-            if np.any(near):
-                zs = np.array(zs, copy=True)
-                zn = zs[near]
-                zs[near] = zn * ((1.0 - BOUNDARY_EPSILON) / np.abs(zn))
-                clamped = near
+    if spec.poles.size:
+        dist = np.min(np.abs(zs[..., None] - spec.poles), axis=-1)
+        near = (dist < BOUNDARY_EPSILON) & (np.abs(zs) > 1.0 - BOUNDARY_EPSILON)
+        if np.any(near):
+            zs = np.array(zs, copy=True)
+            zn = zs[near]
+            zs[near] = zn * ((1.0 - BOUNDARY_EPSILON) / np.abs(zn))
+            clamped = near
     return zs, clamped
 
 
-# ---------------------------------------------------------------------------
-# Closed-form primitive of a rational h'
-#
-# With residues c_k = (u**q P)(z_k) / Q'(z_k) at the simple poles z_k of Q,
-#
-#     F_q(z) = T(z) + sum_k c_k L_n(z/z_k),  L_n(w) = log(1-w) + sum_{j<=n} w**j/j,
-#
-# where T is the Taylor polynomial of F_q of degree n = deg(u**q P) + 1.  A
-# pole far outside the disk has a huge residue that cancels against the
-# polynomial part; its tail c_k L_n = -c_k sum_{j>n} (z/z_k)**j / j does not.
-# L_n is summed as that series where |w| <= 1/2 (53 terms reach rounding).
-
-# Above this relative condition number times eps a pole has fewer than ten
-# correct digits: a double pole gives about 1.5e-8, simple poles 1e-9 apart
-# 1.6e-8, poles 1e-4 apart 7e-12.
-_POLE_COND_LIMIT = 1e-10
-# A pole within _CUT_BAND * |z_k| of the segment [0, z] counts as lying on it:
-# a hundred times the pole error allowed above, so rounding cannot move a
-# pole across the path and add 2 pi i c_k unnoticed.
-_CUT_BAND = 1e-8
-_TAIL_RADIUS, _TAIL_TERMS = 0.5, 53
+def _primitive_many(h: FunctionSpec, zs, qs, on_failure: str):
+    """F_q0 (+ conj F_q1) at zs, with the ``on_failure`` contract of eval_h_many."""
+    _require_mode("on_failure", on_failure, ("raise", "mask"))
+    arr, scalar = _prepare(zs)
+    _check_disk(arr)
+    (vals, *rest), failed = h._primitive(arr, qs, on_failure)
+    if rest:
+        vals = vals + np.conj(rest[0])
+    if on_failure == "mask":
+        return vals, failed
+    return vals[0] if scalar else vals
 
 
-@functools.lru_cache(maxsize=64)
-def _primitive_tables(spec: RationalDeriv, q: int):
-    """(T, poles z_k, residues c_k, n) for F_q; see the formula above."""
-    numer, denom, _, _ = _rational_tables(spec)
-    num = np.concatenate([np.zeros(q, dtype=complex), numer])
-    poles = denominator_roots(spec.denom)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dq = npoly.polyval(poles, npoly.polyder(denom))
-        cond = (np.finfo(float).eps * npoly.polyval(np.abs(poles), np.abs(denom))
-                / (np.abs(poles) * np.abs(dq)))
-    bad = ~(cond <= _POLE_COND_LIMIT)
-    if np.any(bad):
-        loc = complex(poles[bad][0])
-        raise RepeatedPoleError(
-            f"h' has repeated or nearly coincident poles near z = {loc:.6g}; "
-            "their partial fractions cancel too strongly to evaluate h and g",
-            location=loc,
-        )
-    n = num.size
-    t = np.zeros(n, dtype=complex)  # Taylor coefficients of u**q h'(u)
-    for j in range(n):
-        k = min(j, denom.size - 1)
-        t[j] = (num[j] - denom[1:k + 1] @ t[j - k:j][::-1]) / denom[0]
-    taylor = np.concatenate([[0.0], t / np.arange(1, n + 1)])
-    return _frozen(taylor), poles, _frozen(npoly.polyval(poles, num) / dq), n
-
-
-def _log_tails(zeta: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
-    """L_n(zeta) elementwise, given logs = log(1 - zeta)."""
-    out = logs + npoly.polyval(zeta, np.concatenate([[0.0], 1.0 / np.arange(1, n + 1)]))
-    small = np.abs(zeta) <= _TAIL_RADIUS
-    if np.any(small):
-        w = zeta[small]
-        acc = np.zeros_like(w)
-        for j in range(n + _TAIL_TERMS, n, -1):
-            acc = acc * w + 1.0 / j
-        out[small] = -acc * w ** (n + 1)
-    return out
-
-
-def _rational_primitive(spec: RationalDeriv, zs: np.ndarray, qs, on_failure: str):
-    """F_q(z) = integral of u**q h'(u) along [0, z] for each q, after clamping.
-
-    Returns ``(values, failed)``: one array per q shaped like zs (NaN where
-    failed) and the mask of points whose segment meets a pole.  Raises
-    ``QuadratureError`` on such points unless ``on_failure == "mask"``.
-    """
-    zeff, _ = clamp_to_interior(spec, zs)
-    flat = zeff.ravel()
-    tables = [_primitive_tables(spec, q) for q in qs]
-    zeta = flat[:, None] / tables[0][1]
-    on_cut = (zeta.real >= 1.0 - _CUT_BAND) & (np.abs(zeta.imag) <= _CUT_BAND * np.abs(zeta))
-    failed = np.any(on_cut, axis=1)
-    vals = []
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logs = np.log1p(-zeta)
-        for taylor, _, residues, n in tables:
-            v = npoly.polyval(flat, taylor) + _log_tails(zeta, logs, n) @ residues
-            v[failed] = np.nan
-            vals.append(v.reshape(zs.shape))
-    if np.any(failed) and on_failure == "raise":
-        hit = np.any(on_cut, axis=0)
-        jump = 2.0 * np.pi * max(np.max(np.abs(t[2][hit])) for t in tables)
-        raise QuadratureError(
-            f"the radial segment passes through a pole of h' at {np.count_nonzero(failed)} "
-            f"point(s); the primitive jumps by {jump:.3g} across it",
-            worst_estimate=float(jump) if jump > 0 else np.inf,
-            where=complex(flat[np.argmax(failed)]),
-        )
-    return vals, failed.reshape(zs.shape)
+def _finite_many(spec: FunctionSpec, evaluate, zs, on_pole: str, what: str):
+    """``evaluate`` at zs, with the ``on_pole`` contract of eval_h_prime_many."""
+    _require_mode("on_pole", on_pole, ("raise", "nan"))
+    arr, scalar = _prepare(zs)
+    _check_disk(arr)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        vals = evaluate(arr)
+    if spec.poles.size:  # without poles there is nothing to report
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            if on_pole == "raise":
+                loc = arr[bad].ravel()[0]
+                raise PoleError(f"{what} has a pole at z = {loc:.6g}", location=complex(loc))
+            vals = np.where(bad, np.nan + 0j, vals)
+    return vals[0] if scalar else vals
 
 
 # ---------------------------------------------------------------------------
@@ -428,70 +521,22 @@ def eval_h_many(spec: FunctionSpec, zs, *, on_failure: str = "raise"):
     With ``on_failure="mask"`` returns (values, failed_mask) instead of
     raising when the radial segment meets a pole.
     """
-    arr, scalar = _prepare(zs)
-    _check_disk(arr)
-    if isinstance(spec, PolySeries):
-        a, _, _ = _series_tables(spec)
-        vals = arr ** spec.p * npoly.polyval(arr, a)
-        failed = np.zeros(arr.shape, dtype=bool)
-    else:
-        (vals,), failed = _rational_primitive(spec, arr, (0,), on_failure)
-    if on_failure == "mask":
-        return vals, failed
-    return vals[0] if scalar else vals
-
+    return _primitive_many(spec, zs, (0,), on_failure)
 
 
 def eval_h_prime_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     """h' at an array of points; exact evaluation, no quadrature.
 
-    Rational specs raise ``PoleError`` on a denominator zero (``on_pole="nan"``
-    substitutes NaN instead, for sampling sweeps that skip poles).
+    Specs with poles raise ``PoleError`` where the value is not finite, as
+    on a denominator zero (``on_pole="nan"`` substitutes NaN instead, for
+    sampling sweeps that skip poles).
     """
-    arr, scalar = _prepare(zs)
-    _check_disk(arr)
-    if isinstance(spec, PolySeries):
-        _, d1, _ = _series_tables(spec)
-        vals = arr ** (spec.p - 1) * npoly.polyval(arr, d1)
-    else:
-        numer, denom, _, _ = _rational_tables(spec)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = npoly.polyval(arr, numer) / npoly.polyval(arr, denom)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            if on_pole == "raise":
-                loc = arr[bad].ravel()[0]
-                raise PoleError(f"h' has a pole at z = {loc:.6g}", location=complex(loc))
-            vals = np.where(bad, np.nan + 0j, vals)
-    return vals[0] if scalar else vals
-
+    return _finite_many(spec, spec._h_prime, zs, on_pole, "h'")
 
 
 def eval_h_second_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     """h'' at an array of points; exact evaluation."""
-    arr, scalar = _prepare(zs)
-    _check_disk(arr)
-    if isinstance(spec, PolySeries):
-        _, _, d2 = _series_tables(spec)
-        if spec.p >= 2:
-            vals = arr ** (spec.p - 2) * npoly.polyval(arr, d2)
-        elif d2.size > 1:
-            vals = npoly.polyval(arr, d2[1:])  # d2[0] == 0 for p == 1
-        else:
-            vals = np.zeros(arr.shape, dtype=complex)
-    else:
-        numer, denom, _, second_num = _rational_tables(spec)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            q = npoly.polyval(arr, denom)
-            vals = npoly.polyval(arr, second_num) / (q * q)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            if on_pole == "raise":
-                loc = arr[bad].ravel()[0]
-                raise PoleError(f"h'' has a pole at z = {loc:.6g}", location=complex(loc))
-            vals = np.where(bad, np.nan + 0j, vals)
-    return vals[0] if scalar else vals
-
+    return _finite_many(spec, spec._h_second, zs, on_pole, "h''")
 
 
 def eval_normalized_deriv_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
@@ -500,24 +545,7 @@ def eval_normalized_deriv_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     This is the function whose boundary phase drives the cusp criterion; it
     extends analytically through the origin with value p at z = 0.
     """
-    arr, scalar = _prepare(zs)
-    _check_disk(arr)
-    if isinstance(spec, PolySeries):
-        _, d1, _ = _series_tables(spec)
-        vals = npoly.polyval(arr, d1)
-    else:
-        _, denom, hnum, _ = _rational_tables(spec)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            vals = npoly.polyval(arr, hnum) / npoly.polyval(arr, denom)
-        bad = ~np.isfinite(vals)
-        if np.any(bad):
-            if on_pole == "raise":
-                loc = arr[bad].ravel()[0]
-                raise PoleError(f"normalized derivative has a pole at z = {loc:.6g}",
-                                location=complex(loc))
-            vals = np.where(bad, np.nan + 0j, vals)
-    return vals[0] if scalar else vals
-
+    return _finite_many(spec, spec._H, zs, on_pole, "normalized derivative")
 
 
 def eval_g_prime_many(map_spec: HarmonicMapSpec, zs, on_pole: str = "raise"):
@@ -528,22 +556,10 @@ def eval_g_prime_many(map_spec: HarmonicMapSpec, zs, on_pole: str = "raise"):
     return vals[0] if scalar else vals
 
 
-
 def eval_g_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
-    """g at an array of points; series form when available, else the closed-form
-    primitive of z**(m-1) h'."""
-    arr, scalar = _prepare(zs)
-    _check_disk(arr)
-    if map_spec.g_coeffs is not None:
-        gc = np.asarray(map_spec.g_coeffs, dtype=complex)
-        vals = arr ** (map_spec.p + map_spec.m - 1) * npoly.polyval(arr, gc)
-        failed = np.zeros(arr.shape, dtype=bool)
-    else:
-        (vals,), failed = _rational_primitive(map_spec.h, arr, (map_spec.m - 1,), on_failure)
-    if on_failure == "mask":
-        return vals, failed
-    return vals[0] if scalar else vals
-
+    """g at an array of points: the primitive of z**(m-1) h' (a series when h
+    is one)."""
+    return _primitive_many(map_spec.h, zs, (map_spec.m - 1,), on_failure)
 
 
 def eval_f_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
@@ -551,18 +567,4 @@ def eval_f_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
 
     For rational h both primitives share one set of logarithms.
     """
-    arr, scalar = _prepare(zs)
-    _check_disk(arr)
-    if map_spec.g_coeffs is not None:
-        h_vals = eval_h_many(map_spec.h, arr)
-        g_vals = eval_g_many(map_spec, arr)
-        vals = h_vals + np.conj(g_vals)
-        failed = np.zeros(arr.shape, dtype=bool)
-    else:
-        (h_vals, g_vals), failed = _rational_primitive(
-            map_spec.h, arr, (0, map_spec.m - 1), on_failure
-        )
-        vals = h_vals + np.conj(g_vals)
-    if on_failure == "mask":
-        return vals, failed
-    return vals[0] if scalar else vals
+    return _primitive_many(map_spec.h, zs, (0, map_spec.m - 1), on_failure)

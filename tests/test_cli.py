@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from hvl import PolySeries, SpecFileError, ParameterError, derive_g, fncore, presets
+from hvl import PolySeries, SpecFileError, ParameterError, derive_g, presets
 from hvl.cli import (
     SweepConfig,
     load_input,
@@ -66,6 +66,11 @@ def test_spec_doc_strictness():
         parse_spec_doc({**POLY_DOC, "p": True})
     with pytest.raises(SpecFileError):
         parse_spec_doc({**POLY_DOC, "coeffs": [[1.0]]})
+    # an integer literal too large for a float names its field and entry
+    with pytest.raises(SpecFileError, match="'coeffs' entry 1 is too large"):
+        parse_spec_doc({**POLY_DOC, "coeffs": [[1.0, 0.0], [10 ** 400, 0]]})
+    with pytest.raises(SpecFileError, match="'denom' entry 0 is too large"):
+        parse_spec_doc({**RATIONAL_POLE_DOC, "denom": [[1, -10 ** 400]]})
 
 
 def test_spec_doc_presets():
@@ -189,6 +194,26 @@ def test_verify_rejects_inadmissible_preset_param(capsys):
     code = main(["verify", "--input", "preset:example2,c=3"])
     assert code == 1
     assert "admissible bound" in capsys.readouterr().err
+    # NaN slips past |c| <= bound; the series refuses it instead
+    for c, message in (("nan", "must be finite"), ("inf", "admissible bound"),
+                       ("nanj", "must be finite")):
+        code = main(["verify", "--input", f"preset:example2,c={c}"])
+        err = capsys.readouterr().err
+        assert code == 1, c
+        assert message in err and err.count("\n") == 1, err
+
+
+def test_verify_non_finite_boundary_exit_2(tmp_path):
+    """Finite coefficients whose H overflows on the circle fail the
+    boundary hypothesis: a report and exit 2, not a traceback."""
+    doc = {**POLY_DOC, "p": 1, "m": 2, "coeffs": [[1, 0], [1e308, 1e308]]}
+    out = tmp_path / "report.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = main(["verify", "--input", write_spec(tmp_path, doc), "--report", str(out)])
+    assert code == 2
+    report = json.loads(out.read_text())
+    assert report["failure_reason"] == "normalized derivative is not finite on the boundary"
+    assert report["criterion_satisfied"] is False
 
 
 def test_trace_csv(tmp_path, capsys):
@@ -296,17 +321,6 @@ def test_sweep_keeps_and_scans():
         else:
             assert row["max_valence"] is None
     assert report["n_candidates"] == 0
-
-
-def test_sweep_leaves_spec_caches_bounded():
-    """Every sweep trial is a new spec; the spec-keyed caches must not keep
-    one entry per trial."""
-    caches = (fncore._series_tables, fncore._rational_tables,
-              fncore.denominator_roots, fncore.normalized_deriv_roots)
-    for cache in caches:
-        cache.cache_clear()
-    run_sweep(SweepConfig(trials=100, seed=3, grid=(16, 16)))
-    assert [cache.cache_info().currsize <= 64 for cache in caches] == [True] * 4
 
 
 def test_sweep_stream_is_seed_stable():

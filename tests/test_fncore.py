@@ -1,7 +1,14 @@
 """Core evaluators: spec validation, series and closed-form rational evaluation."""
 
+import gc
+import inspect
+import sys
+import weakref
+
 import numpy as np
 import pytest
+
+import hvl
 
 from hvl import (
     DomainError,
@@ -45,6 +52,9 @@ def test_polyseries_normalization_enforced():
         PolySeries(2, (2 + 0j, 0.5))
     with pytest.raises(ParameterError):
         PolySeries(2, ())
+    for bad in (complex(np.nan, 0.0), complex(0.0, np.inf), 10 ** 400):
+        with pytest.raises(ParameterError):
+            PolySeries(2, (1 + 0j, bad))
     # exact 1 passes
     PolySeries(2, (1 + 0j, 0.5))
 
@@ -59,6 +69,10 @@ def test_rational_deriv_validation():
         RationalDeriv(2, (0, 0, 1), (1,))  # vanishes to order 2, not 1
     with pytest.raises(ParameterError):
         RationalDeriv(1, (0, 0), (1,))  # zero polynomial after trim
+    with pytest.raises(ParameterError, match="numer must be finite"):
+        RationalDeriv(1, (1, np.nan), (1,))
+    with pytest.raises(ParameterError, match="denom must be finite"):
+        RationalDeriv(1, (1,), (1, -np.inf))
     RationalDeriv(2, (0, 2), (1, 0, 0.5))
 
 
@@ -195,14 +209,27 @@ def test_scalar_and_vector_paths_agree():
 
 def test_rational_matches_equivalent_series():
     """A polynomial h' fed through the rational path must agree with the
-    series path to rounding."""
+    series path to rounding, in every evaluator and in its poles and zeros."""
     series = PolySeries(1, (1 + 0j, 0 + 0j, 0.3 + 0j))  # h = z + 0.3 z^3
     rational = RationalDeriv(1, (1, 0, 0.9), (1,))  # h' = 1 + 0.9 z^2
     rng = np.random.default_rng(23)
     zs = 0.999 * np.sqrt(rng.uniform(size=48)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 48))
-    got = eval_h_many(rational, zs)
-    want = eval_h_many(series, zs)
-    assert np.max(np.abs(got - want)) < 1e-11
+    for evaluate in (eval_h_many, eval_h_prime_many, eval_h_second_many,
+                     eval_normalized_deriv_many):
+        got = evaluate(rational, zs)
+        want = evaluate(series, zs)
+        assert np.max(np.abs(got - want)) < 1e-11, evaluate.__name__
+    map_r, map_s = derive_g(rational, 3), derive_g(series, 3)
+    for evaluate in (eval_g_many, eval_g_prime_many, eval_f_many):
+        got = evaluate(map_r, zs)
+        want = evaluate(map_s, zs)
+        assert np.max(np.abs(got - want)) < 1e-11, evaluate.__name__
+    assert rational.poles.size == 0 and series.poles.size == 0
+    # H = 1 + 0.9 z^2 vanishes at +-i/sqrt(0.9)
+    want_zeros = np.array([-1j, 1j]) / np.sqrt(0.9)
+    for spec in (rational, series):
+        got_zeros = np.sort_complex(spec.H_zeros)
+        assert np.max(np.abs(got_zeros - want_zeros)) < 1e-11
 
 
 def test_rational_log_closed_form():
@@ -375,6 +402,44 @@ def test_eval_h_many_mask_mode():
     vals, failed = eval_h_many(spec, zs, on_failure="mask")
     assert failed.tolist() == [False, True, False]
     assert np.isfinite(vals[~failed]).all()
+    # an unknown mode is refused, not read as a request for NaN
+    with pytest.raises(ParameterError, match="on_failure"):
+        eval_h_many(spec, [0.9], on_failure="bogus")
+    with pytest.raises(ParameterError, match="on_failure"):
+        eval_f_many(derive_g(spec, 2), [0.3], on_failure="bogus")
+    for evaluate in (eval_h_prime_many, eval_h_second_many, eval_normalized_deriv_many):
+        with pytest.raises(ParameterError, match="on_pole"):
+            evaluate(spec, [0.5], on_pole="bogus")
+
+
+def test_spec_tables_are_freed_with_the_spec():
+    """Tables live on the spec: after every evaluator has run, dropping the
+    map frees the spec and its tables, and no module keeps a cache."""
+    zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.9])
+    refs = []
+    for h in (PolySeries(2, (1 + 0j, 0.1j)), RationalDeriv(1, (1, 0.5), (1, 0, 0.25))):
+        map_spec = derive_g(h, 3)
+        for evaluate in (eval_h_many, eval_h_prime_many, eval_h_second_many,
+                         eval_normalized_deriv_many):
+            evaluate(h, zs)
+        for evaluate in (eval_g_many, eval_g_prime_many, eval_f_many):
+            evaluate(map_spec, zs)
+        clamp_to_interior(h, zs)
+        assert h.H_zeros.size == 1
+        tables = [v for v in vars(h).values() if isinstance(v, np.ndarray)]
+        tables += [a for table in h._tables.values() for a in table
+                   if isinstance(a, np.ndarray)]
+        assert len(tables) >= 5
+        refs += [weakref.ref(h), weakref.ref(map_spec)] + [weakref.ref(t) for t in tables]
+        del h, map_spec, tables
+    gc.collect()
+    assert [r() for r in refs] == [None] * len(refs)
+    modules = [m for name, m in list(sys.modules.items())
+               if m is not None and (name == "hvl" or name.startswith("hvl."))]
+    assert hvl.fncore in modules
+    for module in modules:
+        for name, fn in inspect.getmembers(module, callable):
+            assert not hasattr(fn, "cache_info"), f"{module.__name__}.{name}"
 
 
 def test_quadrature_error_carries_location():

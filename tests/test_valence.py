@@ -185,12 +185,13 @@ def test_crossing_rule_with_vertices_on_probe_rows():
 
 
 def test_scan_of_non_finite_trace_fails_quality_check():
-    """A NaN coefficient makes every trace point NaN: no probe is
-    determinate, so the scan fails its quality check instead of binning
-    NaN coordinates into the grid."""
-    spec = derive_g(PolySeries(1, (1 + 0j, complex(math.nan, 0.0))), 2)
+    """A trace of NaN points leaves no determinate probe, so the scan fails
+    its quality check instead of binning NaN coordinates into the grid.
+    (Specs refuse NaN coefficients, so the NaN points are put in the trace.)"""
+    trace = trace_circle(EX1, 0.999, 256)
+    trace.points = np.full(trace.n, complex(math.nan, 0.0))
     with pytest.raises(ScanQualityError):
-        valence_scan(spec, grid=(16, 16), n_samples=256)
+        valence_scan(EX1, grid=(16, 16), trace=trace)
 
 
 def test_scan_report_dict_shape():
