@@ -214,6 +214,8 @@ def load_input(arg: str) -> HarmonicMapSpec:
         raise SpecFileError(f"cannot read spec file: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"spec file is not valid JSON: {exc}") from None
+    except ValueError as exc:  # not UTF-8, or an integer literal of over 4300 digits
+        raise SpecFileError(f"cannot parse spec file: {exc}") from None
     return parse_spec_doc(doc)
 
 

@@ -12,9 +12,9 @@ that F meet the levels 2 k pi, k in K = {0, +-1, ..., +-floor((2p+m+1)/2)},
 in exactly 2p+m-1 simple crossings, at most one per level.
 
 This module computes the continuous branch of arg H on |z| = 1 (with local
-grid refinement so no sampled increment reaches pi/2), locates the level
-crossings by bisection, certifies zero-freeness of H via its boundary
-winding number, and samples the monotonicity margin
+grid refinement so no sampled increment reaches pi/2), locates all level
+crossings in one pass and bisects them together, certifies zero-freeness
+of H via its boundary winding number, and samples the monotonicity margin
 
     min Re(1 + z h''(z)/h'(z)) + (m - 1)/2
 
@@ -64,18 +64,13 @@ class CriterionConfig:
 DEFAULT_CRITERION = CriterionConfig()
 
 
-def _wrap_angle(x):
-    """Map angles into [-pi, pi)."""
-    return (x + math.pi) % _TWO_PI - math.pi
-
-
 @dataclass
 class PhaseTable:
     """Continuous branch of arg H(e^{it}) on t in [-pi, pi].
 
     The table's grid is dense enough that successive increments stay below
-    pi/2; ``eval`` returns exact on-branch values at arbitrary t by lifting
-    the principal argument to the branch selected by table interpolation.
+    pi/2; ``eval_many`` gives exact on-branch values at any t by lifting the
+    principal argument to the branch that table interpolation selects.
     """
 
     spec: FunctionSpec
@@ -99,9 +94,6 @@ class PhaseTable:
         est = p0 + (p1 - p0) * (flat - t0) / np.maximum(t1 - t0, 1e-300)
         lifted = pv + _TWO_PI * np.round((est - pv) / _TWO_PI)
         return lifted.reshape(tq.shape)
-
-    def eval(self, tq: float) -> float:
-        return float(self.eval_many(np.asarray(tq, dtype=float)))
 
 
 def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192,
@@ -132,7 +124,7 @@ def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192,
                 f"normalized derivative vanishes on the boundary "
                 f"(min sampled modulus {mod.min():.3g})"
             )
-        steps = _wrap_angle(np.diff(pv))
+        steps = (np.diff(pv) + math.pi) % _TWO_PI - math.pi  # wrapped into [-pi, pi)
         bad = np.flatnonzero(np.abs(steps) >= math.pi / 2)
         if bad.size == 0:
             break
@@ -190,31 +182,40 @@ def level_set(p: int, m: int) -> range:
     return range(-k_max, k_max + 1)
 
 
-def _bisect_level(fn, a: float, b: float, fa: float, fb: float, tol: float):
-    """Bisection for fn on a sign-changing bracket, polished by secant steps."""
+def _bisect_all(fn, a, b, fa, fb, tol: float):
+    """Best (t, fn(t)) on each sign-changing bracket [a, b]: bisection while
+    wider than tol (at most 200 halvings; an exact zero ends a bracket as its
+    lower end), then up to five secant steps.  ``fn(t, rows)`` evaluates the
+    brackets ``rows``; each bracket takes the steps of a scalar bisection.
+    """
+    a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
+    going = np.ones(a.size, dtype=bool)
     for _ in range(200):
-        if b - a <= tol:
+        rows = np.flatnonzero(going & ~(b - a <= tol))
+        if rows.size == 0:
             break
-        mid = 0.5 * (a + b)
-        fm = fn(mid)
-        if fm == 0.0:
-            return mid, 0.0
-        if (fa < 0) != (fm < 0):
-            b, fb = mid, fm
-        else:
-            a, fa = mid, fm
-    lo, hi, flo, fhi = a, b, fa, fb
-    t_best, f_best = (lo, flo) if abs(flo) <= abs(fhi) else (hi, fhi)
+        mid = 0.5 * (a[rows] + b[rows])
+        fm = fn(mid, rows)
+        going[rows[fm == 0.0]] = False
+        up = ((fa[rows] < 0) != (fm < 0)) & (fm != 0.0)
+        b[rows[up]], fb[rows[up]] = mid[up], fm[up]
+        a[rows[~up]], fa[rows[~up]] = mid[~up], fm[~up]
+    first = np.abs(fa) <= np.abs(fb)
+    t_best, f_best = np.where(first, a, b), np.where(first, fa, fb)
+    lo, hi, flo, fhi = a.copy(), b.copy(), fa.copy(), fb.copy()
+    polishing = np.ones(a.size, dtype=bool)
     for _ in range(5):
-        if abs(f_best) < tol or fhi == flo:
+        polishing &= ~((np.abs(f_best) < tol) | (fhi == flo))
+        rows = np.flatnonzero(polishing)
+        t_sec = hi[rows] - fhi[rows] * (hi[rows] - lo[rows]) / (fhi[rows] - flo[rows])
+        polishing[rows] = (a[rows] <= t_sec) & (t_sec <= b[rows])
+        t_sec, rows = t_sec[polishing[rows]], rows[polishing[rows]]
+        if rows.size == 0:
             break
-        t_sec = hi - fhi * (hi - lo) / (fhi - flo)
-        if not (a <= t_sec <= b):
-            break
-        f_sec = fn(t_sec)
-        if abs(f_sec) < abs(f_best):
-            t_best, f_best = t_sec, f_sec
-        lo, flo, hi, fhi = hi, fhi, t_sec, f_sec
+        f_sec = fn(t_sec, rows)
+        better = np.abs(f_sec) < np.abs(f_best[rows])
+        t_best[rows[better]], f_best[rows[better]] = t_sec[better], f_sec[better]
+        lo[rows], flo[rows], hi[rows], fhi[rows] = hi[rows], fhi[rows], t_sec, f_sec
     return t_best, f_best
 
 
@@ -223,62 +224,59 @@ def find_criterion_roots(spec: FunctionSpec, m: int,
                          table: PhaseTable | None = None) -> tuple[RootRecord, ...]:
     """All crossings of F with the levels 2 k pi for k in the searched set.
 
-    Sign changes on the dense grid are refined by bisection to ``bisect_tol``
-    in t; local minima of |F - 2 k pi| below ``tangency_threshold`` without a
-    sign change are recorded with ``suspected_tangency=True``.  Records are
-    sorted by t.
+    One pass over the grid finds, for all levels at once, the samples where
+    F equals a level, the intervals where F - 2 k pi changes sign, and the
+    interior local minima of |F - 2 k pi| below ``tangency_threshold``
+    without a sign change (recorded with ``suspected_tangency=True``).  The
+    sign changes are bisected together to ``bisect_tol`` in t, one
+    ``PhaseTable.eval_many`` call per step.  Records are sorted by t.
     """
     if table is None:
         table = unwrap_boundary_phase(spec, cfg.grid_size, cfg.h_nonvanish_tol)
     map_spec = derive_g(spec, m)
-    coef = 2 * spec.p + m - 1
-    f_grid = coef * table.t + 2.0 * table.phase
-    records: list[RootRecord] = []
-    for k in level_set(spec.p, m):
-        target = _TWO_PI * k
-        g = f_grid - target
-
-        def fn(tq, _target=target):
-            return coef * tq + 2.0 * table.eval(tq) - _target
-
-        roots_k: list[tuple[float, float]] = []
-        zero_hits = np.flatnonzero(g == 0.0)
-        for i in zero_hits:
-            if table.t[i] < math.pi:  # domain is [-pi, pi)
-                roots_k.append((float(table.t[i]), 0.0))
-        sign_changes = np.flatnonzero(g[:-1] * g[1:] < 0.0)
-        for i in sign_changes:
-            t_root, resid = _bisect_level(
-                fn, float(table.t[i]), float(table.t[i + 1]),
-                float(g[i]), float(g[i + 1]), cfg.bisect_tol,
-            )
-            if t_root < math.pi - cfg.bisect_tol:
-                roots_k.append((t_root, abs(resid)))
-        # suspected tangencies: interior local minima of |g| below threshold
-        # whose neighborhoods never change sign
-        absg = np.abs(g)
-        interior = np.arange(1, g.size - 1)
-        is_min = (absg[interior] <= absg[interior - 1]) & (absg[interior] <= absg[interior + 1])
-        small = absg[interior] < cfg.tangency_threshold
-        for i in interior[is_min & small]:
-            if g[i - 1] * g[i] > 0.0 and g[i] * g[i + 1] > 0.0:
-                t_min = float(table.t[i])
-                if all(abs(t_min - tr) > 1e-6 for tr, _ in roots_k):
-                    records.append(RootRecord(k=k, t=t_min, boundary_image=None,
-                                              suspected_tangency=True,
-                                              residual=float(absg[i])))
-        roots_k.sort()
-        deduped: list[tuple[float, float]] = []
-        for t_root, resid in roots_k:
-            if deduped and t_root - deduped[-1][0] <= 10 * cfg.bisect_tol:
-                continue
-            deduped.append((t_root, resid))
-        if deduped:
-            images = eval_f_many(map_spec, np.exp(1j * np.array([tr for tr, _ in deduped])))
-            for (t_root, resid), img in zip(deduped, np.atleast_1d(images)):
-                records.append(RootRecord(k=k, t=t_root, boundary_image=complex(img),
-                                          suspected_tangency=False, residual=resid))
-    records.sort(key=lambda r: r.t)
+    t, tol, thr = table.t, cfg.bisect_tol, cfg.tangency_threshold
+    f_grid = (2 * spec.p + m - 1) * t + 2.0 * table.phase
+    k_min = level_set(spec.p, m).start
+    targets = _TWO_PI * np.arange(k_min, 1 - k_min)
+    # candidates (i, j): the levels within tangency_threshold of F on the
+    # interval [t_i, t_i+1], widened by one level on each side against rounding
+    first = np.maximum(np.searchsorted(targets, np.minimum(f_grid[:-1], f_grid[1:]) - thr) - 1, 0)
+    n = np.minimum(np.searchsorted(targets, np.maximum(f_grid[:-1], f_grid[1:]) + thr, "right") + 1,
+                   targets.size) - first
+    i = np.repeat(np.arange(n.size), n)
+    j = np.arange(i.size) - np.repeat(np.cumsum(n) - n - first, n)
+    g_left, g, g_right = (f_grid[i + d] - targets[j] for d in (-1, 0, 1))
+    cross = g * g_right < 0.0
+    hit = g == 0.0  # every t_i lies in the domain [-pi, pi)
+    touch = ((i > 0) & (np.abs(g) <= np.abs(g_left)) & (np.abs(g) <= np.abs(g_right))
+             & (np.abs(g) < thr) & (g_left * g > 0.0) & (g * g_right > 0.0))
+    t_root, resid = _bisect_all(
+        lambda tq, rows: phase_function_many(spec, m, tq, table) - targets[j[cross][rows]],
+        t[i[cross]], t[i[cross] + 1], g[cross], g_right[cross], tol)
+    in_domain = t_root < math.pi - tol
+    roots: dict[int, list[tuple[float, float]]] = {}
+    for level, tr, res in zip(np.concatenate([j[cross][in_domain], j[hit]]).tolist(),
+                              np.concatenate([t_root[in_domain], t[i[hit]]]).tolist(),
+                              np.abs(np.concatenate([resid[in_domain], g[hit]])).tolist()):
+        roots.setdefault(level, []).append((tr, res))
+    records = [RootRecord(k=k_min + level, t=t_min, boundary_image=None,
+                          suspected_tangency=True, residual=abs(res))
+               for level, t_min, res in zip(j[touch].tolist(), t[i[touch]].tolist(),
+                                            g[touch].tolist())
+               if all(abs(t_min - tr) > 1e-6 for tr, _ in roots.get(level, ()))]
+    for level, found in roots.items():
+        kept: list[tuple[float, float]] = []
+        for tr, res in sorted(found):
+            if not (kept and tr - kept[-1][0] <= 10 * tol):
+                kept.append((tr, res))
+        # one call per level: for rational h the last bits of f depend on
+        # the number of points in a call
+        images = eval_f_many(map_spec, np.exp(1j * np.array([tr for tr, _ in kept])))
+        records += [RootRecord(k=k_min + level, t=tr, boundary_image=complex(img),
+                               suspected_tangency=False, residual=res)
+                    for (tr, res), img in zip(kept, images)]
+    # on equal t the lower level comes first, and a tangency before a crossing
+    records.sort(key=lambda r: (r.t, r.k, not r.suspected_tangency))
     return tuple(records)
 
 

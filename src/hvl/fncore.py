@@ -142,7 +142,18 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _roots(c: np.ndarray) -> np.ndarray:
     """Roots of an ascending complex coefficient array (none for a constant)."""
-    return _frozen(np.asarray(npoly.polyroots(c), dtype=complex))
+    return np.asarray(npoly.polyroots(c), dtype=complex)
+
+
+def _derived(build):
+    """A read-only array property of the frozen spec, built on first use with
+    floating-point warnings off: finite coefficients can overflow here, and
+    the non-finite values are reported where they are evaluated."""
+    @functools.wraps(build)
+    def get(self):
+        with np.errstate(all="ignore"):
+            return _frozen(build(self))
+    return functools.cached_property(get)
 
 
 class _Kind:
@@ -162,9 +173,11 @@ class _Kind:
         return {}
 
     def _table(self, q: int):
-        """The table of F_q (see ``_primitive_table``), built on first use."""
+        """The table of F_q (see ``_primitive_table``), built on first use
+        without floating-point warnings, like the ``_derived`` arrays."""
         if q not in self._tables:
-            self._tables[q] = self._primitive_table(q)
+            with np.errstate(all="ignore"):
+                self._tables[q] = self._primitive_table(q)
         return self._tables[q]
 
 
@@ -192,23 +205,23 @@ class PolySeries(_Kind):
             )
         object.__setattr__(self, "coeffs", coeffs)
 
-    @functools.cached_property
+    @_derived
     def _a(self) -> np.ndarray:
-        return _frozen(np.asarray(self.coeffs, dtype=complex))
+        return np.asarray(self.coeffs, dtype=complex)
 
-    @functools.cached_property
+    @_derived
     def _n(self) -> np.ndarray:
-        return _frozen(self.p + np.arange(len(self.coeffs)))
+        return self.p + np.arange(len(self.coeffs))
 
-    @functools.cached_property
+    @_derived
     def _d1(self) -> np.ndarray:
-        return _frozen(self._n * self._a)                 # h'  = z**(p-1) * D1(z)
+        return self._n * self._a                  # h'  = z**(p-1) * D1(z)
 
-    @functools.cached_property
+    @_derived
     def _d2(self) -> np.ndarray:
-        return _frozen(self._n * (self._n - 1) * self._a)  # h'' = z**(p-2) * D2(z)  (p >= 2)
+        return self._n * (self._n - 1) * self._a  # h'' = z**(p-2) * D2(z)  (p >= 2)
 
-    @functools.cached_property
+    @_derived
     def H_zeros(self) -> np.ndarray:
         return _roots(self._d1)
 
@@ -287,26 +300,26 @@ class RationalDeriv(_Kind):
         object.__setattr__(self, "numer", numer)
         object.__setattr__(self, "denom", denom)
 
-    @functools.cached_property
+    @_derived
     def _P(self) -> np.ndarray:
-        return _frozen(np.asarray(self.numer, dtype=complex))
+        return np.asarray(self.numer, dtype=complex)
 
-    @functools.cached_property
+    @_derived
     def _Q(self) -> np.ndarray:
-        return _frozen(np.asarray(self.denom, dtype=complex))
+        return np.asarray(self.denom, dtype=complex)
 
-    @functools.cached_property
+    @_derived
     def _second_num(self) -> np.ndarray:
         """Numerator of h'' = (P' Q - P Q') / Q**2."""
         P, Q = self._P, self._Q
         num = npoly.polysub(npoly.polymul(npoly.polyder(P), Q), npoly.polymul(P, npoly.polyder(Q)))
-        return _frozen(np.asarray(num, dtype=complex))
+        return np.asarray(num, dtype=complex)
 
-    @functools.cached_property
+    @_derived
     def poles(self) -> np.ndarray:
         return _roots(self._Q)
 
-    @functools.cached_property
+    @_derived
     def H_zeros(self) -> np.ndarray:
         return _roots(self._P[self.p - 1:])
 
@@ -324,10 +337,9 @@ class RationalDeriv(_Kind):
         """(T, residues c_k, n) for F_q; see the formula above."""
         P, Q, poles = self._P, self._Q, self.poles
         num = np.concatenate([np.zeros(q, dtype=complex), P])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dq = npoly.polyval(poles, npoly.polyder(Q))
-            cond = (np.finfo(float).eps * npoly.polyval(np.abs(poles), np.abs(Q))
-                    / (np.abs(poles) * np.abs(dq)))
+        dq = npoly.polyval(poles, npoly.polyder(Q))
+        cond = (np.finfo(float).eps * npoly.polyval(np.abs(poles), np.abs(Q))
+                / (np.abs(poles) * np.abs(dq)))
         bad = ~(cond <= _POLE_COND_LIMIT)
         if np.any(bad):
             loc = complex(poles[bad][0])

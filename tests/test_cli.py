@@ -6,6 +6,7 @@ Exit code contract: 0 success/affirmative, 1 bad input, 2 negative verdict,
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -136,7 +137,7 @@ def test_resolve_workers(monkeypatch):
 # Subcommands through main()
 
 
-def test_usage_errors_exit_1():
+def test_usage_errors_exit_1(tmp_path, capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 1
@@ -149,6 +150,17 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as info:
         main(["verify", "--input", "preset:example1", "--tol", "1e-3"])  # no such flag
     assert info.value.code == 1
+    capsys.readouterr()
+    # spec files json cannot decode: an integer literal of over 4300 digits
+    # (a plain ValueError from json.load) and bytes that are not UTF-8
+    digits = tmp_path / "digits.json"
+    digits.write_text('{"kind": "poly", "p": 1, "m": 2, "coeffs": [[1, 0], [%s, 0]]}' % ("1" * 5000))
+    latin = tmp_path / "latin.json"
+    latin.write_bytes(b'{"kind": "poly", "p": \xe9}')
+    for path in (digits, latin):
+        assert main(["verify", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse spec file: ") and err.count("\n") == 1
 
 
 def test_verify_affirmative(tmp_path, capsys):
@@ -205,10 +217,12 @@ def test_verify_rejects_inadmissible_preset_param(capsys):
 
 def test_verify_non_finite_boundary_exit_2(tmp_path):
     """Finite coefficients whose H overflows on the circle fail the
-    boundary hypothesis: a report and exit 2, not a traceback."""
+    boundary hypothesis: a report and exit 2, not a traceback, and no
+    floating-point warning on the way."""
     doc = {**POLY_DOC, "p": 1, "m": 2, "coeffs": [[1, 0], [1e308, 1e308]]}
     out = tmp_path / "report.json"
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
+        warnings.simplefilter("error")
         code = main(["verify", "--input", write_spec(tmp_path, doc), "--report", str(out)])
     assert code == 2
     report = json.loads(out.read_text())

@@ -11,11 +11,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hvl import (
     BoundaryHypothesisError,
     CriterionConfig,
     ParameterError,
+    PhaseTable,
     PolySeries,
     RationalDeriv,
     check_criterion,
@@ -80,9 +82,11 @@ def test_phase_table_eval_branch_consistency():
     direct = 3.0 + 1j * np.exp(1j * ts)
     err = np.abs(np.exp(1j * lifted) - direct / np.abs(direct))
     assert np.max(err) < 1e-12
-    # scalar path agrees with the vector path
-    for t in ts[:5]:
-        assert table.eval(float(t)) == pytest.approx(float(table.eval_many([t])[0]), abs=1e-15)
+    # a 0-d angle gives the same bits as the same angle inside a 1-d array
+    for t, want in zip(ts[:5], lifted[:5]):
+        got = table.eval_many(t)
+        assert got.shape == ()
+        assert got.tobytes() == want.tobytes()
 
 
 def test_phase_function_endpoint_values():
@@ -156,6 +160,49 @@ def test_root_at_domain_seam_counted_once():
     ts = sorted(r.t for r in roots)
     want = [-math.pi + math.pi * j / 5.0 for j in range(10)]
     assert np.max(np.abs(np.array(ts) - np.array(want))) < 1e-10
+
+
+def _check_pure_power(p, m):
+    """h = z**p gives H = p, so F = N t with N = 2p+m-1: one root per level k
+    at t = 2 pi k / N in [-pi, pi), the one at -pi included when N is even."""
+    n = 2 * p + m - 1
+    report = check_criterion(PolySeries(p, (1 + 0j,)), m)
+    ks = list(range(-(n // 2), n - n // 2))
+    assert [r.k for r in report.roots] == ks
+    want = 2 * math.pi * np.array(ks) / n
+    assert np.max(np.abs(np.array([r.t for r in report.roots]) - want)) < 1e-10
+    assert all(v <= 1 for v in report.per_level_counts.values())
+    assert report.total_roots == n
+    assert report.criterion_satisfied
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_roots_of_pure_power_at_large_p(m):
+    _check_pure_power(800, m)
+
+
+@settings(derandomize=True, database=None, max_examples=25, deadline=None)
+@given(p=st.integers(1, 400), m=st.integers(2, 8))
+def test_roots_of_pure_power(p, m):
+    _check_pure_power(p, m)
+
+
+@pytest.mark.parametrize("k, sign", [(0, 1.0), (1, -1.0)])
+def test_tangency_is_recorded_once(k, sign):
+    """A hand-built phase table whose F touches the level 2 pi k within
+    1e-8 at one interior sample, from one side, and crosses no level."""
+    t = np.linspace(-math.pi, math.pi, 8193)
+    s = 3000
+    f = 2 * math.pi * k + sign * (5e-9 + 0.1 * (t - t[s]) ** 2)
+    table = PhaseTable(spec=EX1.h, t=t, phase=(f - 7 * t) / 2.0, min_modulus=2.0)
+    roots = find_criterion_roots(EX1.h, EX1.m, table=table)
+    assert len(roots) == 1
+    r = roots[0]
+    assert r.suspected_tangency
+    assert r.k == k
+    assert r.t == t[s]
+    assert r.boundary_image is None
+    assert r.residual < 1e-8
 
 
 def test_precomputed_table_is_honored():
