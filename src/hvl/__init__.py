@@ -69,7 +69,9 @@ from .valence import (
     ValenceReport,
     WindingResult,
     cross_check,
+    cross_check_many,
     newton_preimages,
+    newton_preimages_many,
     valence_scan,
     winding_number,
 )

@@ -59,11 +59,12 @@ from .fncore import (
     ResolutionError,
     SpecFileError,
     derive_g,
+    require_int,
 )
 from .geometry import trace_circle
 from .presets import PRESETS
 from .render import RenderOptions, render_scene
-from .valence import CrossCheck, cross_check, valence_scan
+from .valence import CrossCheck, cross_check_many, valence_scan, winding_number
 
 SCHEMA_VERSION = "1"
 
@@ -317,36 +318,37 @@ def cmd_valence(args) -> int:
 
 def cmd_oracle(args) -> int:
     map_spec = load_input(args.input)
-    n_probes = args.samples or 20
+    n_probes = 20 if args.samples is None else require_int(
+        args.samples, 1, "oracle needs at least 1 probe (--samples)")
     trace = trace_circle(map_spec, args.radius, 4096)
     re, im = trace.points.real, trace.points.imag
     pad_x = 0.1 * max(float(np.ptp(re)), 1e-9)
     pad_y = 0.1 * max(float(np.ptp(im)), 1e-9)
     rng = np.random.default_rng(args.seed)
-    rows = []
+    windings = []
     n_skipped = 0
     attempts = 0
-    while len(rows) < n_probes and attempts < 50 * n_probes:
+    while len(windings) < n_probes and attempts < 50 * n_probes:
         attempts += 1
         w = complex(rng.uniform(re.min() - pad_x, re.max() + pad_x),
                     rng.uniform(im.min() - pad_y, im.max() + pad_y))
         try:
-            verdict, details = cross_check(map_spec, w, r=args.radius, trace=trace)
+            windings.append(winding_number(trace, w))
         except (IndeterminateProbeError, ResolutionError):
             n_skipped += 1
-            continue
-        rows.append({
-            "w": [w.real, w.imag],
-            "verdict": verdict.value,
-            "winding": details["winding"],
-            "preimages_inside": details["preimages_inside"],
-            "min_jacobian": details["min_jacobian"],
-        })
-    if len(rows) < n_probes:
+    if len(windings) < n_probes:
         raise ResolutionError(
             f"could not place {n_probes} determinate probes "
-            f"(managed {len(rows)} in {attempts} attempts)"
+            f"(managed {len(windings)} in {attempts} attempts)"
         )
+    rows = [{
+        "w": [wres.w.real, wres.w.imag],
+        "verdict": verdict.value,
+        "winding": details["winding"],
+        "preimages_inside": details["preimages_inside"],
+        "min_jacobian": details["min_jacobian"],
+    } for wres, (verdict, details) in zip(
+        windings, cross_check_many(map_spec, windings, r=args.radius))]
     n_disagree = sum(1 for r in rows if r["verdict"] == CrossCheck.DISAGREE.value)
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -561,7 +563,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(sp)
     sp.add_argument("--radius", type=float, default=0.999)
     sp.add_argument("--samples", type=int, default=None,
-                    help="number of probes (default 20)")
+                    help="number of probes, at least 1 (default 20)")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--report", "--out", dest="report", default=None)
     sp.set_defaults(fn=cmd_oracle)

@@ -264,17 +264,22 @@ def find_criterion_roots(spec: FunctionSpec, m: int,
                for level, t_min, res in zip(j[touch].tolist(), t[i[touch]].tolist(),
                                             g[touch].tolist())
                if all(abs(t_min - tr) > 1e-6 for tr, _ in roots.get(level, ()))]
+    kept: list[tuple[int, float, float]] = []
+    alone: list[bool] = []
     for level, found in roots.items():
-        kept: list[tuple[float, float]] = []
+        start = len(kept)
         for tr, res in sorted(found):
-            if not (kept and tr - kept[-1][0] <= 10 * tol):
-                kept.append((tr, res))
-        # one call per level: for rational h the last bits of f depend on
-        # the number of points in a call
-        images = eval_f_many(map_spec, np.exp(1j * np.array([tr for tr, _ in kept])))
+            if not (len(kept) > start and tr - kept[-1][1] <= 10 * tol):
+                kept.append((level, tr, res))
+        alone += [len(kept) - start == 1] * (len(kept) - start)
+    if kept:
+        # the images of a level's single root keep the rounding of a call on
+        # that root alone (for rational h it differs from a larger call's)
+        images = eval_f_many(map_spec, np.exp(1j * np.array([tr for _, tr, _ in kept])),
+                             alone=alone)
         records += [RootRecord(k=k_min + level, t=tr, boundary_image=complex(img),
                                suspected_tangency=False, residual=res)
-                    for (tr, res), img in zip(kept, images)]
+                    for (level, tr, res), img in zip(kept, images)]
     # on equal t the lower level comes first, and a tangency before a crossing
     records.sort(key=lambda r: (r.t, r.k, not r.suspected_tangency))
     return tuple(records)

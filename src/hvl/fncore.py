@@ -244,7 +244,7 @@ class PolySeries(_Kind):
             return self.p, self._a
         return self.p + q, _frozen(self._n / (self._n + q) * self._a)
 
-    def _primitive(self, z, qs, on_failure):
+    def _primitive(self, z, qs, on_failure, alone=None):
         vals = [z ** k * npoly.polyval(z, c) for k, c in map(self._table, qs)]
         return vals, np.zeros(z.shape, dtype=bool)
 
@@ -356,9 +356,11 @@ class RationalDeriv(_Kind):
         taylor = np.concatenate([[0.0], t / np.arange(1, n + 1)])
         return _frozen(taylor), _frozen(npoly.polyval(poles, num) / dq), n
 
-    def _primitive(self, z, qs, on_failure):
+    def _primitive(self, z, qs, on_failure, alone=None):
         """F_q at z for each q after clamping, and the mask of points whose
-        segment meets a pole (NaN there; ``QuadratureError`` unless masking)."""
+        segment meets a pole (NaN there; ``QuadratureError`` unless masking).
+        Points flagged in ``alone`` take the residue sum of a one-point call
+        (see ``eval_f_many``)."""
         zeff, _ = clamp_to_interior(self, z)
         flat = zeff.ravel()
         tables = [self._table(q) for q in qs]
@@ -369,7 +371,8 @@ class RationalDeriv(_Kind):
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log1p(-zeta)
             for taylor, residues, n in tables:
-                v = npoly.polyval(flat, taylor) + _log_tails(zeta, logs, n) @ residues
+                v = npoly.polyval(flat, taylor) + _residue_sum(_log_tails(zeta, logs, n),
+                                                               residues, alone)
                 v[failed] = np.nan
                 vals.append(v.reshape(z.shape))
         if np.any(failed) and on_failure == "raise":
@@ -403,6 +406,17 @@ def _log_tails(zeta: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
         for j in range(n + _TAIL_TERMS, n, -1):
             acc = acc * w + 1.0 / j
         out[small] = -acc * w ** (n + 1)
+    return out
+
+
+def _residue_sum(tails: np.ndarray, residues: np.ndarray, alone) -> np.ndarray:
+    """tails @ residues, with the rows flagged in ``alone`` summed by the
+    dot product a one-point call makes (its last bits differ from the
+    matrix-vector product's; rows of any larger call agree with each other)."""
+    out = tails @ residues
+    if alone is not None:
+        for k in np.flatnonzero(alone):
+            out[k] = np.dot(tails[k], residues)
     return out
 
 
@@ -491,12 +505,12 @@ def clamp_to_interior(spec: FunctionSpec, zs):
     return zs, clamped
 
 
-def _primitive_many(h: FunctionSpec, zs, qs, on_failure: str):
+def _primitive_many(h: FunctionSpec, zs, qs, on_failure: str, alone=None):
     """F_q0 (+ conj F_q1) at zs, with the ``on_failure`` contract of eval_h_many."""
     _require_mode("on_failure", on_failure, ("raise", "mask"))
     arr, scalar = _prepare(zs)
     _check_disk(arr)
-    (vals, *rest), failed = h._primitive(arr, qs, on_failure)
+    (vals, *rest), failed = h._primitive(arr, qs, on_failure, alone)
     if rest:
         vals = vals + np.conj(rest[0])
     if on_failure == "mask":
@@ -574,9 +588,14 @@ def eval_g_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
     return _primitive_many(map_spec.h, zs, (map_spec.m - 1,), on_failure)
 
 
-def eval_f_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
+def eval_f_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise",
+                alone=None):
     """f = h + conj(g) at an array of points.
 
-    For rational h both primitives share one set of logarithms.
+    For rational h both primitives share one set of logarithms.  Their
+    residue sums are one matrix-vector product over the points, which
+    rounds differently from the dot product of a call on one point; the
+    boolean mask ``alone`` marks points to be rounded as that one-point
+    call would round them.
     """
-    return _primitive_many(map_spec.h, zs, (0, map_spec.m - 1), on_failure)
+    return _primitive_many(map_spec.h, zs, (0, map_spec.m - 1), on_failure, alone)

@@ -13,9 +13,14 @@ any step that turns by pi/2 or more via on-demand midpoint evaluation;
 counting the signed crossings of the trace with each probe row (the
 nonzero rule of Hormann & Agathos, "The point in polygon problem for
 arbitrary polygons", Comput. Geom. 20, 2001) and sending only the probes
-near a coarse step to ``winding_number``; ``newton_preimages`` solves
-f(z) = w directly with a damped Newton method for harmonic maps;
-``cross_check`` plays the two routes against each other.
+near a coarse step to ``winding_number``; ``newton_preimages_many`` solves
+f(z) = w directly with a damped Newton method for harmonic maps, for all
+probes at once: every (probe, start) pair of a block of at most 64 probes
+iterates in one array, so each damping step is one evaluation of f however
+many probes there are, and each probe gets the bits of a one-probe solve
+(``newton_preimages`` is that one-probe case).  ``cross_check_many`` plays
+the two routes against each other on windings the caller already has;
+``cross_check`` does so at one w.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from .fncore import (
     ResolutionError,
     ScanQualityError,
     eval_f_many,
-    eval_g_prime_many,
     eval_h_prime_many,
 )
 from .geometry import CurveTrace, trace_circle
@@ -335,39 +339,58 @@ def _halton_starts(n: int) -> np.ndarray:
     return out
 
 
-def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
-                     newton_tol: float = 1e-10,
-                     dedupe_radius: float = 1e-6,
-                     max_iter: int = 100) -> PreimageSet:
-    """Solve f(z) = w from Halton-distributed starts in |z| < 0.999.
+# Probes solved together by ``newton_preimages_many``: 64 probes of 256
+# starts keep every per-pair array at 16,384 entries, however many probes
+# the caller passes.
+_NEWTON_BLOCK = 64
 
-    The Newton step solves the real-linear system a dz + conj(b dz) = -res
-    with a = h'(z), b = g'(z), giving
 
-        dz = (conj(b) conj(res) - conj(a) res) / (|a|**2 - |b|**2),
+def newton_preimages_many(map_spec: HarmonicMapSpec, ws, n_starts: int = 256,
+                          newton_tol: float = 1e-10,
+                          dedupe_radius: float = 1e-6,
+                          max_iter: int = 100) -> list[PreimageSet]:
+    """``newton_preimages`` at every w of ``ws``, one ``PreimageSet`` each.
 
-    damped by halving (at most 20 times) until the residual decreases;
-    iterates are confined to |z| < 0.9995.  Converged points (residual at
-    most ``newton_tol``) are merged within ``dedupe_radius`` and returned
-    sorted lexicographically by (Re z, Im z).
+    All (probe, start) pairs of a block of at most 64 probes iterate in one
+    array: each Newton step evaluates h' once on the live pairs, and each
+    halving step makes one ``eval_f_many`` call on the pairs still trying.
+    The starts and f at the starts are computed once per call.  Every pair
+    does the arithmetic of a one-probe solve, so each result is the same,
+    bit for bit, as when its probe is solved alone.
     """
     if n_starts < 100:
         raise ParameterError("newton_preimages needs at least 100 starts")
-    w = complex(w)
-    z = _halton_starts(n_starts)
-    vals, failed = eval_f_many(map_spec, z, on_failure="mask")
-    res = np.atleast_1d(vals) - w
-    alive = ~np.atleast_1d(failed)
+    ws = [complex(w) for w in ws]
+    starts = _halton_starts(n_starts)
+    f0, failed = eval_f_many(map_spec, starts, on_failure="mask")
+    out = []
+    for b in range(0, len(ws), _NEWTON_BLOCK):
+        block = ws[b:b + _NEWTON_BLOCK]
+        z, res, done = _newton_block(map_spec, starts, f0, failed, block,
+                                     newton_tol, max_iter)
+        for w, zw, rw, dw in zip(block, z, res, done):
+            out.append(_dedupe(w, zw, rw, dw, dedupe_radius))
+    return out
+
+
+def _newton_block(map_spec, starts, f0, failed, block, newton_tol, max_iter):
+    """Damped Newton over all (probe, start) pairs of ``block``; returns the
+    iterates, residuals and converged flags, one row per probe."""
+    shape = (len(block), starts.size)
+    wp = np.repeat(np.asarray(block, dtype=complex), starts.size)
+    z = np.tile(starts, shape[0])
+    res = np.tile(f0, shape[0]) - wp
+    alive = ~np.tile(failed, shape[0])
     res[~alive] = np.inf
-    done = np.zeros(n_starts, dtype=bool)
+    done = np.zeros(z.size, dtype=bool)
     for _ in range(max_iter):
         done |= alive & (np.abs(res) <= newton_tol)
         idx = np.flatnonzero(alive & ~done)
         if idx.size == 0:
             break
         za, ra = z[idx], res[idx]
-        a = np.atleast_1d(eval_h_prime_many(map_spec.h, za, on_pole="nan"))
-        b = np.atleast_1d(eval_g_prime_many(map_spec, za, on_pole="nan"))
+        a = eval_h_prime_many(map_spec.h, za, on_pole="nan")
+        b = za ** (map_spec.m - 1) * a  # g', as eval_g_prime_many forms it
         det = np.abs(a) ** 2 - np.abs(b) ** 2
         with np.errstate(divide="ignore", invalid="ignore"):
             delta = (np.conj(b) * np.conj(ra) - np.conj(a) * ra) / det
@@ -388,10 +411,13 @@ def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
             inside = np.abs(z_try) < 0.9995
             r_try = np.full(todo.size, np.inf, dtype=complex)
             if np.any(inside):
-                f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask")
-                f_try = np.atleast_1d(f_try).astype(complex)
-                f_try[np.atleast_1d(f_bad)] = np.nan
-                r_try[inside] = f_try - w
+                pairs = idx[todo[inside]]
+                probe = pairs // starts.size
+                # a probe with one point here gets the bits of a one-point call
+                f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask",
+                                           alone=np.bincount(probe)[probe] == 1)
+                f_try[f_bad] = np.nan
+                r_try[inside] = f_try - wp[pairs]
             better = np.isfinite(r_try) & (np.abs(r_try) < np.abs(ra[todo]))
             sel = todo[better]
             z_new[sel] = za[sel] + step[sel]
@@ -402,6 +428,13 @@ def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
         z[idx[accepted]] = z_new[accepted]
         res[idx[accepted]] = r_new[accepted]
     done |= alive & (np.abs(res) <= newton_tol)
+    return z.reshape(shape), res.reshape(shape), done.reshape(shape)
+
+
+def _dedupe(w: complex, z: np.ndarray, res: np.ndarray, done: np.ndarray,
+            dedupe_radius: float) -> PreimageSet:
+    """Merge one probe's converged starts within ``dedupe_radius``, keeping
+    the best residual, in (Re z, Im z) order."""
     conv = np.flatnonzero(done)
     order = conv[np.lexsort((z[conv].imag, z[conv].real))]
     reps: list[complex] = []
@@ -416,12 +449,37 @@ def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
         else:
             reps.append(zi)
             rres.append(ri)
+    n_converged = int(done.sum())
     return PreimageSet(
         w=w, roots=np.asarray(reps, dtype=complex),
         residuals=np.asarray(rres, dtype=float),
-        n_converged=int(done.sum()),
-        n_dropped=int(n_starts - done.sum()),
+        n_converged=n_converged,
+        n_dropped=int(done.size - n_converged),
     )
+
+
+def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
+                     newton_tol: float = 1e-10,
+                     dedupe_radius: float = 1e-6,
+                     max_iter: int = 100) -> PreimageSet:
+    """Solve f(z) = w from Halton-distributed starts in |z| < 0.999.
+
+    The Newton step solves the real-linear system a dz + conj(b dz) = -res
+    with a = h'(z), b = g'(z), giving
+
+        dz = (conj(b) conj(res) - conj(a) res) / (|a|**2 - |b|**2),
+
+    damped by halving (at most 20 times) until the residual decreases;
+    iterates are confined to |z| < 0.9995.  Converged points (residual at
+    most ``newton_tol``) are merged within ``dedupe_radius`` and returned
+    sorted lexicographically by (Re z, Im z).  This is the one-probe case
+    of ``newton_preimages_many``, which solves many probes in one array
+    (in blocks of at most 64 probes) with the same result per probe.
+    """
+    return newton_preimages_many(map_spec, [w], n_starts=n_starts,
+                                 newton_tol=newton_tol,
+                                 dedupe_radius=dedupe_radius,
+                                 max_iter=max_iter)[0]
 
 
 class CrossCheck(str, Enum):
@@ -437,35 +495,51 @@ def cross_check(map_spec: HarmonicMapSpec, w, r: float = 0.999,
                 trace: CurveTrace | None = None) -> tuple[CrossCheck, dict]:
     """Compare the winding count against the Newton preimage count at w.
 
-    Returns (verdict, details): AGREE when the winding number of the image
-    of |z| = r around w equals the number of Newton preimages strictly
-    inside that circle, INDETERMINATE_MULTIPLICITY when some preimage has a
-    Jacobian determinant |h'|**2 - |g'|**2 too close to zero for its
-    multiplicity to be trusted, DISAGREE otherwise.  A root of multiplicity
-    two is only located to distance ~sqrt(newton_tol), where the Jacobian
-    has size ~newton_tol, so the degeneracy cut is 100 * newton_tol rather
-    than a fixed machine-level constant.  The details dict carries both
-    counts and the root list.  Pass a pre-computed ``trace`` of |z| = r to
-    amortize the tracing cost over many probes.
+    Traces |z| = r (unless a ``trace`` of it is passed, to amortize the
+    tracing cost over many probes), takes the winding number around w and
+    returns ``cross_check_many`` of that one winding.
     """
     if trace is None:
         trace = trace_circle(map_spec, r, n_samples)
     wres = winding_number(trace, w)
-    pre = newton_preimages(map_spec, w, n_starts=n_starts, newton_tol=newton_tol)
-    inside = pre.roots[np.abs(pre.roots) < r]
-    details: dict = {
-        "winding": wres.winding,
-        "preimages_inside": int(inside.size),
-        "roots": inside,
-        "min_jacobian": None,
-    }
-    if inside.size:
-        a = np.atleast_1d(eval_h_prime_many(map_spec.h, inside, on_pole="nan"))
-        b = np.atleast_1d(eval_g_prime_many(map_spec, inside, on_pole="nan"))
-        jac = np.abs(a) ** 2 - np.abs(b) ** 2
-        details["min_jacobian"] = float(np.nanmin(jac))
-        jac_tol = max(1e-12, 100.0 * newton_tol)
-        if np.any(~np.isfinite(jac)) or np.any(np.abs(jac) <= jac_tol):
-            return CrossCheck.INDETERMINATE_MULTIPLICITY, details
-    verdict = CrossCheck.AGREE if wres.winding == inside.size else CrossCheck.DISAGREE
-    return verdict, details
+    return cross_check_many(map_spec, [wres], r, n_starts, newton_tol)[0]
+
+
+def cross_check_many(map_spec: HarmonicMapSpec, windings, r: float = 0.999,
+                     n_starts: int = 256,
+                     newton_tol: float = 1e-10) -> list[tuple[CrossCheck, dict]]:
+    """Play each ``WindingResult`` of ``windings`` against the Newton
+    preimage count at its probe; one (verdict, details) pair per winding.
+
+    The verdict is AGREE when the winding number of the image of |z| = r
+    around w equals the number of Newton preimages strictly inside that
+    circle, INDETERMINATE_MULTIPLICITY when some preimage has a Jacobian
+    determinant |h'|**2 - |g'|**2 too close to zero for its multiplicity to
+    be trusted, DISAGREE otherwise.  A root of multiplicity two is only
+    located to distance ~sqrt(newton_tol), where the Jacobian has size
+    ~newton_tol, so the degeneracy cut is 100 * newton_tol rather than a
+    fixed machine-level constant.  The details dict carries both counts
+    and the root list.  All probes are solved in one
+    ``newton_preimages_many`` call.
+    """
+    pres = newton_preimages_many(map_spec, [wres.w for wres in windings],
+                                 n_starts=n_starts, newton_tol=newton_tol)
+    jac_tol = max(1e-12, 100.0 * newton_tol)
+    out = []
+    for wres, pre in zip(windings, pres):
+        inside = pre.roots[np.abs(pre.roots) < r]
+        details: dict = {
+            "winding": wres.winding,
+            "preimages_inside": int(inside.size),
+            "roots": inside,
+            "min_jacobian": None,
+        }
+        verdict = CrossCheck.AGREE if wres.winding == inside.size else CrossCheck.DISAGREE
+        if inside.size:
+            a = eval_h_prime_many(map_spec.h, inside, on_pole="nan")
+            jac = np.abs(a) ** 2 - np.abs(inside ** (map_spec.m - 1) * a) ** 2
+            details["min_jacobian"] = float(np.nanmin(jac))
+            if np.any(~np.isfinite(jac)) or np.any(np.abs(jac) <= jac_tol):
+                verdict = CrossCheck.INDETERMINATE_MULTIPLICITY
+        out.append((verdict, details))
+    return out

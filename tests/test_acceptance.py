@@ -17,7 +17,7 @@ from hvl import (
     ResolutionError,
     boundary_velocity_many,
     boundary_acceleration_many,
-    cross_check,
+    cross_check_many,
     eval_g_many,
     eval_h_prime_many,
     phase_function_derivative_many,
@@ -106,22 +106,19 @@ def test_04_valence_certificates_and_oracle():
         re, im = trace.points.real, trace.points.imag
         lo, hi = re.min(), re.max()
         lo2, hi2 = im.min(), im.max()
-        agree = indet = 0
-        placed = 0
+        windings = []
         attempts = 0
-        while placed < 20 and attempts < 1000:
+        while len(windings) < 20 and attempts < 1000:
             attempts += 1
             w = complex(rng.uniform(lo, hi), rng.uniform(lo2, hi2))
             try:
-                winding_number(trace, w)
+                windings.append(winding_number(trace, w))
             except (IndeterminateProbeError, ResolutionError):
                 continue  # not a simple probe (too close or spike-adjacent)
-            verdict, _ = cross_check(spec, w, r=0.999, trace=trace)
-            placed += 1
-            if verdict is CrossCheck.AGREE:
-                agree += 1
-            elif verdict is CrossCheck.INDETERMINATE_MULTIPLICITY:
-                indet += 1
+        verdicts = [v for v, _ in cross_check_many(spec, windings, r=0.999)]
+        placed = len(windings)
+        agree = verdicts.count(CrossCheck.AGREE)
+        indet = verdicts.count(CrossCheck.INDETERMINATE_MULTIPLICITY)
         ok &= placed == 20 and agree + indet == 20
         details.append(f"{name}: max {report.max_valence}, oracle {agree}+{indet}i/20")
     _line(4, ok, "; ".join(details))

@@ -11,7 +11,15 @@ import warnings
 import numpy as np
 import pytest
 
-from hvl import PolySeries, SpecFileError, ParameterError, derive_g, presets
+from hvl import (
+    ParameterError,
+    PolySeries,
+    SpecFileError,
+    cross_check,
+    derive_g,
+    presets,
+    trace_circle,
+)
 from hvl.cli import (
     SweepConfig,
     load_input,
@@ -161,6 +169,11 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert main(["verify", "--input", str(path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot parse spec file: ") and err.count("\n") == 1
+    # fewer than one oracle probe: once 0 meant 20 and -3 passed on no probes
+    for count in ("0", "-3"):
+        assert main(["oracle", "--input", "preset:example1", "--samples", count]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: oracle needs at least 1 probe (--samples)\n"
 
 
 def test_verify_affirmative(tmp_path, capsys):
@@ -309,6 +322,26 @@ def test_oracle_agrees(tmp_path):
     row = doc["probes"][0]
     assert set(row) == {"w", "verdict", "winding", "preimages_inside",
                         "min_jacobian"}
+
+
+@pytest.mark.parametrize("name", ["example2", "octagon"])
+def test_oracle_rows_match_per_probe_cross_check(tmp_path, name):
+    """The CLI solves all probes in one batch; every row must be what the
+    public one-probe ``cross_check`` says at its w."""
+    out = tmp_path / "oracle.json"
+    code = main(["oracle", "--input", f"preset:{name}", "--samples", "8",
+                 "--seed", "3", "--report", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    spec = getattr(presets, name)()
+    trace = trace_circle(spec, 0.999, 4096)
+    assert len(doc["probes"]) == 8
+    for row in doc["probes"]:
+        verdict, details = cross_check(spec, complex(*row["w"]), r=0.999, trace=trace)
+        assert row["verdict"] == verdict.value
+        assert row["winding"] == details["winding"]
+        assert row["preimages_inside"] == details["preimages_inside"]
+        assert row["min_jacobian"] == details["min_jacobian"]
 
 
 # ---------------------------------------------------------------------------

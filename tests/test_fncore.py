@@ -203,6 +203,20 @@ def test_scalar_and_vector_paths_agree():
     np.testing.assert_allclose(many, single, rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("spec", [presets.example2(), presets.star()], ids=["series", "rational"])
+def test_alone_points_round_as_one_point_calls(spec):
+    """``alone`` points get the bits of a one-point call, the others the
+    bits of the call without the mask, for either kind of h."""
+    rng = np.random.default_rng(19)
+    zs = 0.95 * np.sqrt(rng.uniform(size=64)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
+    alone = np.arange(64) % 3 == 0
+    plain = eval_f_many(spec, zs)
+    mixed = eval_f_many(spec, zs, alone=alone)
+    single = np.array([eval_f_many(spec, zs[k:k + 1])[0] for k in range(64)])
+    assert np.array_equal(mixed[alone], single[alone])
+    assert np.array_equal(mixed[~alone], plain[~alone])
+
+
 # ---------------------------------------------------------------------------
 # Rational evaluation against closed forms
 

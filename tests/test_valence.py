@@ -10,6 +10,7 @@ from hvl import (
     IndeterminateProbeError,
     ParameterError,
     PolySeries,
+    RationalDeriv,
     ResolutionError,
     ScanQualityError,
     cross_check,
@@ -257,6 +258,51 @@ def test_preimages_deduplication():
     assert pre.n_converged >= 100
     d = abs(pre.roots[0] - pre.roots[1])
     assert d > 1e-3
+
+
+# Poles of h' at radius |0.3+0.1i|**(-1/6), about 1.21: off the circle.
+RATIONAL_OFF = derive_g(RationalDeriv(p=2, numer=(0, 2), denom=(1, 0, 0, 0, 0, 0, 0.3 + 0.1j)), 3)
+
+
+def _same_preimages(a, b) -> bool:
+    return (type(a.w) is type(b.w) and a.w == b.w
+            and a.n_converged == b.n_converged and a.n_dropped == b.n_dropped
+            and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+                    for x, y in ((a.roots, b.roots), (a.residuals, b.residuals))))
+
+
+@pytest.mark.parametrize("spec", [EX1, EX2, presets.star(), RATIONAL_OFF],
+                         ids=["example1", "example2", "star", "rational"])
+def test_preimages_many_matches_single_probe(spec, monkeypatch):
+    """Solving probes together changes no bit of any probe's result, also
+    across a block boundary (shrunk here to 3 probes).  On star the probe
+    at the origin has halving steps with one live start, whose f must be
+    rounded as a one-point call rounds it."""
+    tr = trace_circle(spec, 0.999, 1024)
+    re, im = tr.points.real, tr.points.imag
+    rng = np.random.default_rng(29)
+    ws = [complex(rng.uniform(re.min(), re.max()), rng.uniform(im.min(), im.max()))
+          for _ in range(5)]
+    # the origin (a p-fold preimage at z = 0), a repeat, and a w far outside
+    ws += [0j, ws[2], complex(10 * np.ptp(re) + re.max(), 0.0)]
+    single = [newton_preimages(spec, w, n_starts=128) for w in ws]
+    batched = valence.newton_preimages_many(spec, ws, n_starts=128)
+    assert len(batched) == len(ws)
+    assert all(_same_preimages(a, b) for a, b in zip(single, batched))
+    assert batched[-1].count == 0
+    monkeypatch.setattr(valence, "_NEWTON_BLOCK", 3)
+    blocks = valence.newton_preimages_many(spec, ws, n_starts=128)
+    assert all(_same_preimages(a, b) for a, b in zip(single, blocks))
+    assert valence.newton_preimages_many(spec, []) == []
+
+
+def test_preimages_many_crosses_the_block_of_64():
+    rng = np.random.default_rng(31)
+    ws = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(70)]
+    batched = valence.newton_preimages_many(EX1, ws, n_starts=100)
+    assert valence._NEWTON_BLOCK < len(ws)
+    assert all(_same_preimages(newton_preimages(EX1, w, n_starts=100), b)
+               for w, b in zip(ws, batched))
 
 
 # ---------------------------------------------------------------------------
