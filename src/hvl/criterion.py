@@ -45,20 +45,22 @@ from .fncore import (
 
 _TWO_PI = 2.0 * math.pi
 _MAX_UNWRAP_POINTS = 1 << 20
+# Roots are bisected to _BISECT_TOL in t; a local minimum of |F - 2 k pi|
+# below _TANGENCY_THRESHOLD without a sign change is a suspected tangency;
+# H counts as vanishing on the boundary where its modulus is at most
+# _NONVANISH_TOL.
+_BISECT_TOL = 1e-12
+_TANGENCY_THRESHOLD = 1e-7
+_NONVANISH_TOL = 1e-9
 
 
 @dataclass(frozen=True)
 class CriterionConfig:
     grid_size: int = 8192
-    bisect_tol: float = 1e-12
-    tangency_threshold: float = 1e-7
-    h_nonvanish_tol: float = 1e-9
 
     def __post_init__(self):
         if self.grid_size < 1024 or self.grid_size & (self.grid_size - 1):
             raise ParameterError("grid_size must be a power of two >= 1024")
-        if not (self.bisect_tol > 0 and self.tangency_threshold > 0 and self.h_nonvanish_tol > 0):
-            raise ParameterError("criterion tolerances must be positive")
 
 
 DEFAULT_CRITERION = CriterionConfig()
@@ -96,12 +98,11 @@ class PhaseTable:
         return lifted.reshape(tq.shape)
 
 
-def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192,
-                          nonvanish_tol: float = 1e-9) -> PhaseTable:
+def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192) -> PhaseTable:
     """Continuous branch of arg H on the boundary, anchored at t = -pi.
 
     Raises ``BoundaryHypothesisError`` when H vanishes on the boundary (its
-    minimum sampled modulus falls to nonvanish_tol) or blows up there (a
+    minimum sampled modulus falls to 1e-9) or blows up there (a
     pole of h' sits on the unit circle, or a sample is not finite), and
     ``UnwrapError`` when the refinement budget is exhausted.
     """
@@ -119,7 +120,7 @@ def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192,
     while True:
         if not np.all(np.isfinite(mod)):
             raise BoundaryHypothesisError("normalized derivative is not finite on the boundary")
-        if float(mod.min()) <= nonvanish_tol:
+        if float(mod.min()) <= _NONVANISH_TOL:
             raise BoundaryHypothesisError(
                 f"normalized derivative vanishes on the boundary "
                 f"(min sampled modulus {mod.min():.3g})"
@@ -226,20 +227,20 @@ def find_criterion_roots(spec: FunctionSpec, m: int,
 
     One pass over the grid finds, for all levels at once, the samples where
     F equals a level, the intervals where F - 2 k pi changes sign, and the
-    interior local minima of |F - 2 k pi| below ``tangency_threshold``
-    without a sign change (recorded with ``suspected_tangency=True``).  The
-    sign changes are bisected together to ``bisect_tol`` in t, one
-    ``PhaseTable.eval_many`` call per step.  Records are sorted by t.
+    interior local minima of |F - 2 k pi| below 1e-7 without a sign change
+    (recorded with ``suspected_tangency=True``).  The sign changes are
+    bisected together to 1e-12 in t, one ``PhaseTable.eval_many`` call per
+    step.  Records are sorted by t.
     """
     if table is None:
-        table = unwrap_boundary_phase(spec, cfg.grid_size, cfg.h_nonvanish_tol)
+        table = unwrap_boundary_phase(spec, cfg.grid_size)
     map_spec = derive_g(spec, m)
-    t, tol, thr = table.t, cfg.bisect_tol, cfg.tangency_threshold
+    t, tol, thr = table.t, _BISECT_TOL, _TANGENCY_THRESHOLD
     f_grid = (2 * spec.p + m - 1) * t + 2.0 * table.phase
     k_min = level_set(spec.p, m).start
     targets = _TWO_PI * np.arange(k_min, 1 - k_min)
-    # candidates (i, j): the levels within tangency_threshold of F on the
-    # interval [t_i, t_i+1], widened by one level on each side against rounding
+    # candidates (i, j): the levels within thr of F on the interval
+    # [t_i, t_i+1], widened by one level on each side against rounding
     first = np.maximum(np.searchsorted(targets, np.minimum(f_grid[:-1], f_grid[1:]) - thr) - 1, 0)
     n = np.minimum(np.searchsorted(targets, np.maximum(f_grid[:-1], f_grid[1:]) + thr, "right") + 1,
                    targets.size) - first
@@ -265,18 +266,13 @@ def find_criterion_roots(spec: FunctionSpec, m: int,
                                             g[touch].tolist())
                if all(abs(t_min - tr) > 1e-6 for tr, _ in roots.get(level, ()))]
     kept: list[tuple[int, float, float]] = []
-    alone: list[bool] = []
     for level, found in roots.items():
         start = len(kept)
         for tr, res in sorted(found):
             if not (len(kept) > start and tr - kept[-1][1] <= 10 * tol):
                 kept.append((level, tr, res))
-        alone += [len(kept) - start == 1] * (len(kept) - start)
     if kept:
-        # the images of a level's single root keep the rounding of a call on
-        # that root alone (for rational h it differs from a larger call's)
-        images = eval_f_many(map_spec, np.exp(1j * np.array([tr for _, tr, _ in kept])),
-                             alone=alone)
+        images = eval_f_many(map_spec, np.exp(1j * np.array([tr for _, tr, _ in kept])))
         records += [RootRecord(k=k_min + level, t=tr, boundary_image=complex(img),
                                suspected_tangency=False, residual=res)
                     for (level, tr, res), img in zip(kept, images)]
@@ -397,12 +393,12 @@ def check_criterion(spec: FunctionSpec, m: int,
         return failed("h is not analytic on the closed disk "
                       "(denominator root inside |z| < 1)", margin)
     try:
-        table = unwrap_boundary_phase(spec, cfg.grid_size, cfg.h_nonvanish_tol)
+        table = unwrap_boundary_phase(spec, cfg.grid_size)
     except BoundaryHypothesisError as exc:
         return failed(str(exc), margin)
 
     winding = table.winding
-    h_nonvanishing = table.min_modulus > cfg.h_nonvanish_tol and winding == 0
+    h_nonvanishing = table.min_modulus > _NONVANISH_TOL and winding == 0
     roots = find_criterion_roots(spec, m, cfg, table=table)
     tangencies = sum(1 for r in roots if r.suspected_tangency)
     for r in roots:

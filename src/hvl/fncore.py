@@ -29,8 +29,10 @@ presets do).  Evaluation requests that land within ``BOUNDARY_EPSILON``
 1 - BOUNDARY_EPSILON; see ``clamp_to_interior``.  The radial integrals of
 u**q h'(u) (q = 0 for h, q = m-1 for g) are evaluated in closed form, as a
 polynomial plus sum_k c_k log(1 - z/z_k) over the simple poles z_k of h'.
-Points whose segment [0, z] meets a pole fail with ``QuadratureError``;
-repeated or nearly coincident poles raise ``RepeatedPoleError``.
+That sum runs pole by pole in a fixed order, so the value at a point has the
+same bits however many other points the call holds.  Points whose segment
+[0, z] meets a pole fail with ``QuadratureError``; repeated or nearly
+coincident poles raise ``RepeatedPoleError``.
 """
 
 from __future__ import annotations
@@ -244,7 +246,7 @@ class PolySeries(_Kind):
             return self.p, self._a
         return self.p + q, _frozen(self._n / (self._n + q) * self._a)
 
-    def _primitive(self, z, qs, on_failure, alone=None):
+    def _primitive(self, z, qs, on_failure):
         vals = [z ** k * npoly.polyval(z, c) for k, c in map(self._table, qs)]
         return vals, np.zeros(z.shape, dtype=bool)
 
@@ -356,11 +358,9 @@ class RationalDeriv(_Kind):
         taylor = np.concatenate([[0.0], t / np.arange(1, n + 1)])
         return _frozen(taylor), _frozen(npoly.polyval(poles, num) / dq), n
 
-    def _primitive(self, z, qs, on_failure, alone=None):
+    def _primitive(self, z, qs, on_failure):
         """F_q at z for each q after clamping, and the mask of points whose
-        segment meets a pole (NaN there; ``QuadratureError`` unless masking).
-        Points flagged in ``alone`` take the residue sum of a one-point call
-        (see ``eval_f_many``)."""
+        segment meets a pole (NaN there; ``QuadratureError`` unless masking)."""
         zeff, _ = clamp_to_interior(self, z)
         flat = zeff.ravel()
         tables = [self._table(q) for q in qs]
@@ -371,8 +371,7 @@ class RationalDeriv(_Kind):
         with np.errstate(divide="ignore", invalid="ignore"):
             logs = np.log1p(-zeta)
             for taylor, residues, n in tables:
-                v = npoly.polyval(flat, taylor) + _residue_sum(_log_tails(zeta, logs, n),
-                                                               residues, alone)
+                v = npoly.polyval(flat, taylor) + _residue_sum(_log_tails(zeta, logs, n), residues)
                 v[failed] = np.nan
                 vals.append(v.reshape(z.shape))
         if np.any(failed) and on_failure == "raise":
@@ -409,14 +408,12 @@ def _log_tails(zeta: np.ndarray, logs: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _residue_sum(tails: np.ndarray, residues: np.ndarray, alone) -> np.ndarray:
-    """tails @ residues, with the rows flagged in ``alone`` summed by the
-    dot product a one-point call makes (its last bits differ from the
-    matrix-vector product's; rows of any larger call agree with each other)."""
-    out = tails @ residues
-    if alone is not None:
-        for k in np.flatnonzero(alone):
-            out[k] = np.dot(tails[k], residues)
+def _residue_sum(tails: np.ndarray, residues: np.ndarray) -> np.ndarray:
+    """tails @ residues, added pole by pole in a fixed order: a BLAS product
+    rounds a row differently with the number of rows, this loop does not."""
+    out = np.zeros(tails.shape[0], dtype=complex)
+    for k in range(residues.size):
+        out += tails[:, k] * residues[k]
     return out
 
 
@@ -505,12 +502,12 @@ def clamp_to_interior(spec: FunctionSpec, zs):
     return zs, clamped
 
 
-def _primitive_many(h: FunctionSpec, zs, qs, on_failure: str, alone=None):
+def _primitive_many(h: FunctionSpec, zs, qs, on_failure: str):
     """F_q0 (+ conj F_q1) at zs, with the ``on_failure`` contract of eval_h_many."""
     _require_mode("on_failure", on_failure, ("raise", "mask"))
     arr, scalar = _prepare(zs)
     _check_disk(arr)
-    (vals, *rest), failed = h._primitive(arr, qs, on_failure, alone)
+    (vals, *rest), failed = h._primitive(arr, qs, on_failure)
     if rest:
         vals = vals + np.conj(rest[0])
     if on_failure == "mask":
@@ -588,14 +585,10 @@ def eval_g_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
     return _primitive_many(map_spec.h, zs, (map_spec.m - 1,), on_failure)
 
 
-def eval_f_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise",
-                alone=None):
+def eval_f_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
     """f = h + conj(g) at an array of points.
 
-    For rational h both primitives share one set of logarithms.  Their
-    residue sums are one matrix-vector product over the points, which
-    rounds differently from the dot product of a call on one point; the
-    boolean mask ``alone`` marks points to be rounded as that one-point
-    call would round them.
+    For rational h both primitives share one set of logarithms.  Each
+    point's value has the same bits in any call that holds it.
     """
-    return _primitive_many(map_spec.h, zs, (0, map_spec.m - 1), on_failure, alone)
+    return _primitive_many(map_spec.h, zs, (0, map_spec.m - 1), on_failure)

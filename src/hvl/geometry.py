@@ -71,10 +71,8 @@ def boundary_acceleration_many(map_spec: HarmonicMapSpec, t, on_pole: str = "rai
 class CurveTrace:
     """Sampled image of a circle |z| = radius under f.
 
-    ``velocity``/``acceleration`` are filled only for radius 1 (NaN at
-    clamped samples, where the closed forms do not apply).  ``point_at``
-    evaluates extra parameter values on demand with caching, so winding
-    refinement can subdivide without re-tracing.
+    ``point_at`` evaluates extra parameter values on demand with caching, so
+    winding refinement can subdivide without re-tracing.
     """
 
     map: HarmonicMapSpec
@@ -82,8 +80,6 @@ class CurveTrace:
     t: np.ndarray
     points: np.ndarray
     clamped: np.ndarray
-    velocity: np.ndarray | None = None
-    acceleration: np.ndarray | None = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -145,16 +141,7 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTra
             worst_estimate=math.inf,
             where=complex(z[failed][0]),
         )
-    vel = acc = None
-    if r == 1.0:
-        vel = boundary_velocity_many(map_spec, t, on_pole="nan")
-        acc = boundary_acceleration_many(map_spec, t, on_pole="nan")
-        if np.any(clamped):
-            vel = np.where(clamped, np.nan + 0j, vel)
-            acc = np.where(clamped, np.nan + 0j, acc)
-    trace = CurveTrace(map=map_spec, radius=r, t=t, points=vals,
-                       clamped=clamped, velocity=vel, acceleration=acc)
-    return trace
+    return CurveTrace(map=map_spec, radius=r, t=t, points=vals, clamped=clamped)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ def flat_sided(p: int, m: int) -> HarmonicMapSpec:
     """The rational family h'(z) = p z**(p-1) / (1 + z**(2p+m-1)).
 
     The image of the open disk is bounded by 2p+m-1 straight lines meeting in
-    cusps; the boundary circle itself maps onto the cusp points alone.
+    cusps; the boundary circle itself maps onto nothing but the cusp points.
     """
     if p < 1 or m < 2:
         raise ParameterError("flat_sided requires p >= 1 and m >= 2")

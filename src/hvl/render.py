@@ -25,24 +25,15 @@ _TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class RenderOptions:
-    width: int = 800
-    height: int = 800
     circle_radii: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 0.95, 0.999)
     ray_count: int = 24
     samples_per_curve: int = 2048
     max_radius: float = 1.0 - 1e-6
-    boundary_color: str = "#13315c"
-    circle_color: str = "#6e9bc5"
-    ray_color: str = "#c9d6e3"
-    cusp_color: str = "#c0392b"
-    background: str = "#ffffff"
     show_cusps: bool = True
 
     def __post_init__(self):
         if self.samples_per_curve < 512:
             raise ParameterError("samples_per_curve must be at least 512")
-        if self.width < 64 or self.height < 64:
-            raise ParameterError("image must be at least 64 x 64")
         if not 0.0 < self.max_radius <= 1.0:
             raise ParameterError("max_radius must lie in (0, 1]")
         if self.ray_count < 0:
@@ -86,11 +77,10 @@ def render_scene(map_spec: HarmonicMapSpec,
     extent = max(vw, vh)
 
     parts = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="%d" height="%d" '
-        'viewBox="%s %s %s %s">'
-        % (opts.width, opts.height, _fmt(x0), _fmt(y0), _fmt(vw), _fmt(vh)),
-        '<rect x="%s" y="%s" width="%s" height="%s" fill="%s"/>'
-        % (_fmt(x0), _fmt(y0), _fmt(vw), _fmt(vh), opts.background),
+        '<svg xmlns="http://www.w3.org/2000/svg" width="800" height="800" '
+        'viewBox="%s %s %s %s">' % (_fmt(x0), _fmt(y0), _fmt(vw), _fmt(vh)),
+        '<rect x="%s" y="%s" width="%s" height="%s" fill="#ffffff"/>'
+        % (_fmt(x0), _fmt(y0), _fmt(vw), _fmt(vh)),
     ]
 
     ray_n = max(256, n // 8)
@@ -102,8 +92,8 @@ def render_scene(map_spec: HarmonicMapSpec,
             if pts.size < 2:
                 raise HvlError("fewer than 2 finite samples")
             parts.append(
-                '<polyline fill="none" stroke="%s" stroke-width="%s" points="%s"/>'
-                % (opts.ray_color, _fmt(extent * 0.0012), _polyline_points(pts))
+                '<polyline fill="none" stroke="#c9d6e3" stroke-width="%s" points="%s"/>'
+                % (_fmt(extent * 0.0012), _polyline_points(pts))
             )
         except HvlError as exc:
             warnings.append(f"ray {j} skipped: {exc}")
@@ -115,16 +105,16 @@ def render_scene(map_spec: HarmonicMapSpec,
                 raise HvlError("fewer than 2 finite samples")
             closed = np.concatenate([pts, pts[:1]])
             parts.append(
-                '<polyline fill="none" stroke="%s" stroke-width="%s" points="%s"/>'
-                % (opts.circle_color, _fmt(extent * 0.0018), _polyline_points(closed))
+                '<polyline fill="none" stroke="#6e9bc5" stroke-width="%s" points="%s"/>'
+                % (_fmt(extent * 0.0018), _polyline_points(closed))
             )
         except HvlError as exc:
             warnings.append(f"circle r={r:g} skipped: {exc}")
 
     closed = np.concatenate([boundary, boundary[:1]])
     parts.append(
-        '<polyline fill="none" stroke="%s" stroke-width="%s" points="%s"/>'
-        % (opts.boundary_color, _fmt(extent * 0.0035), _polyline_points(closed))
+        '<polyline fill="none" stroke="#13315c" stroke-width="%s" points="%s"/>'
+        % (_fmt(extent * 0.0035), _polyline_points(closed))
     )
 
     if opts.show_cusps and criterion is not None and criterion.criterion_satisfied:
@@ -136,8 +126,8 @@ def render_scene(map_spec: HarmonicMapSpec,
             if img is None:
                 img = complex(eval_f_many(map_spec, np.exp(1j * rec.t)))
             parts.append(
-                '<circle cx="%s" cy="%s" r="%s" fill="%s"/>'
-                % (_fmt(img.real), _fmt(-img.imag), _fmt(marker_r), opts.cusp_color)
+                '<circle cx="%s" cy="%s" r="%s" fill="#c0392b"/>'
+                % (_fmt(img.real), _fmt(-img.imag), _fmt(marker_r))
             )
 
     for msg in warnings:

@@ -343,20 +343,24 @@ def _halton_starts(n: int) -> np.ndarray:
 # starts keep every per-pair array at 16,384 entries, however many probes
 # the caller passes.
 _NEWTON_BLOCK = 64
+# A start has converged once |f(z) - w| <= _NEWTON_TOL, within _MAX_ITER
+# Newton steps; converged starts within _DEDUPE_RADIUS are one preimage.
+_NEWTON_TOL = 1e-10
+_MAX_ITER = 100
+_DEDUPE_RADIUS = 1e-6
 
 
-def newton_preimages_many(map_spec: HarmonicMapSpec, ws, n_starts: int = 256,
-                          newton_tol: float = 1e-10,
-                          dedupe_radius: float = 1e-6,
-                          max_iter: int = 100) -> list[PreimageSet]:
+def newton_preimages_many(map_spec: HarmonicMapSpec, ws,
+                          n_starts: int = 256) -> list[PreimageSet]:
     """``newton_preimages`` at every w of ``ws``, one ``PreimageSet`` each.
 
     All (probe, start) pairs of a block of at most 64 probes iterate in one
     array: each Newton step evaluates h' once on the live pairs, and each
     halving step makes one ``eval_f_many`` call on the pairs still trying.
     The starts and f at the starts are computed once per call.  Every pair
-    does the arithmetic of a one-probe solve, so each result is the same,
-    bit for bit, as when its probe is solved alone.
+    does the arithmetic of a one-probe solve, and f has the same bits in
+    every call, so each result is the same, bit for bit, as ``newton_preimages``
+    gives for its probe.
     """
     if n_starts < 100:
         raise ParameterError("newton_preimages needs at least 100 starts")
@@ -366,14 +370,13 @@ def newton_preimages_many(map_spec: HarmonicMapSpec, ws, n_starts: int = 256,
     out = []
     for b in range(0, len(ws), _NEWTON_BLOCK):
         block = ws[b:b + _NEWTON_BLOCK]
-        z, res, done = _newton_block(map_spec, starts, f0, failed, block,
-                                     newton_tol, max_iter)
+        z, res, done = _newton_block(map_spec, starts, f0, failed, block)
         for w, zw, rw, dw in zip(block, z, res, done):
-            out.append(_dedupe(w, zw, rw, dw, dedupe_radius))
+            out.append(_dedupe(w, zw, rw, dw))
     return out
 
 
-def _newton_block(map_spec, starts, f0, failed, block, newton_tol, max_iter):
+def _newton_block(map_spec, starts, f0, failed, block):
     """Damped Newton over all (probe, start) pairs of ``block``; returns the
     iterates, residuals and converged flags, one row per probe."""
     shape = (len(block), starts.size)
@@ -383,8 +386,8 @@ def _newton_block(map_spec, starts, f0, failed, block, newton_tol, max_iter):
     alive = ~np.tile(failed, shape[0])
     res[~alive] = np.inf
     done = np.zeros(z.size, dtype=bool)
-    for _ in range(max_iter):
-        done |= alive & (np.abs(res) <= newton_tol)
+    for _ in range(_MAX_ITER):
+        done |= alive & (np.abs(res) <= _NEWTON_TOL)
         idx = np.flatnonzero(alive & ~done)
         if idx.size == 0:
             break
@@ -411,13 +414,9 @@ def _newton_block(map_spec, starts, f0, failed, block, newton_tol, max_iter):
             inside = np.abs(z_try) < 0.9995
             r_try = np.full(todo.size, np.inf, dtype=complex)
             if np.any(inside):
-                pairs = idx[todo[inside]]
-                probe = pairs // starts.size
-                # a probe with one point here gets the bits of a one-point call
-                f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask",
-                                           alone=np.bincount(probe)[probe] == 1)
+                f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask")
                 f_try[f_bad] = np.nan
-                r_try[inside] = f_try - wp[pairs]
+                r_try[inside] = f_try - wp[idx[todo[inside]]]
             better = np.isfinite(r_try) & (np.abs(r_try) < np.abs(ra[todo]))
             sel = todo[better]
             z_new[sel] = za[sel] + step[sel]
@@ -427,13 +426,12 @@ def _newton_block(map_spec, starts, f0, failed, block, newton_tol, max_iter):
         alive[idx[~accepted]] = False
         z[idx[accepted]] = z_new[accepted]
         res[idx[accepted]] = r_new[accepted]
-    done |= alive & (np.abs(res) <= newton_tol)
+    done |= alive & (np.abs(res) <= _NEWTON_TOL)
     return z.reshape(shape), res.reshape(shape), done.reshape(shape)
 
 
-def _dedupe(w: complex, z: np.ndarray, res: np.ndarray, done: np.ndarray,
-            dedupe_radius: float) -> PreimageSet:
-    """Merge one probe's converged starts within ``dedupe_radius``, keeping
+def _dedupe(w: complex, z: np.ndarray, res: np.ndarray, done: np.ndarray) -> PreimageSet:
+    """Merge one probe's converged starts within ``_DEDUPE_RADIUS``, keeping
     the best residual, in (Re z, Im z) order."""
     conv = np.flatnonzero(done)
     order = conv[np.lexsort((z[conv].imag, z[conv].real))]
@@ -442,7 +440,7 @@ def _dedupe(w: complex, z: np.ndarray, res: np.ndarray, done: np.ndarray,
     for i in order:
         zi, ri = complex(z[i]), float(abs(res[i]))
         for j, zr in enumerate(reps):
-            if abs(zi - zr) <= dedupe_radius:
+            if abs(zi - zr) <= _DEDUPE_RADIUS:
                 if ri < rres[j]:
                     reps[j], rres[j] = zi, ri
                 break
@@ -458,10 +456,7 @@ def _dedupe(w: complex, z: np.ndarray, res: np.ndarray, done: np.ndarray,
     )
 
 
-def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
-                     newton_tol: float = 1e-10,
-                     dedupe_radius: float = 1e-6,
-                     max_iter: int = 100) -> PreimageSet:
+def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256) -> PreimageSet:
     """Solve f(z) = w from Halton-distributed starts in |z| < 0.999.
 
     The Newton step solves the real-linear system a dz + conj(b dz) = -res
@@ -471,15 +466,12 @@ def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256,
 
     damped by halving (at most 20 times) until the residual decreases;
     iterates are confined to |z| < 0.9995.  Converged points (residual at
-    most ``newton_tol``) are merged within ``dedupe_radius`` and returned
+    most 1e-10 within 100 steps) are merged within 1e-6 and returned
     sorted lexicographically by (Re z, Im z).  This is the one-probe case
     of ``newton_preimages_many``, which solves many probes in one array
     (in blocks of at most 64 probes) with the same result per probe.
     """
-    return newton_preimages_many(map_spec, [w], n_starts=n_starts,
-                                 newton_tol=newton_tol,
-                                 dedupe_radius=dedupe_radius,
-                                 max_iter=max_iter)[0]
+    return newton_preimages_many(map_spec, [w], n_starts=n_starts)[0]
 
 
 class CrossCheck(str, Enum):
@@ -491,7 +483,6 @@ class CrossCheck(str, Enum):
 def cross_check(map_spec: HarmonicMapSpec, w, r: float = 0.999,
                 n_samples: int = 4096,
                 n_starts: int = 256,
-                newton_tol: float = 1e-10,
                 trace: CurveTrace | None = None) -> tuple[CrossCheck, dict]:
     """Compare the winding count against the Newton preimage count at w.
 
@@ -502,12 +493,11 @@ def cross_check(map_spec: HarmonicMapSpec, w, r: float = 0.999,
     if trace is None:
         trace = trace_circle(map_spec, r, n_samples)
     wres = winding_number(trace, w)
-    return cross_check_many(map_spec, [wres], r, n_starts, newton_tol)[0]
+    return cross_check_many(map_spec, [wres], r, n_starts)[0]
 
 
 def cross_check_many(map_spec: HarmonicMapSpec, windings, r: float = 0.999,
-                     n_starts: int = 256,
-                     newton_tol: float = 1e-10) -> list[tuple[CrossCheck, dict]]:
+                     n_starts: int = 256) -> list[tuple[CrossCheck, dict]]:
     """Play each ``WindingResult`` of ``windings`` against the Newton
     preimage count at its probe; one (verdict, details) pair per winding.
 
@@ -516,15 +506,15 @@ def cross_check_many(map_spec: HarmonicMapSpec, windings, r: float = 0.999,
     circle, INDETERMINATE_MULTIPLICITY when some preimage has a Jacobian
     determinant |h'|**2 - |g'|**2 too close to zero for its multiplicity to
     be trusted, DISAGREE otherwise.  A root of multiplicity two is only
-    located to distance ~sqrt(newton_tol), where the Jacobian has size
-    ~newton_tol, so the degeneracy cut is 100 * newton_tol rather than a
-    fixed machine-level constant.  The details dict carries both counts
+    located to distance ~sqrt(tol), where the Jacobian has size ~tol (tol
+    = 1e-10, the Newton tolerance), so the degeneracy cut is 100 * tol
+    rather than a fixed machine-level constant.  The details dict carries both counts
     and the root list.  All probes are solved in one
     ``newton_preimages_many`` call.
     """
     pres = newton_preimages_many(map_spec, [wres.w for wres in windings],
-                                 n_starts=n_starts, newton_tol=newton_tol)
-    jac_tol = max(1e-12, 100.0 * newton_tol)
+                                 n_starts=n_starts)
+    jac_tol = 100.0 * _NEWTON_TOL
     out = []
     for wres, pre in zip(windings, pres):
         inside = pre.roots[np.abs(pre.roots) < r]

@@ -203,18 +203,23 @@ def test_scalar_and_vector_paths_agree():
     np.testing.assert_allclose(many, single, rtol=0, atol=1e-15)
 
 
-@pytest.mark.parametrize("spec", [presets.example2(), presets.star()], ids=["series", "rational"])
-def test_alone_points_round_as_one_point_calls(spec):
-    """``alone`` points get the bits of a one-point call, the others the
-    bits of the call without the mask, for either kind of h."""
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("spec", [presets.example2(), presets.star(), presets.octagon()],
+                         ids=["example2", "star", "octagon"])
+def test_f_bits_do_not_depend_on_the_call(spec):
+    """A point's f has the same bits alone, in a slice, in a reversed call
+    and in a call on 4,096 points, for series and rational h."""
     rng = np.random.default_rng(19)
-    zs = 0.95 * np.sqrt(rng.uniform(size=64)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 64))
-    alone = np.arange(64) % 3 == 0
-    plain = eval_f_many(spec, zs)
-    mixed = eval_f_many(spec, zs, alone=alone)
-    single = np.array([eval_f_many(spec, zs[k:k + 1])[0] for k in range(64)])
-    assert np.array_equal(mixed[alone], single[alone])
-    assert np.array_equal(mixed[~alone], plain[~alone])
+    zs = 0.999 * np.sqrt(rng.uniform(size=4096)) * np.exp(1j * rng.uniform(-np.pi, np.pi, 4096))
+    full = eval_f_many(spec, zs)
+    picks = np.arange(0, 4096, 64)
+    single = np.array([eval_f_many(spec, zs[k]) for k in picks])
+    assert np.array_equal(_bits(single), _bits(full[picks]))
+    assert np.array_equal(_bits(eval_f_many(spec, zs[1000:1300])), _bits(full[1000:1300]))
+    assert np.array_equal(_bits(eval_f_many(spec, zs[::-1])[::-1]), _bits(full))
 
 
 # ---------------------------------------------------------------------------

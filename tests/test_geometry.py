@@ -100,10 +100,7 @@ def test_trace_grid_and_values():
     assert tr.t[1] - tr.t[0] == pytest.approx(2 * math.pi / 512)
     want = oracles.example1_f(tr.t)
     assert np.max(np.abs(tr.points - want)) < 1e-13
-    # boundary traces carry kinematics, interior ones do not
-    assert tr.velocity is not None and tr.acceleration is not None
     inner = trace_circle(EX1, 0.5, n=256)
-    assert inner.velocity is None and inner.acceleration is None
     assert not inner.clamped.any()
 
 
