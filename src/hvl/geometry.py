@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,8 +71,8 @@ def boundary_acceleration_many(map_spec: HarmonicMapSpec, t, on_pole: str = "rai
 class CurveTrace:
     """Sampled image of a circle |z| = radius under f.
 
-    ``point_at`` evaluates extra parameter values on demand with caching, so
-    winding refinement can subdivide without re-tracing.
+    ``point_at`` evaluates f at extra parameter values, so winding
+    refinement can subdivide steps without re-tracing.
     """
 
     map: HarmonicMapSpec
@@ -80,7 +80,6 @@ class CurveTrace:
     t: np.ndarray
     points: np.ndarray
     clamped: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def n(self) -> int:
@@ -91,22 +90,8 @@ class CurveTrace:
         return float(math.hypot(np.ptp(re), np.ptp(im)))
 
     def point_at(self, tq) -> np.ndarray:
-        tq = np.atleast_1d(np.asarray(tq, dtype=float))
-        out = np.empty(tq.shape, dtype=complex)
-        missing: list[int] = []
-        for i, tv in enumerate(tq):
-            key = float(tv)
-            if key in self._cache:
-                out[i] = self._cache[key]
-            else:
-                missing.append(i)
-        if missing:
-            zq = self.radius * np.exp(1j * tq[missing])
-            vals = np.atleast_1d(eval_f_many(self.map, zq))
-            for i, v in zip(missing, vals):
-                self._cache[float(tq[i])] = complex(v)
-                out[i] = v
-        return out
+        """f at the angles ``tq`` of the circle, as a 1-d array."""
+        return eval_f_many(self.map, self.radius * np.exp(1j * np.atleast_1d(tq)))
 
     def to_csv(self) -> str:
         lines = ["t,re_f,im_f,clamped"]

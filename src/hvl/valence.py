@@ -7,13 +7,13 @@ bounds the valence of f on that disk from below.  The class handled here is
 sense-preserving away from zeros of h' because |g'/h'| = |z|**(m-1) < 1 on
 the open disk.
 
-``winding_number`` sums angle increments along a ``CurveTrace``, refining
-any step that turns by pi/2 or more via on-demand midpoint evaluation;
 ``valence_scan`` fills a padded bounding-box grid of probes by scanlines,
 counting the signed crossings of the trace with each probe row (the
 nonzero rule of Hormann & Agathos, "The point in polygon problem for
-arbitrary polygons", Comput. Geom. 20, 2001) and sending only the probes
-near a coarse step to ``winding_number``; ``newton_preimages_many`` solves
+arbitrary polygons", Comput. Geom. 20, 2001), then refines all the (step,
+probe) pairs where a step turns by pi/2 or more in one batch, one
+evaluation of f per level; ``winding_number`` is its one-probe case, an
+angle sum plus that refinement.  ``newton_preimages_many`` solves
 f(z) = w directly with a damped Newton method for harmonic maps, for all
 probes at once: every (probe, start) pair of a block of at most 64 probes
 iterates in one array, so each damping step is one evaluation of f however
@@ -52,68 +52,82 @@ class WindingResult:
     min_curve_distance: float
 
 
-def _refined_increment(trace: CurveTrace, w: complex, t0: float, t1: float,
-                       p0: complex, p1: complex, clearance: float,
-                       depth: int) -> float:
-    inc = float(np.angle((p1 - w) * np.conj(p0 - w)))
-    if abs(inc) < math.pi / 2:
-        return inc
-    if depth <= 0:
-        raise ResolutionError(
-            f"angle increment stayed >= pi/2 after refinement near t = {t0:.6g}"
-        )
-    tm = 0.5 * (t0 + t1)
-    pm = complex(trace.point_at(tm)[0])
-    if abs(pm - w) <= clearance:
-        raise IndeterminateProbeError(
-            f"probe {w:.6g} within clearance of the curve at t = {tm:.6g}"
-        )
-    return (_refined_increment(trace, w, t0, tm, p0, pm, clearance, depth - 1)
-            + _refined_increment(trace, w, tm, t1, pm, p1, clearance, depth - 1))
+_NEAR, _COARSE = 1, 2  # the faults of ``_refine_pairs``
+
+
+def _turn(a, b):
+    """Turn in [-pi, pi] about a probe of a step whose ends lie at a and b from it."""
+    return np.angle(b * np.conj(a))
+
+
+def _refine_pairs(trace: CurveTrace, k: np.ndarray, w: np.ndarray,
+                  clearance: float) -> tuple[np.ndarray, np.ndarray]:
+    """Refine trace step k[i] about probe w[i], for every pair at once.
+
+    Each step is halved at its parameter midpoint and each half still turning
+    by pi/2 or more is halved again, one ``trace.point_at`` call per level; a
+    probe sees only the midpoints of its own steps.  Returns per pair the
+    winding about w of the refined sub-polyline closed by the chord, and the
+    first fault met depth first: ``_NEAR`` (a midpoint within ``clearance``
+    of w), ``_COARSE`` (a quarter-step still turning by pi/2 or more) or 0.
+    """
+    if k.size == 0:
+        return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
+    t0 = trace.t[k]
+    t1 = t0 + _TWO_PI / trace.n
+    t = np.stack([t0, 0.5 * (t0 + t1), t1])
+    # each step's start, midpoint and end, relative to its probe
+    d = np.stack([trace.points[k], trace.point_at(t[1]), trace.points[(k + 1) % trace.n]]) - w
+    turn = _turn(d[:-1], d[1:])  # row 0 the left halves, row 1 the right
+    split = np.abs(turn) >= math.pi / 2
+    dq = trace.point_at(0.5 * (t[:-1] + t[1:])[split]) - np.broadcast_to(w, split.shape)[split]
+    left, right = _turn(d[:-1][split], dq), _turn(dq, d[1:][split])
+    turn[split] = left + right
+    half = np.zeros(split.shape, dtype=int)
+    half[split] = np.where(np.abs(dq) <= clearance, _NEAR,
+                           _COARSE * (np.maximum(abs(left), abs(right)) >= math.pi / 2))
+    fault = np.where(np.abs(d[1]) <= clearance, _NEAR,
+                     np.where(half[0] > 0, half[0], half[1]))
+    return np.rint((turn.sum(axis=0) - _turn(d[0], d[2])) / _TWO_PI).astype(int), fault
 
 
 def winding_number(trace: CurveTrace, w, probe_clearance: float | None = None) -> WindingResult:
     """Winding number of the traced curve around w.
 
     Sums the turning angles between consecutive samples; any step of pi/2 or
-    more is split by evaluating the map at parameter midpoints (two levels,
-    so up to 4x the local density) before giving up with
-    ``ResolutionError``.  Probes closer to the curve than
-    ``probe_clearance`` (default 1e-4 times the curve diameter) raise
-    ``IndeterminateProbeError`` rather than return an untrustworthy count.
+    more is refined at parameter midpoints (two levels, so up to 4x the
+    local density) before giving up with ``ResolutionError``: the one-probe
+    case of the refinement ``valence_scan`` batches.  Probes closer to the
+    curve than ``probe_clearance`` (default 1e-4 times the curve diameter)
+    raise ``IndeterminateProbeError`` rather than return a count.
     """
     w = complex(w)
+    if not np.isfinite(w):
+        raise ParameterError(f"probe {w} is not finite")
     if probe_clearance is None:
         probe_clearance = 1e-4 * trace.diameter()
     d = trace.points - w
-    dist = np.abs(d)
-    mind = float(dist.min())
+    mind = float(np.abs(d).min())
     if mind <= probe_clearance:
         raise IndeterminateProbeError(
             f"probe {w:.6g} lies within clearance {probe_clearance:.3g} "
             f"of the traced curve (distance {mind:.3g})"
         )
-    inc = np.angle(np.roll(d, -1) * np.conj(d))
+    inc = _turn(d, np.roll(d, -1))
     bad = np.flatnonzero(np.abs(inc) >= math.pi / 2)
-    total = float(inc.sum())
-    if bad.size:
-        n = trace.n
-        step = _TWO_PI / n
-        for j in bad:
-            t0 = float(trace.t[j])
-            p0 = complex(trace.points[j])
-            p1 = complex(trace.points[(j + 1) % n])
-            refined = _refined_increment(trace, w, t0, t0 + step, p0, p1,
-                                         probe_clearance, depth=2)
-            total += refined - float(inc[j])
-    turns = total / _TWO_PI
+    loops, faults = _refine_pairs(trace, bad, np.full(bad.size, w), probe_clearance)
+    for j, fault in zip(bad, faults):
+        if fault:
+            raise (IndeterminateProbeError if fault == _NEAR else ResolutionError)(
+                f"probe {w:.6g} is too near the curve at t = {trace.t[j]:.6g} to resolve")
+    turns = float(inc.sum()) / _TWO_PI
     k = round(turns)
     if abs(turns - k) >= 0.05:
         raise ResolutionError(
             f"winding sum {turns:.6g} is not close to an integer; "
             "the trace is too coarse for this probe"
         )
-    return WindingResult(w=w, winding=int(k), min_curve_distance=mind)
+    return WindingResult(w=w, winding=int(k + loops.sum()), min_curve_distance=mind)
 
 
 @dataclass(frozen=True)
@@ -220,13 +234,13 @@ def _scan_windings(trace: CurveTrace, xs: np.ndarray, ys: np.ndarray,
     """Winding numbers at the grid ``probes`` = xs x ys (row-major); -1
     marks indeterminate probes.
 
-    Probes within ``clearance`` of a trace vertex are indeterminate.  A
-    probe that sees some segment turn by pi/2 or more (it lies in the
-    closed disk on that segment as diameter) takes the refining scalar
-    ``winding_number``.  Every other probe sees each step turn by less
-    than pi/2, so the angle sum equals the polyline's winding, which the
-    crossing count gives exactly.  Candidate (item, probe) pairs come from
-    binning each item's bounding box into the probe grid.
+    Probes within ``clearance`` of a trace vertex are indeterminate.  The
+    crossing count gives each probe the polyline's winding; every (step,
+    probe) pair where the step turns by pi/2 or more (the probe lies in the
+    closed disk on the step as diameter) goes to one ``_refine_pairs``
+    call, whose windings are added and whose faults mark the probe -1, so
+    each probe gets the value of ``winding_number``.  Candidate (item,
+    probe) pairs come from binning each item's bounding box into the grid.
     """
     p0 = trace.points
     p1 = np.roll(p0, -1)
@@ -235,18 +249,13 @@ def _scan_windings(trace: CurveTrace, xs: np.ndarray, ys: np.ndarray,
     near[j[np.abs(p0[k] - probes[j]) <= clearance]] = True
     mid, rad = 0.5 * (p0 + p1), 0.5 * np.abs(p1 - p0)
     k, j = _box_pairs(mid - rad * (1 + 1j), mid + rad * (1 + 1j), xs, ys)
-    turns = np.abs(np.angle((p1[k] - probes[j]) * np.conj(p0[k] - probes[j])))
-    unclean = np.zeros(probes.size, dtype=bool)
-    unclean[j[turns >= math.pi / 2]] = True
+    flagged = (np.abs(_turn(p0[k] - probes[j], p1[k] - probes[j])) >= math.pi / 2) & ~near[j]
+    k, j = k[flagged], j[flagged]
+    loops, faults = _refine_pairs(trace, k, probes[j], clearance)
     res = _crossing_windings(p0, p1, xs, ys)
-    res[res < 0] = -1
-    res[near] = -1
-    for i in np.flatnonzero(unclean & ~near):
-        try:
-            wind = winding_number(trace, complex(probes[i]), clearance).winding
-            res[i] = wind if wind >= 0 else -1
-        except (IndeterminateProbeError, ResolutionError):
-            res[i] = -1
+    np.add.at(res, j, loops)
+    res[j[faults != 0]] = -1
+    res[near | (res < 0)] = -1
     return res
 
 
@@ -261,15 +270,17 @@ def valence_scan(map_spec: HarmonicMapSpec, r: float = 0.999,
     of the grid is skipped the scan aborts with ``ScanQualityError``.  The
     windings come from a scanline fill: signed crossings of the trace with
     each probe row, summed to the right of each probe (nonzero rule), in
-    O(samples * rows + probes).  Probes that see one trace step turn by
-    pi/2 or more take the refining scalar ``winding_number`` instead, so
-    every probe gets the value the angle sum of ``winding_number`` gives.
+    O(samples * rows + probes), plus one batch that refines the probes near
+    a coarse step as ``winding_number`` does.  A ``trace`` passed in must be
+    of ``map_spec`` on |z| = r (``ParameterError`` otherwise).
     """
     gx, gy = grid
     if gx < 2 or gy < 2:
         raise ParameterError("scan grid must be at least 2 x 2")
     if trace is None:
         trace = trace_circle(map_spec, r, n_samples)
+    elif trace.map != map_spec or trace.radius != r:
+        raise ParameterError("the trace is not of this map on |z| = r")
     xs, ys = _probe_grid(trace.points, gx, gy)
     probes = (xs[None, :] + 1j * ys[:, None]).ravel()
     if np.isfinite(xs).all() and np.isfinite(ys).all():
@@ -487,11 +498,14 @@ def cross_check(map_spec: HarmonicMapSpec, w, r: float = 0.999,
     """Compare the winding count against the Newton preimage count at w.
 
     Traces |z| = r (unless a ``trace`` of it is passed, to amortize the
-    tracing cost over many probes), takes the winding number around w and
-    returns ``cross_check_many`` of that one winding.
+    tracing cost over many probes; a trace of another map or radius raises
+    ``ParameterError``), takes the winding number around w and returns
+    ``cross_check_many`` of that one winding.
     """
     if trace is None:
         trace = trace_circle(map_spec, r, n_samples)
+    elif trace.map != map_spec or trace.radius != r:
+        raise ParameterError("the trace is not of this map on |z| = r")
     wres = winding_number(trace, w)
     return cross_check_many(map_spec, [wres], r, n_starts)[0]
 

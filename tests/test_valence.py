@@ -7,6 +7,7 @@ import pytest
 
 from hvl import (
     CrossCheck,
+    CurveTrace,
     IndeterminateProbeError,
     ParameterError,
     PolySeries,
@@ -73,6 +74,13 @@ def test_winding_probe_too_close():
     # a generous explicit clearance rejects even comfortable probes
     with pytest.raises(IndeterminateProbeError):
         winding_number(tr, 0.0, probe_clearance=5.0)
+
+
+def test_winding_refuses_non_finite_probe():
+    tr = trace_circle(EX1, 1.0, n=256)
+    for w in (math.nan, math.inf, complex(0.0, -math.inf), complex(0.5, math.nan)):
+        with pytest.raises(ParameterError):
+            winding_number(tr, w)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +155,90 @@ def test_scan_equals_scalar_winding_at_every_probe(spec):
     assert report.n_indeterminate == np.count_nonzero(want < 0)
     assert report.counts == {int(k): int(np.count_nonzero(want == k))
                              for k in np.unique(want[want >= 0])}
+
+
+@pytest.mark.parametrize("name", ["star", "octagon"])
+def test_refined_probes_match_ray_count_on_denser_trace(name):
+    """Probes in some step's Thales disk, where the scan refines, against
+    the independent ray count on a 4x denser trace, at a seeded sample of
+    the probes the scan finds determinate and that clear the dense trace."""
+    spec = getattr(presets, name)()
+    tr = trace_circle(spec, 0.999, n=4096)
+    dense = trace_circle(spec, 0.999, n=4 * 4096)
+    xs, ys = valence._probe_grid(tr.points, 64, 64)
+    probes = (xs[None, :] + 1j * ys[:, None]).ravel()
+    got = valence._scan_windings(tr, xs, ys, probes, 1e-4 * tr.diameter())
+    p0, p1 = tr.points, np.roll(tr.points, -1)
+    flagged = np.array([
+        np.any(np.abs(np.angle((p1 - w) * np.conj(p0 - w))) >= math.pi / 2)
+        for w in probes])
+    clear = np.array([np.min(np.abs(dense.points - w)) for w in probes]) \
+        >= 5e-3 * dense.diameter()
+    pool = np.flatnonzero(flagged & clear & (got >= 0))
+    assert pool.size >= 100
+    for i in np.random.default_rng(11).choice(pool, size=60, replace=False):
+        assert got[i] == oracles.ray_winding(dense.points, probes[i])
+
+
+def test_refinement_corrects_a_coarse_trace():
+    """A three-sample trace of a nearly circular image is a triangle: probes
+    between an edge and the arc it cuts off wind once about the curve but
+    not about the triangle.  ``winding_number`` and the scan refine them to
+    the ray count of a dense trace.  A probe on the curve at a step's
+    midpoint or quarter point is within clearance of a refinement midpoint;
+    one an eighth of a step in still sees a quarter-step turn by pi/2."""
+    spec = derive_g(PolySeries(1, (1 + 0j,)), 8)  # f = z + conj(z**8) / 8
+    t = -math.pi + 2 * math.pi * np.arange(3) / 3
+    tri = CurveTrace(map=spec, radius=0.5, t=t, clamped=np.zeros(3, dtype=bool),
+                     points=eval_f_many(spec, 0.5 * np.exp(1j * t)))
+    dense = trace_circle(spec, 0.5, n=4096)
+    chord = 0.5 * (tri.points + np.roll(tri.points, -1))
+    for w in 0.5 * (chord + tri.point_at(t + math.pi / 3)):
+        assert oracles.ray_winding(tri.points, w) == 0
+        assert winding_number(tri, w).winding == oracles.ray_winding(dense.points, w) == 1
+    for frac, error in ((0.5, IndeterminateProbeError), (0.25, IndeterminateProbeError),
+                        (0.125, ResolutionError)):
+        with pytest.raises(error):
+            winding_number(tri, tri.point_at(t[1] + frac * 2 * math.pi / 3)[0])
+    xs = ys = np.linspace(-0.6, 0.6, 61)
+    probes = (xs[None, :] + 1j * ys[:, None]).ravel()
+    got = valence._scan_windings(tri, xs, ys, probes, 1e-4 * tri.diameter())
+    clear = np.array([np.min(np.abs(dense.points - w)) for w in probes]) \
+        >= 5e-3 * dense.diameter()
+    corrected = 0
+    for i in np.flatnonzero((got >= 0) & clear):
+        assert got[i] == oracles.ray_winding(dense.points, probes[i])
+        corrected += got[i] != oracles.ray_winding(tri.points, probes[i])
+    assert corrected >= 100
+
+
+def test_scan_refines_all_pairs_in_one_batch(monkeypatch):
+    """The scan never falls back to the one-probe winding_number, and
+    evaluates its refinement midpoints in at most one call per level."""
+    def scalar(*args, **kwargs):
+        raise AssertionError("valence_scan called winding_number")
+
+    calls = []
+    point_at = CurveTrace.point_at
+
+    def counted(self, tq):
+        calls.append(np.size(tq))
+        return point_at(self, tq)
+
+    monkeypatch.setattr(valence, "winding_number", scalar)
+    monkeypatch.setattr(CurveTrace, "point_at", counted)
+    report = valence_scan(presets.star(), r=0.999, grid=(64, 64))
+    assert report.consistent_with_p
+    assert 1 <= len(calls) <= 2 and sum(calls) > 0
+
+
+def test_scan_refuses_trace_of_another_map_or_radius():
+    tr = trace_circle(EX1, 0.999, n=1024)
+    for spec, r in ((EX2, 0.5), (EX2, 0.999), (EX1, 0.5)):
+        with pytest.raises(ParameterError):
+            valence_scan(spec, r=r, grid=(16, 16), trace=tr)
+    assert valence_scan(presets.example1(), r=0.999, grid=(16, 16), trace=tr) \
+        == valence_scan(EX1, r=0.999, grid=(16, 16), n_samples=1024)
 
 
 def test_crossing_rule_with_vertices_on_probe_rows():
@@ -239,6 +331,15 @@ def test_preimages_seeded_probes_p3():
         pre = newton_preimages(EX2, w, n_starts=200)
         inside = np.sum(np.abs(pre.roots) < 0.999)
         assert inside == wind
+
+
+def test_cross_check_refuses_trace_of_another_map_or_radius():
+    tr = trace_circle(EX1, 0.999, n=1024)
+    for spec, r in ((EX2, 0.5), (EX2, 0.999), (EX1, 0.5)):
+        with pytest.raises(ParameterError):
+            cross_check(spec, 0.5, r=r, trace=tr)
+    verdict, details = cross_check(presets.example1(), 0.5, r=0.999, trace=tr)
+    assert verdict == CrossCheck.AGREE and details["winding"] == 2
 
 
 def test_preimages_requires_enough_starts():
