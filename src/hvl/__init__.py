@@ -39,9 +39,7 @@ from .fncore import (
     eval_normalized_deriv_many,
 )
 from .criterion import (
-    CriterionConfig,
     CriterionReport,
-    DEFAULT_CRITERION,
     PhaseTable,
     RootRecord,
     check_criterion,
@@ -75,7 +73,7 @@ from .valence import (
     valence_scan,
     winding_number,
 )
-from .render import RenderOptions, render_scene
+from .render import render_scene
 from . import presets
 
 __version__ = "0.1.0"

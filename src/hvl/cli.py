@@ -41,12 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .criterion import (
-    CriterionConfig,
-    DEFAULT_CRITERION,
-    check_criterion,
-    check_monotonicity_margin,
-)
+from .criterion import check_criterion, check_monotonicity_margin
 from .fncore import (
     DomainError,
     HarmonicMapSpec,
@@ -63,8 +58,8 @@ from .fncore import (
 )
 from .geometry import trace_circle
 from .presets import PRESETS
-from .render import RenderOptions, render_scene
-from .valence import CrossCheck, cross_check_many, valence_scan, winding_number
+from .render import render_scene
+from .valence import CrossCheck, cross_check_many, probe_box, valence_scan, winding_number
 
 SCHEMA_VERSION = "1"
 
@@ -274,9 +269,7 @@ def _grid_pair(text: str) -> tuple[int, int]:
 
 def cmd_verify(args) -> int:
     map_spec = load_input(args.input)
-    cfg = DEFAULT_CRITERION if args.samples is None else CriterionConfig(
-        grid_size=args.samples)
-    report = check_criterion(map_spec.h, map_spec.m, cfg)
+    report = check_criterion(map_spec.h, map_spec.m, args.samples)
     doc = {"schema_version": SCHEMA_VERSION, "command": "verify",
            **report.to_dict()}
     _emit_json(doc, args.report)
@@ -297,9 +290,7 @@ def cmd_render(args) -> int:
         criterion = check_criterion(map_spec.h, map_spec.m)
     except HvlError:
         pass  # draw without cusp markers
-    opts = RenderOptions() if args.samples is None else RenderOptions(
-        samples_per_curve=args.samples)
-    svg = render_scene(map_spec, criterion, opts)
+    svg = render_scene(map_spec, criterion, args.samples)
     _emit(svg, args.out)
     return 0
 
@@ -308,7 +299,7 @@ def cmd_valence(args) -> int:
     map_spec = load_input(args.input)
     report = valence_scan(
         map_spec, r=args.radius, grid=_grid_pair(args.grid),
-        n_samples=args.samples or 4096,
+        n_samples=args.samples,
     )
     doc = {"schema_version": SCHEMA_VERSION, "command": "valence",
            **report.to_dict()}
@@ -318,20 +309,16 @@ def cmd_valence(args) -> int:
 
 def cmd_oracle(args) -> int:
     map_spec = load_input(args.input)
-    n_probes = 20 if args.samples is None else require_int(
-        args.samples, 1, "oracle needs at least 1 probe (--samples)")
+    n_probes = require_int(args.samples, 1, "oracle needs at least 1 probe (--samples)")
     trace = trace_circle(map_spec, args.radius, 4096)
-    re, im = trace.points.real, trace.points.imag
-    pad_x = 0.1 * max(float(np.ptp(re)), 1e-9)
-    pad_y = 0.1 * max(float(np.ptp(im)), 1e-9)
+    x_lo, x_hi, y_lo, y_hi = probe_box(trace.points)
     rng = np.random.default_rng(args.seed)
     windings = []
     n_skipped = 0
     attempts = 0
     while len(windings) < n_probes and attempts < 50 * n_probes:
         attempts += 1
-        w = complex(rng.uniform(re.min() - pad_x, re.max() + pad_x),
-                    rng.uniform(im.min() - pad_y, im.max() + pad_y))
+        w = complex(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
         try:
             windings.append(winding_number(trace, w))
         except (IndeterminateProbeError, ResolutionError):
@@ -384,7 +371,6 @@ class SweepConfig:
     seed: int = 42
     margin_requirement: float = 0.0
     grid: tuple[int, int] = (32, 32)
-    radius: float = 0.999
 
     def __post_init__(self):
         if self.trials < 1:
@@ -393,13 +379,14 @@ class SweepConfig:
             raise ParameterError("need p >= 1 and m >= 2")
         if self.max_degree < self.p:
             raise ParameterError("max_degree must be at least p")
-        if self.coefficient_scale < 0:
-            raise ParameterError("coefficient_scale must be nonnegative")
-        if self.margin_requirement < 0:
-            raise ParameterError("margin_requirement must be nonnegative")
+        if not 0 <= self.coefficient_scale < math.inf:
+            raise ParameterError("coefficient_scale must be finite and nonnegative")
+        if not 0 <= self.margin_requirement < math.inf:
+            raise ParameterError("margin_requirement must be finite and nonnegative")
 
 
 _SWEEP_BLOCK = 16  # trials per thread task; results never depend on workers
+_SWEEP_RADIUS = 0.999  # the circle |z| = r each kept trial's valence scan traces
 
 
 def _sweep_trial(config: SweepConfig, trial: int, spec: PolySeries) -> dict:
@@ -420,7 +407,7 @@ def _sweep_trial(config: SweepConfig, trial: int, spec: PolySeries) -> dict:
     }
     if kept:
         report = valence_scan(
-            derive_g(spec, config.m), r=config.radius, grid=config.grid, n_samples=2048,
+            derive_g(spec, config.m), r=_SWEEP_RADIUS, grid=config.grid, n_samples=2048,
         )
         row["max_valence"] = report.max_valence
         row["consistent_with_p"] = report.consistent_with_p
@@ -479,7 +466,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> dict:
             "seed": config.seed,
             "margin_requirement": config.margin_requirement,
             "grid": list(config.grid),
-            "radius": config.radius,
+            "radius": _SWEEP_RADIUS,
         },
         "n_kept": n_kept,
         "n_candidates": len(candidates),
@@ -531,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="run the cusp-count criterion")
     _add_input(sp)
     sp.add_argument("--report", "--out", dest="report", default=None)
-    sp.add_argument("--samples", type=int, default=None,
+    sp.add_argument("--samples", type=int, default=8192,
                     help="phase grid size (power of two >= 1024)")
     sp.set_defaults(fn=cmd_verify)
 
@@ -544,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("render", help="draw the image domain to SVG")
     _add_input(sp)
-    sp.add_argument("--samples", type=int, default=None,
+    sp.add_argument("--samples", type=int, default=2048,
                     help="samples per curve (>= 512)")
     sp.add_argument("--out", "--report", dest="out", default=None)
     sp.set_defaults(fn=cmd_render)
@@ -553,8 +540,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(sp)
     sp.add_argument("--radius", type=float, default=0.999)
     sp.add_argument("--grid", default="64x64", help="probe grid, WxH")
-    sp.add_argument("--samples", type=int, default=None,
-                    help="trace samples (default 4096)")
+    sp.add_argument("--samples", type=int, default=4096,
+                    help="trace samples (>= 256)")
     sp.add_argument("--report", "--out", dest="report", default=None)
     sp.set_defaults(fn=cmd_valence)
 
@@ -562,8 +549,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cross-check windings against Newton preimages")
     _add_input(sp)
     sp.add_argument("--radius", type=float, default=0.999)
-    sp.add_argument("--samples", type=int, default=None,
-                    help="number of probes, at least 1 (default 20)")
+    sp.add_argument("--samples", type=int, default=20,
+                    help="number of probes (>= 1)")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--report", "--out", dest="report", default=None)
     sp.set_defaults(fn=cmd_oracle)

@@ -54,16 +54,16 @@ _TANGENCY_THRESHOLD = 1e-7
 _NONVANISH_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class CriterionConfig:
-    grid_size: int = 8192
+def _grid(grid_size) -> int:
+    """``grid_size`` as an int; ``ParameterError`` unless a power of two >= 1024.
 
-    def __post_init__(self):
-        if self.grid_size < 1024 or self.grid_size & (self.grid_size - 1):
-            raise ParameterError("grid_size must be a power of two >= 1024")
-
-
-DEFAULT_CRITERION = CriterionConfig()
+    Every function of this module that samples a grid checks its size here.
+    """
+    rule = "grid_size must be a power of two >= 1024"
+    n = require_int(grid_size, 1024, rule)
+    if n & (n - 1):
+        raise ParameterError(rule)
+    return n
 
 
 @dataclass
@@ -99,15 +99,15 @@ class PhaseTable:
 
 
 def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192) -> PhaseTable:
-    """Continuous branch of arg H on the boundary, anchored at t = -pi.
+    """Continuous branch of arg H on the boundary, anchored at t = -pi,
+    from ``grid_size`` + 1 samples (a power of two >= 1024) refined locally.
 
     Raises ``BoundaryHypothesisError`` when H vanishes on the boundary (its
     minimum sampled modulus falls to 1e-9) or blows up there (a
     pole of h' sits on the unit circle, or a sample is not finite), and
     ``UnwrapError`` when the refinement budget is exhausted.
     """
-    if grid_size < 1024:
-        raise ParameterError("grid_size must be at least 1024")
+    grid_size = _grid(grid_size)
     if np.any(np.abs(np.abs(spec.poles) - 1.0) <= 1e-8):
         raise BoundaryHypothesisError(
             "normalized derivative blows up on the boundary "
@@ -220,8 +220,7 @@ def _bisect_all(fn, a, b, fa, fb, tol: float):
     return t_best, f_best
 
 
-def find_criterion_roots(spec: FunctionSpec, m: int,
-                         cfg: CriterionConfig = DEFAULT_CRITERION,
+def find_criterion_roots(spec: FunctionSpec, m: int, grid_size: int = 8192,
                          table: PhaseTable | None = None) -> tuple[RootRecord, ...]:
     """All crossings of F with the levels 2 k pi for k in the searched set.
 
@@ -230,10 +229,11 @@ def find_criterion_roots(spec: FunctionSpec, m: int,
     interior local minima of |F - 2 k pi| below 1e-7 without a sign change
     (recorded with ``suspected_tangency=True``).  The sign changes are
     bisected together to 1e-12 in t, one ``PhaseTable.eval_many`` call per
-    step.  Records are sorted by t.
+    step.  Records are sorted by t.  The phase table is
+    ``unwrap_boundary_phase(spec, grid_size)`` unless ``table`` is passed.
     """
     if table is None:
-        table = unwrap_boundary_phase(spec, cfg.grid_size)
+        table = unwrap_boundary_phase(spec, grid_size)
     map_spec = derive_g(spec, m)
     t, tol, thr = table.t, _BISECT_TOL, _TANGENCY_THRESHOLD
     f_grid = (2 * spec.p + m - 1) * t + 2.0 * table.phase
@@ -281,8 +281,7 @@ def find_criterion_roots(spec: FunctionSpec, m: int,
     return tuple(records)
 
 
-def check_monotonicity_margin(spec: FunctionSpec, m: int,
-                              cfg: CriterionConfig = DEFAULT_CRITERION) -> float:
+def check_monotonicity_margin(spec: FunctionSpec, m: int, grid_size: int = 8192) -> float:
     """Sampled margin of the monotonicity condition Re(1+zh''/h') > -(m-1)/2.
 
     Samples ``grid_size`` angles on circles of radius 0.9, 0.99, 0.999 and
@@ -297,7 +296,7 @@ def check_monotonicity_margin(spec: FunctionSpec, m: int,
         r0 = abs(z0)
         if 1e-9 < r0 < 1.0 - 1e-9:
             radii.extend([min(r0 * (1 + 1e-3), 1.0 - 1e-9), r0 * (1 - 1e-3)])
-    t = np.linspace(-math.pi, math.pi, cfg.grid_size, endpoint=False)
+    t = np.linspace(-math.pi, math.pi, _grid(grid_size), endpoint=False)
     unit = np.exp(1j * t)
     worst = math.inf
     for r in radii:
@@ -362,8 +361,7 @@ class CriterionReport:
         }
 
 
-def check_criterion(spec: FunctionSpec, m: int,
-                    cfg: CriterionConfig = DEFAULT_CRITERION) -> CriterionReport:
+def check_criterion(spec: FunctionSpec, m: int, grid_size: int = 8192) -> CriterionReport:
     """Run the full sufficient-condition check and assemble a report.
 
     ``criterion_satisfied`` is true exactly when H is zero-free on the closed
@@ -385,7 +383,7 @@ def check_criterion(spec: FunctionSpec, m: int,
 
     margin: float | None
     try:
-        margin = check_monotonicity_margin(spec, m, cfg)
+        margin = check_monotonicity_margin(spec, m, grid_size)
     except PoleError:
         margin = None
 
@@ -393,13 +391,13 @@ def check_criterion(spec: FunctionSpec, m: int,
         return failed("h is not analytic on the closed disk "
                       "(denominator root inside |z| < 1)", margin)
     try:
-        table = unwrap_boundary_phase(spec, cfg.grid_size)
+        table = unwrap_boundary_phase(spec, grid_size)
     except BoundaryHypothesisError as exc:
         return failed(str(exc), margin)
 
     winding = table.winding
     h_nonvanishing = table.min_modulus > _NONVANISH_TOL and winding == 0
-    roots = find_criterion_roots(spec, m, cfg, table=table)
+    roots = find_criterion_roots(spec, m, table=table)
     tangencies = sum(1 for r in roots if r.suspected_tangency)
     for r in roots:
         if not r.suspected_tangency:

@@ -13,34 +13,18 @@ to an SVG comment instead of aborting the whole picture.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .criterion import CriterionReport
-from .fncore import HarmonicMapSpec, HvlError, ParameterError, eval_f_many
+from .fncore import HarmonicMapSpec, HvlError, ParameterError, eval_f_many, require_int
 
 _TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class RenderOptions:
-    circle_radii: tuple[float, ...] = (0.2, 0.4, 0.6, 0.8, 0.95, 0.999)
-    ray_count: int = 24
-    samples_per_curve: int = 2048
-    max_radius: float = 1.0 - 1e-6
-    show_cusps: bool = True
-
-    def __post_init__(self):
-        if self.samples_per_curve < 512:
-            raise ParameterError("samples_per_curve must be at least 512")
-        if not 0.0 < self.max_radius <= 1.0:
-            raise ParameterError("max_radius must lie in (0, 1]")
-        if self.ray_count < 0:
-            raise ParameterError("ray_count must be nonnegative")
-        for r in self.circle_radii:
-            if not 0.0 < r <= 1.0:
-                raise ParameterError("circle radii must lie in (0, 1]")
+# The boundary is drawn at _MAX_RADIUS, with the images of the circles of
+# _CIRCLE_RADII and of _RAY_COUNT equally spaced radii under it.
+_MAX_RADIUS = 1.0 - 1e-6
+_CIRCLE_RADII = (0.2, 0.4, 0.6, 0.8, 0.95, 0.999)
+_RAY_COUNT = 24
 
 
 def _fmt(x: float) -> str:
@@ -61,13 +45,14 @@ def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray) -> np.ndarray:
 
 def render_scene(map_spec: HarmonicMapSpec,
                  criterion: CriterionReport | None = None,
-                 opts: RenderOptions = RenderOptions()) -> str:
-    """Compose the SVG scene for one map; returns the file content."""
-    n = opts.samples_per_curve
-    t = -math.pi + _TWO_PI * np.arange(n) / n
+                 samples: int = 2048) -> str:
+    """Compose the SVG scene for one map from ``samples`` (at least 512)
+    points per curve; returns the file content."""
+    samples = require_int(samples, 512, "render needs at least 512 samples per curve")
+    t = -math.pi + _TWO_PI * np.arange(samples) / samples
     warnings: list[str] = []
 
-    boundary = _curve_samples(map_spec, opts.max_radius * np.exp(1j * t))
+    boundary = _curve_samples(map_spec, _MAX_RADIUS * np.exp(1j * t))
     if boundary.size < 2:
         raise ParameterError("boundary curve failed to evaluate; nothing to draw")
     re, im = boundary.real, -boundary.imag
@@ -83,10 +68,10 @@ def render_scene(map_spec: HarmonicMapSpec,
         % (_fmt(x0), _fmt(y0), _fmt(vw), _fmt(vh)),
     ]
 
-    ray_n = max(256, n // 8)
-    s = np.linspace(0.0, opts.max_radius, ray_n)
-    for j in range(opts.ray_count):
-        theta = -math.pi + _TWO_PI * j / opts.ray_count
+    ray_n = max(256, samples // 8)
+    s = np.linspace(0.0, _MAX_RADIUS, ray_n)
+    for j in range(_RAY_COUNT):
+        theta = -math.pi + _TWO_PI * j / _RAY_COUNT
         try:
             pts = _curve_samples(map_spec, s * np.exp(1j * theta))
             if pts.size < 2:
@@ -98,7 +83,7 @@ def render_scene(map_spec: HarmonicMapSpec,
         except HvlError as exc:
             warnings.append(f"ray {j} skipped: {exc}")
 
-    for r in opts.circle_radii:
+    for r in _CIRCLE_RADII:
         try:
             pts = _curve_samples(map_spec, r * np.exp(1j * t))
             if pts.size < 2:
@@ -117,7 +102,7 @@ def render_scene(map_spec: HarmonicMapSpec,
         % (_fmt(extent * 0.0035), _polyline_points(closed))
     )
 
-    if opts.show_cusps and criterion is not None and criterion.criterion_satisfied:
+    if criterion is not None and criterion.criterion_satisfied:
         marker_r = 0.009 * extent
         for rec in criterion.roots:
             if rec.suspected_tangency:

@@ -174,6 +174,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
         assert main(["oracle", "--input", "preset:example1", "--samples", count]) == 1
         err = capsys.readouterr().err
         assert err == "error: oracle needs at least 1 probe (--samples)\n"
+    # once 0 meant the default 4096 trace samples
+    assert main(["valence", "--input", "preset:example1", "--samples", "0"]) == 1
+    assert capsys.readouterr().err == "error: trace needs at least 256 samples\n"
+    # a NaN margin requirement once left the acceptance region empty (exit 3)
+    assert main(["conjecture", "--margin-requirement", "nan", "--trials", "1"]) == 1
+    assert "margin_requirement" in capsys.readouterr().err
 
 
 def test_verify_affirmative(tmp_path, capsys):
@@ -198,8 +204,9 @@ def test_verify_negative_exit_2(tmp_path):
 
 
 def test_verify_rejects_bad_grid(tmp_path):
-    code = main(["verify", "--input", "preset:example1", "--samples", "1000"])
-    assert code == 1
+    for samples in ("1000", "3000"):
+        code = main(["verify", "--input", "preset:example1", "--samples", samples])
+        assert code == 1
 
 
 def test_verify_spec_file(tmp_path):
@@ -353,8 +360,11 @@ def test_sweep_config_validation():
         SweepConfig(trials=0)
     with pytest.raises(ParameterError):
         SweepConfig(max_degree=0)
-    with pytest.raises(ParameterError):
-        SweepConfig(coefficient_scale=-1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            SweepConfig(coefficient_scale=bad)
+        with pytest.raises(ParameterError):
+            SweepConfig(margin_requirement=bad)
 
 
 def test_sweep_keeps_and_scans():

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from hvl import (
     BoundaryHypothesisError,
-    CriterionConfig,
     ParameterError,
     PhaseTable,
     PolySeries,
@@ -43,11 +42,14 @@ def test_level_set_bounds():
 
 
 def test_grid_size_must_be_pow2():
-    with pytest.raises(ParameterError):
-        CriterionConfig(grid_size=1000)
-    with pytest.raises(ParameterError):
-        CriterionConfig(grid_size=3000)
-    CriterionConfig(grid_size=2048)
+    for fn in (check_criterion, find_criterion_roots, check_monotonicity_margin):
+        for bad in (1000, 3000, 512, 2048.0, True):
+            with pytest.raises(ParameterError):
+                fn(EX1.h, EX1.m, bad)
+    for bad in (1000, 3000):
+        with pytest.raises(ParameterError):
+            unwrap_boundary_phase(EX1.h, bad)
+    assert check_criterion(EX1.h, EX1.m, 2048).criterion_satisfied
 
 
 # ---------------------------------------------------------------------------

@@ -71,9 +71,21 @@ def test_winding_probe_too_close():
     w = complex(tr.points[100])  # on the curve
     with pytest.raises(IndeterminateProbeError):
         winding_number(tr, w)
-    # a generous explicit clearance rejects even comfortable probes
+    # the clearance is 1e-4 diameters, the scan's rule
+    clearance = 1e-4 * tr.diameter()
     with pytest.raises(IndeterminateProbeError):
-        winding_number(tr, 0.0, probe_clearance=5.0)
+        winding_number(tr, w + 0.9 * clearance)
+    assert winding_number(tr, w + 2.0 * clearance).min_curve_distance > clearance
+
+
+def test_winding_on_trace_with_nan_point_is_indeterminate():
+    tr = trace_circle(EX1, 0.999, n=2048)
+    points = tr.points.copy()
+    points[100] = complex(math.nan, 0.0)
+    bad = CurveTrace(map=tr.map, radius=tr.radius, t=tr.t, points=points, clamped=tr.clamped)
+    for w in (0.0, 0.5, 10.0):
+        with pytest.raises(IndeterminateProbeError):
+            winding_number(bad, w)
 
 
 def test_winding_refuses_non_finite_probe():
