@@ -359,10 +359,9 @@ class RationalDeriv(_Kind):
         return _frozen(taylor), _frozen(npoly.polyval(poles, num) / dq), n
 
     def _primitive(self, z, qs, on_failure):
-        """F_q at z for each q after clamping, and the mask of points whose
+        """F_q at the clamped points z for each q, and the mask of points whose
         segment meets a pole (NaN there; ``QuadratureError`` unless masking)."""
-        zeff, _ = clamp_to_interior(self, z)
-        flat = zeff.ravel()
+        flat = z.ravel()
         tables = [self._table(q) for q in qs]
         zeta = flat[:, None] / self.poles
         on_cut = (zeta.real >= 1.0 - _CUT_BAND) & (np.abs(zeta.imag) <= _CUT_BAND * np.abs(zeta))
@@ -502,14 +501,20 @@ def clamp_to_interior(spec: FunctionSpec, zs):
     return zs, clamped
 
 
+def _clamped_primitive(h: FunctionSpec, arr: np.ndarray, qs, on_failure: str):
+    """F_q0 (+ conj F_q1) at arr after the pole clamp (the one place that
+    clamps), the failed mask and the clamped mask."""
+    _check_disk(arr)
+    arr, clamped = clamp_to_interior(h, arr)
+    (vals, *rest), failed = h._primitive(arr, qs, on_failure)
+    return (vals + np.conj(rest[0]) if rest else vals), failed, clamped
+
+
 def _primitive_many(h: FunctionSpec, zs, qs, on_failure: str):
     """F_q0 (+ conj F_q1) at zs, with the ``on_failure`` contract of eval_h_many."""
     _require_mode("on_failure", on_failure, ("raise", "mask"))
     arr, scalar = _prepare(zs)
-    _check_disk(arr)
-    (vals, *rest), failed = h._primitive(arr, qs, on_failure)
-    if rest:
-        vals = vals + np.conj(rest[0])
+    vals, failed, _ = _clamped_primitive(h, arr, qs, on_failure)
     if on_failure == "mask":
         return vals, failed
     return vals[0] if scalar else vals

@@ -24,6 +24,7 @@ between prescribed break angles.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,7 +38,7 @@ from .fncore import (
     ParameterError,
     QuadratureError,
     ResolutionError,
-    clamp_to_interior,
+    _clamped_primitive,
     eval_f_many,
     eval_h_prime_many,
     eval_h_second_many,
@@ -94,10 +95,9 @@ class CurveTrace:
         return eval_f_many(self.map, self.radius * np.exp(1j * np.atleast_1d(tq)))
 
     def to_csv(self) -> str:
-        lines = ["t,re_f,im_f,clamped"]
-        for tv, pv, cv in zip(self.t, self.points, self.clamped):
-            lines.append("%.17g,%.17g,%.17g,%d" % (tv, pv.real, pv.imag, int(cv)))
-        return "\n".join(lines) + "\n"
+        cols = (self.t, self.points.real, self.points.imag, self.clamped)
+        rows = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))
+        return "t,re_f,im_f,clamped\n" + "%.17g,%.17g,%.17g,%d\n" * self.n % tuple(rows)
 
 
 def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTrace:
@@ -115,8 +115,8 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTra
         raise DomainError("trace radius must lie in (0, 1]")
     t = -math.pi + _TWO_PI * np.arange(n) / n
     z = r * np.exp(1j * t)
-    _, clamped = clamp_to_interior(map_spec.h, z)
-    vals, failed = eval_f_many(map_spec, z, on_failure="mask")
+    # f = h + conj(g) as eval_f_many(on_failure="mask") forms it, one clamp
+    vals, failed, clamped = _clamped_primitive(map_spec.h, z, (0, map_spec.m - 1), "mask")
     if np.any(failed):
         bad_t = t[failed][:4]
         raise QuadratureError(

@@ -32,8 +32,10 @@ def _fmt(x: float) -> str:
 
 
 def _polyline_points(pts: np.ndarray) -> str:
-    # SVG y axis points down; flip the imaginary part
-    return " ".join(_fmt(p.real) + "," + _fmt(-p.imag) for p in pts)
+    # one % over interleaved (re, -im) pairs: the SVG y axis points down
+    xy = np.empty(2 * pts.size)
+    xy[0::2], xy[1::2] = pts.real, -pts.imag
+    return " ".join(["%.6f,%.6f"] * pts.size) % tuple(xy.tolist())
 
 
 def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray) -> np.ndarray:

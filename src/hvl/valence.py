@@ -357,6 +357,12 @@ def _halton_starts(n: int) -> np.ndarray:
 # starts keep every per-pair array at 16,384 entries, however many probes
 # the caller passes.
 _NEWTON_BLOCK = 64
+# A Newton step is halved up to _HALVINGS - 1 times until |f - w| drops.
+# Once at most _BATCH_HALVINGS pairs are still halving, all their remaining
+# tries go into one ``eval_f_many`` call and each takes its first improving
+# one: a few straggling starts then cost one call per step, not one per try.
+_HALVINGS = 21
+_BATCH_HALVINGS = 32
 # A start has converged once |f(z) - w| <= _NEWTON_TOL, within _MAX_ITER
 # Newton steps; converged starts within _DEDUPE_RADIUS are one preimage.
 _NEWTON_TOL = 1e-10
@@ -369,12 +375,12 @@ def newton_preimages_many(map_spec: HarmonicMapSpec, ws,
     """``newton_preimages`` at every w of ``ws``, one ``PreimageSet`` each.
 
     All (probe, start) pairs of a block of at most 64 probes iterate in one
-    array: each Newton step evaluates h' once on the live pairs, and each
-    halving step makes one ``eval_f_many`` call on the pairs still trying.
-    The starts and f at the starts are computed once per call.  Every pair
-    does the arithmetic of a one-probe solve, and f has the same bits in
-    every call, so each result is the same, bit for bit, as ``newton_preimages``
-    gives for its probe.
+    array: each Newton step evaluates h' once on the live pairs, and f on
+    the pairs still halving once per halving, or once for all halvings left
+    when few pairs are (``_BATCH_HALVINGS``).  The starts and f at the starts
+    are computed once per call.  Every pair does the arithmetic of a
+    one-probe solve, and f has the same bits in every call, so each result
+    is the same, bit for bit, as ``newton_preimages`` gives for its probe.
     """
     if n_starts < 100:
         raise ParameterError("newton_preimages needs at least 100 starts")
@@ -420,23 +426,29 @@ def _newton_block(map_spec, starts, f0, failed, block):
         z_new = za.copy()
         r_new = ra.copy()
         step = delta.copy()
-        for _halving in range(21):
+        tried = 0
+        while tried < _HALVINGS and not accepted.all():
             todo = np.flatnonzero(~accepted)
-            if todo.size == 0:
-                break
-            z_try = za[todo] + step[todo]
+            width = _HALVINGS - tried if todo.size <= _BATCH_HALVINGS else 1
+            steps = np.empty((width, todo.size), dtype=complex)
+            steps[0] = step[todo]
+            for k in range(1, width):
+                steps[k] = steps[k - 1] * 0.5
+            z_try = za[todo] + steps
             inside = np.abs(z_try) < 0.9995
-            r_try = np.full(todo.size, np.inf, dtype=complex)
+            r_try = np.full(z_try.shape, np.inf, dtype=complex)
             if np.any(inside):
                 f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask")
                 f_try[f_bad] = np.nan
-                r_try[inside] = f_try - wp[idx[todo[inside]]]
+                r_try[inside] = f_try - np.broadcast_to(wp[idx[todo]], z_try.shape)[inside]
             better = np.isfinite(r_try) & (np.abs(r_try) < np.abs(ra[todo]))
-            sel = todo[better]
-            z_new[sel] = za[sel] + step[sel]
-            r_new[sel] = r_try[better]
-            accepted[sel] = True
-            step[todo[~better]] *= 0.5
+            cols = np.flatnonzero(better.any(axis=0))
+            rows = better[:, cols].argmax(axis=0)  # each pair's first improving try
+            z_new[todo[cols]] = z_try[rows, cols]
+            r_new[todo[cols]] = r_try[rows, cols]
+            accepted[todo[cols]] = True
+            step[todo] = steps[-1] * 0.5
+            tried += width
         alive[idx[~accepted]] = False
         z[idx[accepted]] = z_new[accepted]
         res[idx[accepted]] = r_new[accepted]

@@ -250,3 +250,27 @@ def example2_g(z, c=1j):
     # g' = z h' = 3 z**3 + c z**4, integrated with g(0) = 0
     z = np.asarray(z, dtype=complex)
     return 0.75 * z**4 + (c / 5.0) * z**5
+
+
+def svg_points_ref(pts):
+    """SVG polyline points, one "%.6f" call per coordinate, y flipped."""
+    fmt = lambda x: "%.6f" % x  # noqa: E731
+    return " ".join(fmt(p.real) + "," + fmt(-p.imag) for p in pts)
+
+
+def trace_csv_ref(t, points, clamped):
+    """A trace as CSV, one row at a time."""
+    lines = ["t,re_f,im_f,clamped"]
+    for tv, pv, cv in zip(t, points, clamped):
+        lines.append("%.17g,%.17g,%.17g,%d" % (tv, pv.real, pv.imag, int(cv)))
+    return "\n".join(lines) + "\n"
+
+
+def first_difference(a: str, b: str):
+    """None when a == b, else the first differing line of each as
+    (line number, line of a, line of b): cheap to report for long outputs."""
+    if a == b:
+        return None
+    la, lb = a.split("\n"), b.split("\n")
+    i = next((i for i, (x, y) in enumerate(zip(la, lb)) if x != y), min(len(la), len(lb)))
+    return i, la[i] if i < len(la) else None, lb[i] if i < len(lb) else None

@@ -6,6 +6,10 @@ Exit code contract: 0 success/affirmative, 1 bad input, 2 negative verdict,
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -418,3 +422,13 @@ def test_conjecture_workers_do_not_change_bytes(tmp_path, monkeypatch):
     monkeypatch.setenv("HVL_THREADS", "8")
     assert main(argv + [str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_python_dash_m_hvl_runs_the_cli(tmp_path):
+    """``python -m hvl`` is the ``hvl`` command, with only ``src`` on the path."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-m", "hvl", "verify", "--input", "preset:example1"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout)["criterion_satisfied"] is True

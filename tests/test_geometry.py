@@ -18,6 +18,7 @@ import pytest
 
 from hvl import (
     CriterionReport,
+    CurveTrace,
     DomainError,
     InconsistencyError,
     ParameterError,
@@ -28,6 +29,7 @@ from hvl import (
     boundary_acceleration_many,
     boundary_velocity_many,
     check_criterion,
+    clamp_to_interior,
     concavity_check,
     derive_g,
     detect_cusps,
@@ -140,6 +142,37 @@ def test_trace_csv_shape():
     assert len(parts) == 4
     assert float(parts[0]) == pytest.approx(-math.pi)
     assert parts[3] in {"0", "1"}
+
+
+# a curve with signed zeros, tiny values and clamped rows
+SIGNED = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(-4e-7, 4e-7),
+                   complex(1e-300, -2.5e-17), complex(-1.5, 2.0)])
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "star", "octagon"])
+def test_trace_csv_matches_row_formatter(name):
+    """The one-template CSV has the bytes of a row-by-row format, clamped
+    rows included; the trace's flags and values are those of
+    ``clamp_to_interior`` and ``eval_f_many`` at the same points."""
+    spec = getattr(presets, name)()
+    tr = trace_circle(spec, 1.0, n=4096)
+    assert np.count_nonzero(tr.clamped) == {"star": 1, "octagon": 8}.get(name, 0)
+    assert oracles.first_difference(
+        tr.to_csv(), oracles.trace_csv_ref(tr.t, tr.points, tr.clamped)) is None
+    z = np.exp(1j * tr.t)
+    assert np.array_equal(tr.clamped, clamp_to_interior(spec.h, z)[1])
+    assert tr.points.tobytes() == eval_f_many(spec, z).tobytes()
+
+
+def test_trace_csv_signed_zeros_and_short_traces():
+    clamped = np.arange(SIGNED.size) % 2 == 0
+    tr = CurveTrace(map=EX1, radius=1.0, t=SIGNED.real.copy(), points=SIGNED, clamped=clamped)
+    assert oracles.first_difference(
+        tr.to_csv(), oracles.trace_csv_ref(tr.t, tr.points, clamped)) is None
+    assert "-0,-0,-0,1" in tr.to_csv()
+    two = CurveTrace(map=EX1, radius=1.0, t=tr.t[4:], points=SIGNED[4:], clamped=clamped[4:])
+    assert two.to_csv() == oracles.trace_csv_ref(two.t, two.points, two.clamped)
+    assert two.to_csv().count("\n") == 3
 
 
 def test_trace_clamps_only_at_boundary_poles():

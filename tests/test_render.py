@@ -8,7 +8,10 @@ from hvl import (
     check_criterion,
     render_scene,
     presets,
+    render,
 )
+
+import oracles
 
 EX1 = presets.example1()
 
@@ -73,3 +76,28 @@ def test_image_y_axis_points_up():
     pts = boundary.split('points="')[1].split('"')[0]
     ys = np.array([float(pair.split(",")[1]) for pair in pts.split()])
     assert ys.min() < 0 < ys.max()
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "star", "octagon"])
+def test_polylines_match_per_coordinate_formatter(name, monkeypatch):
+    """The one-template polyline points have the bytes of one "%.6f" call
+    per coordinate, in every polyline of the scene."""
+    spec = getattr(presets, name)()
+    report = check_criterion(spec.h, spec.m)
+    svg = render_scene(spec, criterion=report, samples=FAST)
+    monkeypatch.setattr(render, "_polyline_points", oracles.svg_points_ref)
+    assert oracles.first_difference(
+        svg, render_scene(spec, criterion=report, samples=FAST)) is None
+
+
+def test_polyline_points_signed_zeros_and_two_points():
+    """-0.0, values that round to -0.000000 (and to +0.000000 after the y
+    flip), and the shortest polyline."""
+    pts = np.array([0.0, -0.0, complex(-0.0, -0.0), complex(-4e-7, 4e-7),
+                    complex(1e-300, -2.5e-7), complex(-1.5, 2.0)])
+    out = render._polyline_points(pts)
+    assert out == oracles.svg_points_ref(pts)
+    assert out.startswith("0.000000,-0.000000 -0.000000,-0.000000 -0.000000,0.000000 ")
+    assert out.endswith(" -1.500000,-2.000000")
+    for two in (pts[4:], pts[:2]):
+        assert render._polyline_points(two) == oracles.svg_points_ref(two)

@@ -409,6 +409,40 @@ def test_preimages_many_matches_single_probe(spec, monkeypatch):
     assert valence.newton_preimages_many(spec, []) == []
 
 
+@pytest.mark.parametrize("spec", [EX1, EX2, presets.star(), presets.octagon(), RATIONAL_OFF],
+                         ids=["example1", "example2", "star", "octagon", "rational"])
+def test_batched_halvings_match_sequential(spec, monkeypatch):
+    """Trying all remaining halvings of the last few pairs in one call gives
+    the bits of trying them one call at a time."""
+    tr = trace_circle(spec, 0.999, 1024)
+    rng = np.random.default_rng(37)
+    ws = [complex(rng.uniform(tr.points.real.min(), tr.points.real.max()),
+                  rng.uniform(tr.points.imag.min(), tr.points.imag.max())) for _ in range(4)]
+    ws += [0j, complex(5 * np.ptp(tr.points.real) + tr.points.real.max(), 1.0)]
+    runs = []
+    for width in (0, 10 ** 6, valence._BATCH_HALVINGS):
+        monkeypatch.setattr(valence, "_BATCH_HALVINGS", width)
+        runs.append(valence.newton_preimages_many(spec, ws, n_starts=128))
+    for other in runs[1:]:
+        assert all(_same_preimages(a, b) for a, b in zip(runs[0], other))
+
+
+@pytest.mark.parametrize("w, most", [(5 + 5j, 300), (0.338 + 0.293j, 200)])
+def test_star_solve_batches_its_last_halvings(w, most, monkeypatch):
+    """A one-probe solve whose few straggling starts halve until the last
+    Newton step makes a few hundred f evaluations, not one per halving."""
+    calls = []
+    eval_f = valence.eval_f_many
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return eval_f(*args, **kwargs)
+
+    monkeypatch.setattr(valence, "eval_f_many", counted)
+    newton_preimages(presets.star(), w)
+    assert 0 < len(calls) <= most
+
+
 def test_preimages_many_crosses_the_block_of_64():
     rng = np.random.default_rng(31)
     ws = [complex(rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2)) for _ in range(70)]
