@@ -59,9 +59,11 @@ from .fncore import (
 from .geometry import trace_circle
 from .presets import PRESETS
 from .render import render_scene
-from .valence import CrossCheck, cross_check_many, probe_box, valence_scan, winding_number
+from .valence import (CrossCheck, check_scan_grid, cross_check_many, probe_box,
+                      valence_scan, winding_number)
 
 SCHEMA_VERSION = "1"
+MAX_THREADS = 64  # the most worker threads HVL_THREADS may ask for
 
 
 # ---------------------------------------------------------------------------
@@ -225,11 +227,9 @@ def resolve_workers() -> int:
         n = int(raw)
     except ValueError:
         raise ParameterError(f"HVL_THREADS must be an integer, got {raw!r}") from None
-    if n < 0:
-        raise ParameterError("HVL_THREADS must be nonnegative")
-    if n == 0:
-        return min(os.cpu_count() or 1, 8)
-    return n
+    if not 0 <= n <= MAX_THREADS:
+        raise ParameterError(f"HVL_THREADS must be between 0 and {MAX_THREADS}, got {n}")
+    return n or min(os.cpu_count() or 1, 8)
 
 
 def _clean(obj):
@@ -383,6 +383,7 @@ class SweepConfig:
             raise ParameterError("coefficient_scale must be finite and nonnegative")
         if not 0 <= self.margin_requirement < math.inf:
             raise ParameterError("margin_requirement must be finite and nonnegative")
+        check_scan_grid(self.grid)
 
 
 _SWEEP_BLOCK = 16  # trials per thread task; results never depend on workers

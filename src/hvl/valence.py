@@ -7,20 +7,19 @@ bounds the valence of f on that disk from below.  The class handled here is
 sense-preserving away from zeros of h' because |g'/h'| = |z|**(m-1) < 1 on
 the open disk.
 
-``valence_scan`` fills a padded bounding-box grid of probes by scanlines,
-counting the signed crossings of the trace with each probe row (the
-nonzero rule of Hormann & Agathos, "The point in polygon problem for
-arbitrary polygons", Comput. Geom. 20, 2001), then refines all the (step,
-probe) pairs where a step turns by pi/2 or more in one batch, one
-evaluation of f per level; ``winding_number`` is its one-probe case, an
-angle sum plus that refinement.  ``newton_preimages_many`` solves
-f(z) = w directly with a damped Newton method for harmonic maps, for all
-probes at once: every (probe, start) pair of a block of at most 64 probes
-iterates in one array, so each damping step is one evaluation of f however
-many probes there are, and each probe gets the bits of a one-probe solve
-(``newton_preimages`` is that one-probe case).  ``cross_check_many`` plays
-the two routes against each other on windings the caller already has;
-``cross_check`` does so at one w.
+Windings are counted one way, on a grid of probes: the signed crossings of
+the trace with each probe row (the nonzero rule of Hormann & Agathos, "The
+point in polygon problem for arbitrary polygons", Comput. Geom. 20, 2001),
+plus one batch that refines every (step, probe) pair where a step turns by
+pi/2 or more, one evaluation of f per level.  ``valence_scan`` runs it on a
+padded bounding-box grid; ``winding_number`` is its 1 x 1 case.
+``newton_preimages_many`` solves f(z) = w directly with a damped Newton
+method for harmonic maps, for all probes at once: every (probe, start) pair
+of a block of at most 64 probes iterates in one array, so each damping step
+is one evaluation of f however many probes there are, and each probe gets
+the bits of a one-probe solve (``newton_preimages`` is that one-probe
+case).  ``cross_check_many`` plays the two routes against each other on
+windings the caller already has; ``cross_check`` does so at one w.
 """
 
 from __future__ import annotations
@@ -45,6 +44,8 @@ from .geometry import CurveTrace, trace_circle
 _TWO_PI = 2.0 * math.pi
 # Probes within _CLEARANCE times the curve's diameter of it are indeterminate.
 _CLEARANCE = 1e-4
+# The most probes one scan may hold (a 1024 x 1024 grid, 16 MB of probes).
+MAX_PROBES = 2 ** 20
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class WindingResult:
     min_curve_distance: float
 
 
-_NEAR, _COARSE = 1, 2  # the faults of ``_refine_pairs``
+_NEAR, _COARSE = 1, 2  # the faults of ``_refine_pairs`` and ``_windings``
 
 
 def _turn(a, b):
@@ -94,42 +95,23 @@ def _refine_pairs(trace: CurveTrace, k: np.ndarray, w: np.ndarray,
 
 
 def winding_number(trace: CurveTrace, w) -> WindingResult:
-    """Winding number of the traced curve around w.
+    """Winding number of the traced curve around w: the 1 x 1 case of the
+    scan's ``_windings``, so every probe gets the value the scan gives it.
 
-    Sums the turning angles between consecutive samples; any step of pi/2 or
-    more is refined at parameter midpoints (two levels, so up to 4x the
-    local density) before giving up with ``ResolutionError``: the one-probe
-    case of the refinement ``valence_scan`` batches.  Probes not farther
-    from the curve than 1e-4 times its diameter (the scan's clearance), or
-    at a NaN distance from it, raise ``IndeterminateProbeError`` rather than
-    return a count.
+    A probe within 1e-4 times the curve's diameter of a vertex or of a
+    refinement midpoint, or on a trace that is not finite, raises
+    ``IndeterminateProbeError``; one whose quarter-steps still turn by pi/2
+    raises ``ResolutionError``.  A non-finite w raises ``ParameterError``.
     """
     w = complex(w)
     if not np.isfinite(w):
         raise ParameterError(f"probe {w} is not finite")
-    clearance = _CLEARANCE * trace.diameter()
-    d = trace.points - w
-    mind = float(np.abs(d).min())
-    if not mind > clearance:
-        raise IndeterminateProbeError(
-            f"probe {w:.6g} lies within clearance {clearance:.3g} "
-            f"of the traced curve (distance {mind:.3g})"
-        )
-    inc = _turn(d, np.roll(d, -1))
-    bad = np.flatnonzero(np.abs(inc) >= math.pi / 2)
-    loops, faults = _refine_pairs(trace, bad, np.full(bad.size, w), clearance)
-    for j, fault in zip(bad, faults):
-        if fault:
-            raise (IndeterminateProbeError if fault == _NEAR else ResolutionError)(
-                f"probe {w:.6g} is too near the curve at t = {trace.t[j]:.6g} to resolve")
-    turns = float(inc.sum()) / _TWO_PI
-    k = round(turns)
-    if abs(turns - k) >= 0.05:
-        raise ResolutionError(
-            f"winding sum {turns:.6g} is not close to an integer; "
-            "the trace is too coarse for this probe"
-        )
-    return WindingResult(w=w, winding=int(k + loops.sum()), min_curve_distance=mind)
+    winding, fault = _windings(trace, np.array([w.real]), np.array([w.imag]))
+    if fault[0]:
+        raise (IndeterminateProbeError if fault[0] == _NEAR else ResolutionError)(
+            f"probe {w:.6g} is too near the traced curve to resolve")
+    return WindingResult(w=w, winding=int(winding[0]),
+                         min_curve_distance=float(np.abs(trace.points - w).min()))
 
 
 @dataclass(frozen=True)
@@ -179,12 +161,24 @@ def _probe_grid(points: np.ndarray, gx: int, gy: int):
     return np.linspace(x_lo, x_hi, gx), np.linspace(y_lo, y_hi, gy)
 
 
+def check_scan_grid(grid: tuple[int, int]) -> None:
+    """Refuse a probe grid below 2 x 2 or of more than ``MAX_PROBES`` probes."""
+    if min(grid) < 2:
+        raise ParameterError("scan grid must be at least 2 x 2")
+    if grid[0] * grid[1] > MAX_PROBES:
+        raise ParameterError(f"scan grid {grid} has more than {MAX_PROBES} probes")
+
+
 def _bins(lo, hi, v: np.ndarray):
     """First index and count of the grid values ``v`` that may lie in [lo, hi].
 
     ``v`` is uniform; the range is padded by one cell on each side, so
     rounding in the binning never drops a value that lies in the interval.
+    A one-value axis is tested exactly, lo <= v <= hi.
     """
+    if v.size == 1:
+        inside = (lo <= v[0]) & (v[0] <= hi)
+        return np.zeros(np.shape(lo), dtype=np.intp), inside.astype(np.intp)
     step = (v[-1] - v[0]) / (v.size - 1)
     i0 = np.clip(np.floor((lo - v[0]) / step) - 1, 0, v.size).astype(np.intp)
     i1 = np.clip(np.floor((hi - v[0]) / step) + 1, -1, v.size - 1).astype(np.intp)
@@ -237,22 +231,26 @@ def _crossing_windings(p0: np.ndarray, p1: np.ndarray, xs: np.ndarray,
     return np.rint(suffix[:, 1:]).astype(int).ravel()
 
 
-def _scan_windings(trace: CurveTrace, xs: np.ndarray, ys: np.ndarray,
-                   probes: np.ndarray, clearance: float) -> np.ndarray:
-    """Winding numbers at the grid ``probes`` = xs x ys (row-major); -1
-    marks indeterminate probes.
+def _windings(trace: CurveTrace, xs: np.ndarray,
+              ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Winding and fault at every probe of the grid xs x ys (row-major).
 
-    Probes within ``clearance`` of a trace vertex are indeterminate.  The
-    crossing count gives each probe the polyline's winding; every (step,
+    The crossing count gives each probe the polyline's winding; every (step,
     probe) pair where the step turns by pi/2 or more (the probe lies in the
-    closed disk on the step as diameter) goes to one ``_refine_pairs``
-    call, whose windings are added and whose faults mark the probe -1, so
-    each probe gets the value of ``winding_number``.  Candidate (item,
-    probe) pairs come from binning each item's bounding box into the grid.
+    closed disk on the step as diameter) goes to one ``_refine_pairs`` call,
+    whose windings are added.  A probe's fault is ``_NEAR`` when a vertex
+    lies within ``_CLEARANCE`` times the trace's diameter of it, or when the
+    trace or the probe is not finite; otherwise it is the fault of its first
+    faulted pair in step order, or 0.
     """
+    size = xs.size * ys.size
     p0 = trace.points
+    if not (np.isfinite(p0).all() and np.isfinite(xs).all() and np.isfinite(ys).all()):
+        return np.zeros(size, dtype=int), np.full(size, _NEAR)
+    clearance = _CLEARANCE * trace.diameter()
+    probes = (xs[None, :] + 1j * ys[:, None]).ravel()
     p1 = np.roll(p0, -1)
-    near = np.zeros(probes.size, dtype=bool)
+    near = np.zeros(size, dtype=bool)
     k, j = _box_pairs(p0 - clearance * (1 + 1j), p0 + clearance * (1 + 1j), xs, ys)
     near[j[np.abs(p0[k] - probes[j]) <= clearance]] = True
     mid, rad = 0.5 * (p0 + p1), 0.5 * np.abs(p1 - p0)
@@ -260,11 +258,25 @@ def _scan_windings(trace: CurveTrace, xs: np.ndarray, ys: np.ndarray,
     flagged = (np.abs(_turn(p0[k] - probes[j], p1[k] - probes[j])) >= math.pi / 2) & ~near[j]
     k, j = k[flagged], j[flagged]
     loops, faults = _refine_pairs(trace, k, probes[j], clearance)
-    res = _crossing_windings(p0, p1, xs, ys)
-    np.add.at(res, j, loops)
-    res[j[faults != 0]] = -1
-    res[near | (res < 0)] = -1
-    return res
+    winding = _crossing_windings(p0, p1, xs, ys)
+    np.add.at(winding, j, loops)
+    faulted = faults != 0
+    # pairs run in step order, so a probe's first faulted pair is its first listed
+    first_probe, first_pair = np.unique(j[faulted], return_index=True)
+    fault = np.zeros(size, dtype=int)
+    fault[first_probe] = faults[faulted][first_pair]
+    fault[near] = _NEAR
+    return winding, fault
+
+
+def _trace_of(map_spec: HarmonicMapSpec, r: float, n_samples: int,
+              trace: CurveTrace | None) -> CurveTrace:
+    """``trace`` if it is of this map on |z| = r, else ``ParameterError``; if None, a new one."""
+    if trace is None:
+        return trace_circle(map_spec, r, n_samples)
+    if trace.map != map_spec or trace.radius != r:
+        raise ParameterError("the trace is not of this map on |z| = r")
+    return trace
 
 
 def valence_scan(map_spec: HarmonicMapSpec, r: float = 0.999,
@@ -274,43 +286,32 @@ def valence_scan(map_spec: HarmonicMapSpec, r: float = 0.999,
     """Max winding number of the image of |z| = r over a grid of probes.
 
     Probes fill the curve's bounding box padded by 10 percent.  Probes that
-    land within clearance of the curve are skipped; if more than 20 percent
-    of the grid is skipped the scan aborts with ``ScanQualityError``.  The
-    windings come from a scanline fill: signed crossings of the trace with
-    each probe row, summed to the right of each probe (nonzero rule), in
-    O(samples * rows + probes), plus one batch that refines the probes near
-    a coarse step as ``winding_number`` does.  A ``trace`` passed in must be
-    of ``map_spec`` on |z| = r (``ParameterError`` otherwise).
+    land within clearance of the curve, or whose winding is negative, are
+    skipped; if more than 20 percent of the grid is skipped the scan aborts
+    with ``ScanQualityError``.  The windings come from ``_windings``, in
+    O(samples * rows + probes).  The grid is at least 2 x 2 and holds at
+    most ``MAX_PROBES`` probes.  A ``trace`` passed in must be of
+    ``map_spec`` on |z| = r (``ParameterError`` otherwise).
     """
+    check_scan_grid(grid)
     gx, gy = grid
-    if gx < 2 or gy < 2:
-        raise ParameterError("scan grid must be at least 2 x 2")
-    if trace is None:
-        trace = trace_circle(map_spec, r, n_samples)
-    elif trace.map != map_spec or trace.radius != r:
-        raise ParameterError("the trace is not of this map on |z| = r")
+    trace = _trace_of(map_spec, r, n_samples, trace)
     xs, ys = _probe_grid(trace.points, gx, gy)
-    probes = (xs[None, :] + 1j * ys[:, None]).ravel()
-    if np.isfinite(xs).all() and np.isfinite(ys).all():
-        windings = _scan_windings(trace, xs, ys, probes, _CLEARANCE * trace.diameter())
-    else:  # a non-finite trace leaves no probe that can be placed
-        windings = np.full(probes.size, -1)
-    indet = windings < 0
+    winding, fault = _windings(trace, xs, ys)
+    indet = (fault != 0) | (winding < 0)
     n_indet = int(indet.sum())
-    if n_indet > 0.2 * probes.size:
+    if n_indet > 0.2 * indet.size:
         raise ScanQualityError(
-            f"{n_indet} of {probes.size} probes were indeterminate; "
+            f"{n_indet} of {indet.size} probes were indeterminate; "
             "refine the trace or move the grid"
         )
-    good = windings[~indet]
-    counts: dict[int, int] = {}
-    for v in np.unique(good):
-        counts[int(v)] = int(np.count_nonzero(good == v))
+    good = winding[~indet]
+    counts = {int(v): int(c) for v, c in zip(*np.unique(good, return_counts=True))}
     max_val = int(good.max()) if good.size else 0
-    hit = np.flatnonzero(~indet & (windings == max_val))
-    exemplars = tuple(complex(probes[j]) for j in hit[:8])
+    hit = np.flatnonzero(~indet & (winding == max_val))
+    exemplars = tuple(complex(xs[j % gx] + 1j * ys[j // gx]) for j in hit[:8])
     return ValenceReport(
-        p=map_spec.p, radius=r, grid=(gx, gy), n_probes=int(probes.size),
+        p=map_spec.p, radius=r, grid=(gx, gy), n_probes=int(indet.size),
         n_indeterminate=n_indet, max_valence=max_val,
         n_attained=int(hit.size), attained_at=exemplars, counts=counts,
         consistent_with_p=(max_val == map_spec.p),
@@ -516,11 +517,7 @@ def cross_check(map_spec: HarmonicMapSpec, w, r: float = 0.999,
     or radius raises ``ParameterError``), takes the winding number around w and returns
     ``cross_check_many`` of that one winding.
     """
-    if trace is None:
-        trace = trace_circle(map_spec, r, 4096)
-    elif trace.map != map_spec or trace.radius != r:
-        raise ParameterError("the trace is not of this map on |z| = r")
-    wres = winding_number(trace, w)
+    wres = winding_number(_trace_of(map_spec, r, 4096, trace), w)
     return cross_check_many(map_spec, [wres], r, n_starts)[0]
 
 

@@ -3,9 +3,9 @@
 Everything in this module is computed without touching the evaluators under
 test (only hvl's error classes are imported): series are summed directly
 with explicit powers, derivatives come from finite differences, and winding
-numbers are counted by ray crossings.  The point is to have a second route
-to every quantity so the library can be checked against something it does
-not share code with.
+numbers are counted by ray crossings or by summing turning angles.  The
+point is to have a second route to every quantity so the library can be
+checked against something it does not share code with.
 """
 
 import functools
@@ -74,6 +74,23 @@ def ray_winding(points, w):
             if xc > 0.0:
                 crossings += 1 if y1 <= 0.0 else -1
     return crossings
+
+
+def angle_winding(points, w):
+    """Winding of a closed polyline about w as the sum of its turning angles.
+
+    points: complex array tracing the curve once (closure is implicit).
+    Each step's turn about w is the principal argument of the ratio of its
+    ends; the sum over the closed polyline is 2 pi times an integer unless
+    w lies on it.  Raises ValueError if the sum is not within 0.05 turns of
+    an integer (w on the polyline, or a NaN point).
+    """
+    d = np.asarray(points, dtype=complex) - w
+    turns = float(np.angle(np.roll(d, -1) * np.conj(d)).sum()) / (2 * np.pi)
+    k = round(turns) if np.isfinite(turns) else 0
+    if not abs(turns - k) < 0.05:
+        raise ValueError(f"angle sum {turns:.6g} turns is not close to an integer")
+    return int(k)
 
 
 # ---------------------------------------------------------------------------

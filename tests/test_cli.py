@@ -25,6 +25,7 @@ from hvl import (
     trace_circle,
 )
 from hvl.cli import (
+    MAX_THREADS,
     SweepConfig,
     load_input,
     main,
@@ -33,6 +34,7 @@ from hvl.cli import (
     run_sweep,
     spec_to_doc,
 )
+from hvl.valence import MAX_PROBES
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -130,7 +132,7 @@ def test_load_input_file_errors(tmp_path):
         load_input(str(bad))
 
 
-def test_resolve_workers(monkeypatch):
+def test_resolve_workers(monkeypatch, capsys):
     monkeypatch.delenv("HVL_THREADS", raising=False)
     assert 1 <= resolve_workers() <= 8
     monkeypatch.setenv("HVL_THREADS", "3")
@@ -143,6 +145,17 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.setenv("HVL_THREADS", "many")
     with pytest.raises(ParameterError):
         resolve_workers()
+    # above MAX_THREADS is refused before any trial runs or thread starts;
+    # the limit itself is accepted (and not run)
+    monkeypatch.setenv("HVL_THREADS", str(MAX_THREADS))
+    assert resolve_workers() == MAX_THREADS
+    monkeypatch.setenv("HVL_THREADS", str(MAX_THREADS + 1))
+    with pytest.raises(ParameterError, match=str(MAX_THREADS)):
+        resolve_workers()
+    capsys.readouterr()
+    assert main(["conjecture", "--trials", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: HVL_THREADS") and str(MAX_THREADS) in err
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +329,13 @@ def test_valence_excess_exit_2(tmp_path):
     assert report["max_valence"] > report["p"]
 
 
-def test_valence_bad_grid_exit_1():
+def test_valence_bad_grid_exit_1(capsys):
     assert main(["valence", "--input", "preset:example1", "--grid", "64"]) == 1
+    # 10^10 probes end in exit 1 naming the limit, not in a MemoryError
+    for argv in (["valence", "--input", "preset:example1", "--grid", "100000x100000"],
+                 ["conjecture", "--trials", "1", "--grid", "1025x1024"]):
+        assert main(argv) == 1
+        assert str(MAX_PROBES) in capsys.readouterr().err
 
 
 def test_oracle_agrees(tmp_path):

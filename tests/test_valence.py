@@ -37,7 +37,7 @@ EX2 = presets.example2()
 
 
 def test_winding_matches_ray_crossing_oracle():
-    """Angle-increment winding against an independent ray-crossing count at
+    """``winding_number`` against an independent ray-crossing count at
     seeded probe points, on the p=2 boundary image."""
     tr = trace_circle(EX1, 1.0, n=4096)
     rng = np.random.default_rng(43)
@@ -99,6 +99,13 @@ def test_winding_refuses_non_finite_probe():
 # Scan
 
 
+def _grid_windings(tr, xs, ys):
+    """The scan's winding at every probe of xs x ys, -1 where it is
+    indeterminate or negative."""
+    winding, fault = valence._windings(tr, xs, ys)
+    return np.where(fault != 0, -1, np.maximum(winding, -1))
+
+
 def test_scan_counts_on_p2_preset():
     report = valence_scan(EX1, r=0.999, grid=(32, 32), n_samples=2048)
     assert report.max_valence == 2
@@ -149,12 +156,17 @@ def _sweep_map(seed: int, p: int, m: int):
     _sweep_map(12, 3, 2),
 ], ids=["example1", "example2", "star", "octagon", "sweep11", "sweep12"])
 def test_scan_equals_scalar_winding_at_every_probe(spec):
-    """The scanline fill gives every probe the scalar angle-sum winding, or
-    -1 where that raises or is negative."""
+    """Every determinate probe of the scan winds as the independent angle
+    sum over the same trace says.  Every probe gets what ``winding_number``
+    gives it alone on a 1 x 1 grid, or -1 where that raises or is negative,
+    so a probe's answer does not depend on the grid around it."""
     tr = trace_circle(spec, 0.999, n=4096)
     xs, ys = valence._probe_grid(tr.points, 32, 32)
     probes = (xs[None, :] + 1j * ys[:, None]).ravel()
-    got = valence._scan_windings(tr, xs, ys, probes, 1e-4 * tr.diameter())
+    winding, fault = valence._windings(tr, xs, ys)
+    for i in np.flatnonzero(fault == 0):
+        assert winding[i] == oracles.angle_winding(tr.points, probes[i])
+    got = _grid_windings(tr, xs, ys)
     want = np.empty(probes.size, dtype=int)
     for i, w in enumerate(probes):
         try:
@@ -179,7 +191,7 @@ def test_refined_probes_match_ray_count_on_denser_trace(name):
     dense = trace_circle(spec, 0.999, n=4 * 4096)
     xs, ys = valence._probe_grid(tr.points, 64, 64)
     probes = (xs[None, :] + 1j * ys[:, None]).ravel()
-    got = valence._scan_windings(tr, xs, ys, probes, 1e-4 * tr.diameter())
+    got = _grid_windings(tr, xs, ys)
     p0, p1 = tr.points, np.roll(tr.points, -1)
     flagged = np.array([
         np.any(np.abs(np.angle((p1 - w) * np.conj(p0 - w))) >= math.pi / 2)
@@ -214,7 +226,7 @@ def test_refinement_corrects_a_coarse_trace():
             winding_number(tri, tri.point_at(t[1] + frac * 2 * math.pi / 3)[0])
     xs = ys = np.linspace(-0.6, 0.6, 61)
     probes = (xs[None, :] + 1j * ys[:, None]).ravel()
-    got = valence._scan_windings(tri, xs, ys, probes, 1e-4 * tri.diameter())
+    got = _grid_windings(tri, xs, ys)
     clear = np.array([np.min(np.abs(dense.points - w)) for w in probes]) \
         >= 5e-3 * dense.diameter()
     corrected = 0
@@ -222,6 +234,24 @@ def test_refinement_corrects_a_coarse_trace():
         assert got[i] == oracles.ray_winding(dense.points, probes[i])
         corrected += got[i] != oracles.ray_winding(tri.points, probes[i])
     assert corrected >= 100
+
+
+def test_first_faulted_step_decides_the_error():
+    """A probe at a self-crossing of example1's image is the refinement
+    midpoint of one step (within clearance: indeterminate) and lies on the
+    curve inside another (its quarter-step turns by pi: too coarse).  The
+    fault of the earlier step in trace order decides the error, so starting
+    the trace one step later, which moves the first step to the end, swaps it."""
+    r, n = 0.999, 512
+    a, b = -3.0660537469692417, 0.37326004389227624  # f(a) = f(b)
+    assert abs(eval_f_many(EX1, r * np.exp(1j * np.array([a, b]))) @ [1, -1]) < 1e-12
+    t = a - math.pi / n + 2 * math.pi * np.arange(n) / n  # step 0 has midpoint a
+    for shift, error in ((0, IndeterminateProbeError), (1, ResolutionError)):
+        ts = np.roll(t, -shift)
+        tr = CurveTrace(map=EX1, radius=r, t=ts, clamped=np.zeros(n, dtype=bool),
+                        points=eval_f_many(EX1, r * np.exp(1j * ts)))
+        with pytest.raises(error):
+            winding_number(tr, tr.point_at(a)[0])
 
 
 def test_scan_refines_all_pairs_in_one_batch(monkeypatch):
@@ -257,7 +287,8 @@ def test_crossing_rule_with_vertices_on_probe_rows():
     """A densely sampled limacon with an inner loop (windings 0, 1 and 2),
     its vertices snapped onto probe rows wherever one is near: the row
     crossings, half-open in y, match the independent ray count at every
-    probe off the polyline, including the rows through vertices."""
+    probe off the polyline, including the rows through vertices, both on
+    the 40 x 40 grid and on each probe's own 1 x 1 grid."""
     t = np.linspace(-math.pi, math.pi, 600, endpoint=False)
     pts = (0.5 + np.cos(t)) * np.exp(1j * t)
     xs, ys = valence._probe_grid(pts, 40, 40)
@@ -283,10 +314,32 @@ def test_crossing_rule_with_vertices_on_probe_rows():
             if np.min(np.abs(pts + s * (nxt - pts) - w)) < 1e-9:
                 continue  # on the polyline, where no winding is defined
             assert got[j, i] == oracles.ray_winding(pts, w)
+            assert valence._crossing_windings(pts, nxt, xs[i:i + 1], ys[j:j + 1])[0] \
+                == got[j, i]
             seen.add(int(got[j, i]))
             checked += on_vertex_row[j]
     assert seen == {0, 1, 2}
     assert checked >= 200
+
+
+def test_scan_refuses_grid_above_probe_limit(monkeypatch):
+    """A grid one row above ``MAX_PROBES`` probes is refused before any
+    trace or probe array is made, by the scan and by the sweep config."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the scan started work on a refused grid")
+
+    monkeypatch.setattr(valence, "trace_circle", no_work)
+    monkeypatch.setattr(valence, "_probe_grid", no_work)
+    side = math.isqrt(valence.MAX_PROBES)
+    assert side * side == valence.MAX_PROBES
+    for grid in ((side, side + 1), (2, valence.MAX_PROBES // 2 + 1), (10 ** 5, 10 ** 5)):
+        with pytest.raises(ParameterError, match=str(valence.MAX_PROBES)):
+            valence_scan(EX1, grid=grid)
+        with pytest.raises(ParameterError, match=str(valence.MAX_PROBES)):
+            SweepConfig(grid=grid)
+    valence.check_scan_grid((side, side))  # at the limit: accepted
+    with pytest.raises(ParameterError, match="2 x 2"):
+        SweepConfig(grid=(1, 8))
 
 
 def test_scan_of_non_finite_trace_fails_quality_check():
