@@ -64,6 +64,7 @@ from .valence import (CrossCheck, check_scan_grid, cross_check_many, probe_box,
 
 SCHEMA_VERSION = "1"
 MAX_THREADS = 64  # the most worker threads HVL_THREADS may ask for
+MAX_TRIALS = 10 ** 5  # the most trials one sweep may draw (all specs are built first)
 
 
 # ---------------------------------------------------------------------------
@@ -373,8 +374,8 @@ class SweepConfig:
     grid: tuple[int, int] = (32, 32)
 
     def __post_init__(self):
-        if self.trials < 1:
-            raise ParameterError("trials must be at least 1")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ParameterError(f"trials must be between 1 and {MAX_TRIALS}")
         if self.p < 1 or self.m < 2:
             raise ParameterError("need p >= 1 and m >= 2")
         if self.max_degree < self.p:
@@ -520,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(sp)
     sp.add_argument("--report", "--out", dest="report", default=None)
     sp.add_argument("--samples", type=int, default=8192,
-                    help="phase grid size (power of two >= 1024)")
+                    help="phase grid size (power of two, 1024 to 2**20)")
     sp.set_defaults(fn=cmd_verify)
 
     sp = sub.add_parser("trace", help="sample an image circle to CSV")
@@ -572,9 +573,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (SpecFileError, ParameterError, DomainError) as exc:

@@ -45,6 +45,8 @@ from .fncore import (
 
 _TWO_PI = 2.0 * math.pi
 _MAX_UNWRAP_POINTS = 1 << 20
+# The largest grid a caller may ask for (8 MB of angles per array).
+MAX_GRID = 2 ** 20
 # Roots are bisected to _BISECT_TOL in t; a local minimum of |F - 2 k pi|
 # below _TANGENCY_THRESHOLD without a sign change is a suspected tangency;
 # H counts as vanishing on the boundary where its modulus is at most
@@ -52,16 +54,20 @@ _MAX_UNWRAP_POINTS = 1 << 20
 _BISECT_TOL = 1e-12
 _TANGENCY_THRESHOLD = 1e-7
 _NONVANISH_TOL = 1e-9
+# The outermost circle the margin samples.
+_OUTER_RADIUS = 1.0 - 1e-6
 
 
 def _grid(grid_size) -> int:
-    """``grid_size`` as an int; ``ParameterError`` unless a power of two >= 1024.
+    """``grid_size`` as an int; ``ParameterError`` unless a power of two
+    from 1024 to ``MAX_GRID``.
 
-    Every function of this module that samples a grid checks its size here.
+    Every function of this module that samples a grid checks its size here,
+    before it allocates anything.
     """
-    rule = "grid_size must be a power of two >= 1024"
+    rule = f"grid_size must be a power of two from 1024 to {MAX_GRID}"
     n = require_int(grid_size, 1024, rule)
-    if n & (n - 1):
+    if n & (n - 1) or n > MAX_GRID:
         raise ParameterError(rule)
     return n
 
@@ -284,20 +290,29 @@ def find_criterion_roots(spec: FunctionSpec, m: int, grid_size: int = 8192,
 def check_monotonicity_margin(spec: FunctionSpec, m: int, grid_size: int = 8192) -> float:
     """Sampled margin of the monotonicity condition Re(1+zh''/h') > -(m-1)/2.
 
-    Samples ``grid_size`` angles on circles of radius 0.9, 0.99, 0.999 and
-    1 - 1e-6, plus a pair of circles hugging every interior zero of the
-    normalized derivative (and every interior denominator root), since the
-    condition always fails near such a point.  Returns
-    min Re(1 + z h''/h') + (m-1)/2; positive means F is strictly increasing
+    Returns min Re(1 + z h''/h') + (m-1)/2 over ``grid_size`` angles on
+    circles about the origin; positive means F is strictly increasing
     wherever the sampled circles are representative.
+
+    v = Re(1 + z h''/h') = p + Re(z H'/H) is harmonic wherever H = h'/z**(p-1)
+    has no zero and h' no pole.  When every zero of H and every pole of h'
+    lies outside the disk |z| <= 1 - 1e-6, the minimum principle puts the
+    minimum of v over that disk on its boundary, so only the circle
+    r = 1 - 1e-6 is sampled.  Otherwise the condition fails near the
+    interior points, and the circles 0.9, 0.99, 0.999 and 1 - 1e-6 are
+    sampled, plus a pair hugging every interior zero of H and every
+    interior pole of h'.
     """
-    radii = [0.9, 0.99, 0.999, 1.0 - 1e-6]
-    for z0 in np.concatenate([spec.H_zeros, spec.poles]):
-        r0 = abs(z0)
-        if 1e-9 < r0 < 1.0 - 1e-9:
-            radii.extend([min(r0 * (1 + 1e-3), 1.0 - 1e-9), r0 * (1 - 1e-3)])
     t = np.linspace(-math.pi, math.pi, _grid(grid_size), endpoint=False)
     unit = np.exp(1j * t)
+    singular = np.concatenate([spec.H_zeros, spec.poles])
+    radii = [_OUTER_RADIUS]
+    if not np.all(np.abs(singular) > _OUTER_RADIUS):
+        radii = [0.9, 0.99, 0.999, _OUTER_RADIUS]
+        for z0 in singular:
+            r0 = abs(z0)  # the scalar abs: numpy's array abs may round differently
+            if 1e-9 < r0 < 1.0 - 1e-9:
+                radii.extend([min(r0 * (1 + 1e-3), 1.0 - 1e-9), r0 * (1 - 1e-3)])
     worst = math.inf
     for r in radii:
         z = r * unit

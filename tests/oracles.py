@@ -220,6 +220,58 @@ def h_prime_arc_integral(numer, denom, r, t0, t1):
     raise QuadratureError("arc quadrature failed to converge", worst_estimate=err)
 
 
+def _margin_parts(p, coeffs, numer, denom):
+    """(h', h'', zeros of H = h'/z**(p-1) and poles of h') for a series h
+    (``coeffs[j]`` of z**(p+j)) or for h' = numer/denom (ascending)."""
+    P = np.polynomial.polynomial
+    if coeffs is not None:
+        n = p + np.arange(len(coeffs))
+        d1 = n * np.asarray(coeffs, dtype=complex)  # h' = z**(p-1) d1(z)
+        d2 = n * (n - 1) * np.asarray(coeffs, dtype=complex)
+        if p >= 2:
+            second = lambda z: z ** (p - 2) * horner(d2, z)  # noqa: E731
+        elif d2.size > 1:
+            second = lambda z: horner(d2[1:], z)  # noqa: E731
+        else:
+            second = lambda z: np.zeros_like(z)  # noqa: E731
+        return (lambda z: z ** (p - 1) * horner(d1, z), second,
+                P.polyroots(d1) if d1.size > 1 else np.zeros(0, dtype=complex))
+    num, den = np.asarray(numer, dtype=complex), np.asarray(denom, dtype=complex)
+    num2 = P.polysub(P.polymul(P.polyder(num), den), P.polymul(num, P.polyder(den)))
+    return (lambda z: horner(num, z) / horner(den, z),
+            lambda z: horner(num2, z) / horner(den, z) ** 2,
+            np.concatenate([P.polyroots(num[p - 1:]) if num.size > p else [],
+                            P.polyroots(den) if den.size > 1 else []]).astype(complex))
+
+
+def margin_singular_points(p, coeffs=None, numer=None, denom=None):
+    """The zeros of H = h'/z**(p-1) and the poles of h', by numpy's polyroots."""
+    return _margin_parts(p, coeffs, numer, denom)[2]
+
+
+def margin_all_circles(p, m, coeffs=None, numer=None, denom=None, grid=8192):
+    """min Re(1 + z h''/h') + (m-1)/2 over every circle of the full sampler.
+
+    The circles are r = 0.9, 0.99, 0.999 and 1 - 1e-6 at ``grid`` angles,
+    plus r0 (1 + 1e-3) (at most 1 - 1e-9) and r0 (1 - 1e-3) for each zero
+    of H and pole of h' at a modulus r0 in (1e-9, 1 - 1e-9).  Give
+    ``coeffs`` for a series h or ``numer``/``denom`` for h' = numer/denom.
+    """
+    hp, hpp, singular = _margin_parts(p, coeffs, numer, denom)
+    radii = [0.9, 0.99, 0.999, 1.0 - 1e-6]
+    for z0 in singular:
+        r0 = abs(z0)
+        if 1e-9 < r0 < 1.0 - 1e-9:
+            radii += [min(r0 * (1 + 1e-3), 1.0 - 1e-9), r0 * (1 - 1e-3)]
+    unit = np.exp(1j * np.linspace(-np.pi, np.pi, grid, endpoint=False))
+    worst = np.inf
+    for r in radii:
+        z = r * unit
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            worst = min(worst, float(np.real(1.0 + z * hpp(z) / hp(z)).min()))
+    return worst + (m - 1) / 2.0
+
+
 def unwrap_ref(angles):
     """Continuous lift of a sampled phase via numpy's unwrap."""
     return np.unwrap(np.asarray(angles, dtype=float))

@@ -24,9 +24,12 @@ from hvl import (
     presets,
     trace_circle,
 )
+from hvl import cli, criterion
 from hvl.cli import (
     MAX_THREADS,
+    MAX_TRIALS,
     SweepConfig,
+    build_parser,
     load_input,
     main,
     parse_spec_doc,
@@ -226,6 +229,53 @@ def test_verify_rejects_bad_grid(tmp_path):
         assert code == 1
 
 
+def test_verify_grid_above_limit_exit_1(monkeypatch, capsys):
+    """A phase grid above ``MAX_GRID`` exits 1 naming the limit, before any
+    sample is taken."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    for name in ("eval_h_prime_many", "eval_h_second_many", "eval_normalized_deriv_many"):
+        monkeypatch.setattr(criterion, name, no_work)
+    for samples in (2 * criterion.MAX_GRID, 2 ** 40):
+        assert main(["verify", "--input", "preset:example1", "--samples", str(samples)]) == 1
+        assert str(criterion.MAX_GRID) in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
+    """One parser serves every ``main`` call of a process: reports after a
+    usage error and after other subcommands equal those of a first call."""
+    def report(argv, name, fresh):
+        if fresh:
+            monkeypatch.setattr(cli, "_PARSER", None)
+        path = tmp_path / name
+        code = main(argv + ["--report", str(path)])
+        return code, path.read_bytes()
+
+    runs = [
+        (["verify", "--input", "preset:example2"], "a.json"),
+        (["verify", "--input", "preset:example1", "--samples", "2048"], "b.json"),
+        (["conjecture", "--trials", "3", "--grid", "8x8", "--seed", "28"], "c.json"),
+    ]
+    first = [report(argv, "first-" + name, fresh=True) for argv, name in runs]
+    built = []
+    monkeypatch.setattr(cli, "_PARSER", None)
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+    assert report(*runs[0], fresh=False) == first[0]
+    for bad in (["verify", "--samples", "4096"],
+                ["verify", "--input", "preset:example1", "--samples", "many"]):
+        with pytest.raises(SystemExit) as info:
+            main(bad)
+        assert info.value.code == 1
+    assert [report(argv, name, fresh=False) for argv, name in runs[1:]] == first[1:]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+    assert built == [1]
+
+
 def test_verify_spec_file(tmp_path):
     path = write_spec(tmp_path, POLY_DOC)
     out = tmp_path / "r.json"
@@ -387,6 +437,22 @@ def test_sweep_config_validation():
             SweepConfig(coefficient_scale=bad)
         with pytest.raises(ParameterError):
             SweepConfig(margin_requirement=bad)
+
+
+def test_sweep_trials_above_limit_exit_1(monkeypatch, capsys):
+    """More than ``MAX_TRIALS`` trials are refused, naming the limit, before
+    any spec is drawn; ``MAX_TRIALS`` itself is accepted (and not run)."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("the sweep started work on refused trials")
+
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    monkeypatch.setattr(cli, "PolySeries", no_work)
+    with pytest.raises(ParameterError, match=str(MAX_TRIALS)):
+        SweepConfig(trials=MAX_TRIALS + 1)
+    assert SweepConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
+    capsys.readouterr()
+    assert main(["conjecture", "--trials", str(MAX_TRIALS + 1)]) == 1
+    assert str(MAX_TRIALS) in capsys.readouterr().err
 
 
 def test_sweep_keeps_and_scans():

@@ -21,6 +21,7 @@ from hvl import (
     RationalDeriv,
     check_criterion,
     check_monotonicity_margin,
+    criterion,
     find_criterion_roots,
     level_set,
     phase_function_derivative_many,
@@ -50,6 +51,23 @@ def test_grid_size_must_be_pow2():
         with pytest.raises(ParameterError):
             unwrap_boundary_phase(EX1.h, bad)
     assert check_criterion(EX1.h, EX1.m, 2048).criterion_satisfied
+
+
+def test_grid_above_limit_is_refused_before_any_work(monkeypatch):
+    """Twice ``MAX_GRID`` is refused, naming the limit, before any sample is
+    taken; ``MAX_GRID`` itself is accepted and reaches the evaluators."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("sampling started")
+
+    for name in ("eval_h_prime_many", "eval_h_second_many", "eval_normalized_deriv_many"):
+        monkeypatch.setattr(criterion, name, no_work)
+    for fn in (check_criterion, find_criterion_roots, check_monotonicity_margin):
+        with pytest.raises(ParameterError, match=str(criterion.MAX_GRID)):
+            fn(EX1.h, EX1.m, 2 * criterion.MAX_GRID)
+    with pytest.raises(ParameterError, match=str(criterion.MAX_GRID)):
+        unwrap_boundary_phase(EX1.h, 2 * criterion.MAX_GRID)
+    with pytest.raises(AssertionError, match="sampling started"):
+        check_monotonicity_margin(EX1.h, EX1.m, criterion.MAX_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +252,90 @@ def test_margin_sees_interior_critical_point():
     margin = check_monotonicity_margin(PolySeries(1, (1 + 0j, 2.5 + 0j)), 2)
     assert margin < -100.0
     assert margin == pytest.approx(-997.5, abs=1.0)
+
+
+def _random_series(rng, p, degree, scale):
+    """h = z**p + ... + a_degree z**degree with a_n ~ scale N(0, 1) / n."""
+    return (1 + 0j,) + tuple(scale * complex(*rng.standard_normal(2)) / n
+                             for n in range(p + 1, degree + 1))
+
+
+def _zero_free(p, coeffs):
+    return bool(np.all(np.abs(oracles.margin_singular_points(p, coeffs)) > 1 - 1e-6))
+
+
+def _assert_at_or_above(margin, oracle):
+    assert oracle <= margin <= oracle + 1e-12 * max(1.0, abs(oracle))
+
+
+def test_margin_of_zero_free_maps_matches_every_circle():
+    """Without a zero of H or a pole of h' in the sampled disk, the outer
+    circle alone gives the minimum over all of the full sampler's circles,
+    up to rounding and never below it (minimum principle)."""
+    rng = np.random.default_rng(2013)
+    checked = 0
+    for _ in range(2000):
+        p = int(rng.integers(1, 4))
+        coeffs = _random_series(rng, p, p + int(rng.integers(0, 7)),
+                                float(rng.uniform(0.05, 0.6)))
+        if not _zero_free(p, coeffs):
+            continue
+        m = int(rng.integers(2, 5))
+        _assert_at_or_above(check_monotonicity_margin(PolySeries(p, coeffs), m, 2048),
+                            oracles.margin_all_circles(p, m, coeffs, grid=2048))
+        checked += 1
+        if checked == 500:
+            break
+    assert checked == 500
+    for spec in (presets.star(), presets.octagon(), presets.flat_sided(3, 2),
+                 presets.flat_sided(1, 4)):
+        h = spec.h
+        _assert_at_or_above(check_monotonicity_margin(h, spec.m),
+                            oracles.margin_all_circles(h.p, spec.m, numer=h.numer,
+                                                       denom=h.denom))
+
+
+def test_margin_with_interior_zeros_samples_every_circle():
+    """With zeros of H inside the disk the margin is the full sampler's,
+    bit for bit."""
+    rng = np.random.default_rng(6)
+    checked = 0
+    for _ in range(200):
+        coeffs = _random_series(rng, 1, 6, 0.2)
+        if _zero_free(1, coeffs):
+            continue
+        assert (check_monotonicity_margin(PolySeries(1, coeffs), 2)
+                == oracles.margin_all_circles(1, 2, coeffs))
+        checked += 1
+    assert checked >= 50
+
+
+def test_margin_counts_its_circles(monkeypatch):
+    """One circle for a map whose zeros of H and poles of h' all lie outside
+    |z| <= 1 - 1e-6, and 4 + 2k circles for k of them inside."""
+    calls = []
+    real = criterion.eval_h_prime_many
+
+    def counted(spec, z, **kwargs):
+        calls.append(z.size)
+        return real(spec, z, **kwargs)
+
+    monkeypatch.setattr(criterion, "eval_h_prime_many", counted)
+    near = 1.0 - 5e-7
+    cases = [
+        (EX1.h, 1), (EX2.h, 1), (presets.star().h, 1), (presets.octagon().h, 1),
+        (PolySeries(1, (1 + 0j, 0.1 + 0.2j, -0.05j)), 1),
+        # H = 1 - z/near: a zero just outside the sampled disk
+        (PolySeries(1, (1 + 0j, -0.5 / near + 0j)), 1),
+        (PolySeries(1, (1 + 0j, 2.5 + 0j)), 6),                  # H zero at -1/5
+        (PolySeries(1, (1 + 0j, 1 / 3 + 0j, -40 / 9 + 0j)), 8),  # H zeros 0.3, -0.25
+        (RationalDeriv(1, (1,), (1, -2)), 6),                    # pole at 1/2
+        (RationalDeriv(1, (1, -3), (1, -2)), 8),                 # H zero 1/3, pole 1/2
+    ]
+    for spec, circles in cases:
+        calls.clear()
+        check_monotonicity_margin(spec, 2, 1024)
+        assert calls == [1024] * circles, spec
 
 
 # ---------------------------------------------------------------------------
