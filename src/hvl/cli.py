@@ -573,7 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_PARSER: argparse.ArgumentParser | None = None  # built by the first main call
+# Built by the first main call and reused by later calls in the same
+# process; only a program that calls main repeatedly gains from it.
+_PARSER: argparse.ArgumentParser | None = None
 
 
 def main(argv=None) -> int:

@@ -295,19 +295,25 @@ def check_monotonicity_margin(spec: FunctionSpec, m: int, grid_size: int = 8192)
     wherever the sampled circles are representative.
 
     v = Re(1 + z h''/h') = p + Re(z H'/H) is harmonic wherever H = h'/z**(p-1)
-    has no zero and h' no pole.  When every zero of H and every pole of h'
-    lies outside the disk |z| <= 1 - 1e-6, the minimum principle puts the
-    minimum of v over that disk on its boundary, so only the circle
-    r = 1 - 1e-6 is sampled.  Otherwise the condition fails near the
-    interior points, and the circles 0.9, 0.99, 0.999 and 1 - 1e-6 are
-    sampled, plus a pair hugging every interior zero of H and every
-    interior pole of h'.
+    has no zero and h' no pole, so on a disk free of them the minimum
+    principle puts the minimum of v on the boundary circle.  When every zero
+    of H and every pole of h' lies more than one angle step 2 pi/grid_size
+    beyond the circle r = 1 - 1e-6, only that circle is sampled.  The gap
+    keeps that sample at or below the one over all circles: near a zero of
+    H at distance d beyond a circle, v is about c - d/(d**2 + s**2) at arc
+    offset s, which for fixed s rises with d once d >= s.  With d at least
+    half a step the outer circle's sample nearest the zero lies below the
+    lowest sample of any inner circle.  A nearer zero makes a dip narrower
+    than a step, which the outer circle's samples can straddle while inner
+    circles catch it.  Otherwise the circles 0.9, 0.99, 0.999 and 1 - 1e-6
+    are sampled, plus a pair hugging every zero of H and pole of h' at a
+    modulus in (1e-9, 1 - 1e-9), where the condition always fails.
     """
-    t = np.linspace(-math.pi, math.pi, _grid(grid_size), endpoint=False)
-    unit = np.exp(1j * t)
+    n = _grid(grid_size)
+    unit = np.exp(1j * np.linspace(-math.pi, math.pi, n, endpoint=False))
     singular = np.concatenate([spec.H_zeros, spec.poles])
     radii = [_OUTER_RADIUS]
-    if not np.all(np.abs(singular) > _OUTER_RADIUS):
+    if not np.all(np.abs(singular) > _OUTER_RADIUS + _TWO_PI / n):
         radii = [0.9, 0.99, 0.999, _OUTER_RADIUS]
         for z0 in singular:
             r0 = abs(z0)  # the scalar abs: numpy's array abs may round differently

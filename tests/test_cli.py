@@ -223,23 +223,17 @@ def test_verify_negative_exit_2(tmp_path):
     assert "blows up" in doc["failure_reason"]
 
 
-def test_verify_rejects_bad_grid(tmp_path):
-    for samples in ("1000", "3000"):
-        code = main(["verify", "--input", "preset:example1", "--samples", samples])
-        assert code == 1
-
-
-def test_verify_grid_above_limit_exit_1(monkeypatch, capsys):
-    """A phase grid above ``MAX_GRID`` exits 1 naming the limit, before any
-    sample is taken."""
+def test_verify_rejects_bad_grid(tmp_path, monkeypatch, capsys):
     def no_work(*args, **kwargs):
         raise AssertionError("sampling started")
 
+    # a grid above the limit is refused before any sample is taken
     for name in ("eval_h_prime_many", "eval_h_second_many", "eval_normalized_deriv_many"):
         monkeypatch.setattr(criterion, name, no_work)
-    for samples in (2 * criterion.MAX_GRID, 2 ** 40):
-        assert main(["verify", "--input", "preset:example1", "--samples", str(samples)]) == 1
-        assert str(criterion.MAX_GRID) in capsys.readouterr().err
+    for samples in ("1000", "3000", str(2 ** 40)):
+        code = main(["verify", "--input", "preset:example1", "--samples", samples])
+        assert code == 1
+    assert str(criterion.MAX_GRID) in capsys.readouterr().err
 
 
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
@@ -430,6 +424,9 @@ def test_oracle_rows_match_per_probe_cross_check(tmp_path, name):
 def test_sweep_config_validation():
     with pytest.raises(ParameterError):
         SweepConfig(trials=0)
+    with pytest.raises(ParameterError, match=str(MAX_TRIALS)):
+        SweepConfig(trials=MAX_TRIALS + 1)
+    assert SweepConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
     with pytest.raises(ParameterError):
         SweepConfig(max_degree=0)
     for bad in (-1.0, math.nan, math.inf):
@@ -437,22 +434,6 @@ def test_sweep_config_validation():
             SweepConfig(coefficient_scale=bad)
         with pytest.raises(ParameterError):
             SweepConfig(margin_requirement=bad)
-
-
-def test_sweep_trials_above_limit_exit_1(monkeypatch, capsys):
-    """More than ``MAX_TRIALS`` trials are refused, naming the limit, before
-    any spec is drawn; ``MAX_TRIALS`` itself is accepted (and not run)."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("the sweep started work on refused trials")
-
-    monkeypatch.setattr(cli, "run_sweep", no_work)
-    monkeypatch.setattr(cli, "PolySeries", no_work)
-    with pytest.raises(ParameterError, match=str(MAX_TRIALS)):
-        SweepConfig(trials=MAX_TRIALS + 1)
-    assert SweepConfig(trials=MAX_TRIALS).trials == MAX_TRIALS
-    capsys.readouterr()
-    assert main(["conjecture", "--trials", str(MAX_TRIALS + 1)]) == 1
-    assert str(MAX_TRIALS) in capsys.readouterr().err
 
 
 def test_sweep_keeps_and_scans():

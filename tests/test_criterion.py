@@ -7,6 +7,7 @@ oracles throughout:
 * p=3, m=2, h = z**3 + (i/4)z**4: H = 3 + i z,  F(t) = 7 t + 2 arg(3 + i e^{it})
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -47,27 +48,13 @@ def test_grid_size_must_be_pow2():
         for bad in (1000, 3000, 512, 2048.0, True):
             with pytest.raises(ParameterError):
                 fn(EX1.h, EX1.m, bad)
-    for bad in (1000, 3000):
+        with pytest.raises(ParameterError, match=f"to {criterion.MAX_GRID}"):
+            fn(EX1.h, EX1.m, 2 * criterion.MAX_GRID)
+    for bad in (1000, 3000, 2 * criterion.MAX_GRID):
         with pytest.raises(ParameterError):
             unwrap_boundary_phase(EX1.h, bad)
+    assert criterion._grid(criterion.MAX_GRID) == criterion.MAX_GRID
     assert check_criterion(EX1.h, EX1.m, 2048).criterion_satisfied
-
-
-def test_grid_above_limit_is_refused_before_any_work(monkeypatch):
-    """Twice ``MAX_GRID`` is refused, naming the limit, before any sample is
-    taken; ``MAX_GRID`` itself is accepted and reaches the evaluators."""
-    def no_work(*args, **kwargs):
-        raise AssertionError("sampling started")
-
-    for name in ("eval_h_prime_many", "eval_h_second_many", "eval_normalized_deriv_many"):
-        monkeypatch.setattr(criterion, name, no_work)
-    for fn in (check_criterion, find_criterion_roots, check_monotonicity_margin):
-        with pytest.raises(ParameterError, match=str(criterion.MAX_GRID)):
-            fn(EX1.h, EX1.m, 2 * criterion.MAX_GRID)
-    with pytest.raises(ParameterError, match=str(criterion.MAX_GRID)):
-        unwrap_boundary_phase(EX1.h, 2 * criterion.MAX_GRID)
-    with pytest.raises(AssertionError, match="sampling started"):
-        check_monotonicity_margin(EX1.h, EX1.m, criterion.MAX_GRID)
 
 
 # ---------------------------------------------------------------------------
@@ -310,9 +297,36 @@ def test_margin_with_interior_zeros_samples_every_circle():
     assert checked >= 50
 
 
+def test_margin_with_a_zero_near_the_circle_between_samples():
+    """A zero of H near r = 1 - 1e-6 and between two sampled angles makes a
+    dip narrower than an angle step on that circle, which its samples miss
+    and the inner circles catch: within one step of the circle every circle
+    is sampled, bit for bit the full sampler; beyond it the outer circle
+    alone stays at or just above the full sampler."""
+    step = 2 * math.pi / 8192
+    for r0 in (1 - 5e-7, 1 + 1e-6, 1 + 0.9 * step):
+        coeffs = (1 + 0j, -0.5 / (r0 * cmath.exp(0.5j * step)))  # H = 1 - z/z0
+        margin = check_monotonicity_margin(PolySeries(1, coeffs), 6)
+        assert margin == oracles.margin_all_circles(1, 6, coeffs)
+        assert margin < -100
+    rng = np.random.default_rng(8192)
+    for gap in (1.01, 1.1, 1.5, 2.0, 4.0, 16.0):
+        for _ in range(8):
+            z0 = ((1 - 1e-6 + gap * step)
+                  * cmath.exp(1j * step * (int(rng.integers(-4096, 4096)) + rng.uniform())))
+            for p, coeffs in ((1, (1 + 0j, -0.5 / z0)),                    # simple zero
+                              (1, (1 + 0j, -1 / z0, 1 / (3 * z0 ** 2))),   # double zero
+                              # H = (1 - z/z0)(1 - z/3i)
+                              (2, (1 + 0j, -2 / 3 * (1 / z0 + 1 / 3j), 1 / (6j * z0)))):
+                assert _zero_free(p, coeffs)
+                _assert_at_or_above(check_monotonicity_margin(PolySeries(p, coeffs), 2),
+                                    oracles.margin_all_circles(p, 2, coeffs))
+
+
 def test_margin_counts_its_circles(monkeypatch):
-    """One circle for a map whose zeros of H and poles of h' all lie outside
-    |z| <= 1 - 1e-6, and 4 + 2k circles for k of them inside."""
+    """One circle for a map whose zeros of H and poles of h' all lie more
+    than an angle step beyond r = 1 - 1e-6, 4 + 2k circles for k of them
+    inside |z| < 1 - 1e-9, and 4 for a zero within the step outside."""
     calls = []
     real = criterion.eval_h_prime_many
 
@@ -321,12 +335,16 @@ def test_margin_counts_its_circles(monkeypatch):
         return real(spec, z, **kwargs)
 
     monkeypatch.setattr(criterion, "eval_h_prime_many", counted)
-    near = 1.0 - 5e-7
+    step = 2 * math.pi / 1024
     cases = [
-        (EX1.h, 1), (EX2.h, 1), (presets.star().h, 1), (presets.octagon().h, 1),
+        (EX1.h, 1), (EX2.h, 1),
+        (presets.star().h, 4), (presets.octagon().h, 4),          # poles on |z| = 1
         (PolySeries(1, (1 + 0j, 0.1 + 0.2j, -0.05j)), 1),
-        # H = 1 - z/near: a zero just outside the sampled disk
-        (PolySeries(1, (1 + 0j, -0.5 / near + 0j)), 1),
+        # H = 1 - z/z0 with z0 just beyond the sampled circle: within one
+        # angle step of it every circle is sampled (hugging z0 if |z0| < 1)
+        (PolySeries(1, (1 + 0j, -0.5 / (1 - 5e-7))), 6),
+        (PolySeries(1, (1 + 0j, -0.5 / (1 + 0.5 * step))), 4),
+        (PolySeries(1, (1 + 0j, -0.5 / (1 + 1.01 * step))), 1),
         (PolySeries(1, (1 + 0j, 2.5 + 0j)), 6),                  # H zero at -1/5
         (PolySeries(1, (1 + 0j, 1 / 3 + 0j, -40 / 9 + 0j)), 8),  # H zeros 0.3, -0.25
         (RationalDeriv(1, (1,), (1, -2)), 6),                    # pole at 1/2
