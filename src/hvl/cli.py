@@ -37,7 +37,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -65,6 +65,7 @@ from .valence import (CrossCheck, check_scan_grid, cross_check_many, probe_box,
 SCHEMA_VERSION = "1"
 MAX_THREADS = 64  # the most worker threads HVL_THREADS may ask for
 MAX_TRIALS = 10 ** 5  # the most trials one sweep may draw (all specs are built first)
+MAX_ORACLE_PROBES = 10 ** 4  # the most probes one oracle run may place
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +312,8 @@ def cmd_valence(args) -> int:
 def cmd_oracle(args) -> int:
     map_spec = load_input(args.input)
     n_probes = require_int(args.samples, 1, "oracle needs at least 1 probe (--samples)")
+    if n_probes > MAX_ORACLE_PROBES:
+        raise ParameterError(f"oracle takes at most {MAX_ORACLE_PROBES} probes (--samples)")
     trace = trace_circle(map_spec, args.radius, 4096)
     x_lo, x_hi, y_lo, y_hi = probe_box(trace.points)
     rng = np.random.default_rng(args.seed)
@@ -459,17 +462,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "conjecture",
-        "config": {
-            "trials": config.trials,
-            "p": config.p,
-            "m": config.m,
-            "max_degree": config.max_degree,
-            "coefficient_scale": config.coefficient_scale,
-            "seed": config.seed,
-            "margin_requirement": config.margin_requirement,
-            "grid": list(config.grid),
-            "radius": _SWEEP_RADIUS,
-        },
+        "config": {**asdict(config), "radius": _SWEEP_RADIUS},
         "n_kept": n_kept,
         "n_candidates": len(candidates),
         "candidates": candidates,
@@ -527,14 +520,15 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("trace", help="sample an image circle to CSV")
     _add_input(sp)
     sp.add_argument("--radius", type=float, default=1.0)
-    sp.add_argument("--points", "--samples", dest="points", type=int, default=4096)
+    sp.add_argument("--points", "--samples", dest="points", type=int, default=4096,
+                    help="trace samples (256 to 2**20)")
     sp.add_argument("--out", "--report", dest="out", default=None)
     sp.set_defaults(fn=cmd_trace)
 
     sp = sub.add_parser("render", help="draw the image domain to SVG")
     _add_input(sp)
     sp.add_argument("--samples", type=int, default=2048,
-                    help="samples per curve (>= 512)")
+                    help="samples per curve (512 to 2**20)")
     sp.add_argument("--out", "--report", dest="out", default=None)
     sp.set_defaults(fn=cmd_render)
 
@@ -543,7 +537,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--radius", type=float, default=0.999)
     sp.add_argument("--grid", default="64x64", help="probe grid, WxH")
     sp.add_argument("--samples", type=int, default=4096,
-                    help="trace samples (>= 256)")
+                    help="trace samples (256 to 2**20)")
     sp.add_argument("--report", "--out", dest="report", default=None)
     sp.set_defaults(fn=cmd_valence)
 
@@ -552,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_input(sp)
     sp.add_argument("--radius", type=float, default=0.999)
     sp.add_argument("--samples", type=int, default=20,
-                    help="number of probes (>= 1)")
+                    help="number of probes (1 to 10000)")
     sp.add_argument("--seed", type=int, default=42)
     sp.add_argument("--report", "--out", dest="report", default=None)
     sp.set_defaults(fn=cmd_oracle)

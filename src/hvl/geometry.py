@@ -46,6 +46,8 @@ from .fncore import (
 from .criterion import CriterionReport
 
 _TWO_PI = 2.0 * math.pi
+# The most samples one trace, or one rendered curve, may hold (16 MB each).
+MAX_SAMPLES = 2 ** 20
 
 
 def boundary_velocity_many(map_spec: HarmonicMapSpec, t, on_pole: str = "raise") -> np.ndarray:
@@ -103,14 +105,17 @@ class CurveTrace:
 def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTrace:
     """Sample f on the circle |z| = r at n uniform angles starting at -pi.
 
-    Requires n >= 256 so downstream winding estimates have headroom; points
-    within ``fncore.BOUNDARY_EPSILON`` of a pole of a rational h' are flagged in
+    Requires 256 <= n <= ``MAX_SAMPLES``, the lower bound so downstream
+    winding estimates have headroom; points within
+    ``fncore.BOUNDARY_EPSILON`` of a pole of a rational h' are flagged in
     ``clamped`` and evaluated at the pulled-in radius.  Angles whose radial
     segment meets a pole of h' abort with a ``QuadratureError`` naming the
     first of them.
     """
     if n < 256:
         raise ParameterError("trace needs at least 256 samples")
+    if n > MAX_SAMPLES:
+        raise ParameterError(f"trace takes at most {MAX_SAMPLES} samples")
     if not 0.0 < r <= 1.0:
         raise DomainError("trace radius must lie in (0, 1]")
     t = -math.pi + _TWO_PI * np.arange(n) / n

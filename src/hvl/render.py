@@ -18,6 +18,7 @@ import numpy as np
 
 from .criterion import CriterionReport
 from .fncore import HarmonicMapSpec, HvlError, ParameterError, eval_f_many, require_int
+from .geometry import MAX_SAMPLES
 
 _TWO_PI = 2.0 * math.pi
 # The boundary is drawn at _MAX_RADIUS, with the images of the circles of
@@ -48,9 +49,11 @@ def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray) -> np.ndarray:
 def render_scene(map_spec: HarmonicMapSpec,
                  criterion: CriterionReport | None = None,
                  samples: int = 2048) -> str:
-    """Compose the SVG scene for one map from ``samples`` (at least 512)
-    points per curve; returns the file content."""
+    """Compose the SVG scene for one map from ``samples`` (512 to
+    ``MAX_SAMPLES``) points per curve; returns the file content."""
     samples = require_int(samples, 512, "render needs at least 512 samples per curve")
+    if samples > MAX_SAMPLES:
+        raise ParameterError(f"render takes at most {MAX_SAMPLES} samples per curve")
     t = -math.pi + _TWO_PI * np.arange(samples) / samples
     warnings: list[str] = []
 

@@ -7,19 +7,21 @@ bounds the valence of f on that disk from below.  The class handled here is
 sense-preserving away from zeros of h' because |g'/h'| = |z|**(m-1) < 1 on
 the open disk.
 
-Windings are counted one way, on a grid of probes: the signed crossings of
-the trace with each probe row (the nonzero rule of Hormann & Agathos, "The
-point in polygon problem for arbitrary polygons", Comput. Geom. 20, 2001),
-plus one batch that refines every (step, probe) pair where a step turns by
-pi/2 or more, one evaluation of f per level.  ``valence_scan`` runs it on a
-padded bounding-box grid; ``winding_number`` is its 1 x 1 case.
-``newton_preimages_many`` solves f(z) = w directly with a damped Newton
-method for harmonic maps, for all probes at once: every (probe, start) pair
-of a block of at most 64 probes iterates in one array, so each damping step
-is one evaluation of f however many probes there are, and each probe gets
-the bits of a one-probe solve (``newton_preimages`` is that one-probe
-case).  ``cross_check_many`` plays the two routes against each other on
-windings the caller already has; ``cross_check`` does so at one w.
+Windings are counted one way, on a grid of probes whose axes need only be
+sorted: the signed crossings of the trace with each probe row (the nonzero
+rule of Hormann & Agathos, "The point in polygon problem for arbitrary
+polygons", Comput. Geom. 20, 2001), plus one batch that refines every
+(step, probe) pair where a step turns by pi/2 or more, one evaluation of f
+per level; one exact candidate pass per step finds those pairs.
+``valence_scan`` runs it on a padded bounding-box grid; ``winding_number``
+is its 1 x 1 case.  ``newton_preimages_many`` solves f(z) = w directly
+with a damped Newton method for harmonic maps, for all probes at once:
+every (probe, start) pair of a block of at most 64 probes iterates in one
+array, so each damping step is one evaluation of f however many probes
+there are, and each probe gets the bits of a one-probe solve
+(``newton_preimages`` is that one-probe case).  ``cross_check_many``
+plays the two routes against each other on windings the caller already
+has; ``cross_check`` does so at one w.
 """
 
 from __future__ import annotations
@@ -170,19 +172,9 @@ def check_scan_grid(grid: tuple[int, int]) -> None:
 
 
 def _bins(lo, hi, v: np.ndarray):
-    """First index and count of the grid values ``v`` that may lie in [lo, hi].
-
-    ``v`` is uniform; the range is padded by one cell on each side, so
-    rounding in the binning never drops a value that lies in the interval.
-    A one-value axis is tested exactly, lo <= v <= hi.
-    """
-    if v.size == 1:
-        inside = (lo <= v[0]) & (v[0] <= hi)
-        return np.zeros(np.shape(lo), dtype=np.intp), inside.astype(np.intp)
-    step = (v[-1] - v[0]) / (v.size - 1)
-    i0 = np.clip(np.floor((lo - v[0]) / step) - 1, 0, v.size).astype(np.intp)
-    i1 = np.clip(np.floor((hi - v[0]) / step) + 1, -1, v.size - 1).astype(np.intp)
-    return i0, np.maximum(i1 - i0 + 1, 0)
+    """First index and count of the values of the sorted axis ``v`` in [lo, hi]."""
+    i0 = np.searchsorted(v, lo, side="left")
+    return i0, np.searchsorted(v, hi, side="right") - i0
 
 
 def _expand(counts: np.ndarray):
@@ -193,8 +185,8 @@ def _expand(counts: np.ndarray):
 
 
 def _box_pairs(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, ys: np.ndarray):
-    """(item, flat probe index) pairs for every probe that may lie in an
-    item's box [lo, hi] (corners as complex numbers) on the grid xs x ys."""
+    """(item, flat probe index) pairs, in item order, for every probe of the
+    grid xs x ys in an item's box [lo, hi] (corners as complex numbers)."""
     x0, nx = _bins(lo.real, hi.real, xs)
     y0, ny = _bins(lo.imag, hi.imag, ys)
     item, off = _expand(nx * ny)
@@ -209,23 +201,21 @@ def _crossing_windings(p0: np.ndarray, p1: np.ndarray, xs: np.ndarray,
 
     Segment p0[k] -> p1[k] crosses row y upward when y0 <= y < y1 and
     downward when y1 <= y < y0 (half-open, so a vertex on a row counts
-    once).  A probe's winding is the signed count of crossings strictly to
-    its right on its row, read off as a suffix sum over the columns.
+    once); bisection on the sorted ``ys`` finds exactly those rows.  A
+    probe's winding is the signed count of crossings strictly to its right
+    on its row, read off as a suffix sum over the columns.
     """
     gx, gy = xs.size, ys.size
     y0, y1 = p0.imag, p1.imag
-    first, nrows = _bins(np.minimum(y0, y1), np.maximum(y0, y1), ys)
-    seg, off = _expand(nrows)
+    first = np.searchsorted(ys, np.minimum(y0, y1), side="left")
+    seg, off = _expand(np.searchsorted(ys, np.maximum(y0, y1), side="left") - first)
     row = first[seg] + off
     yr = ys[row]
     a, b = y0[seg], y1[seg]
-    up = (a <= yr) & (yr < b)
-    keep = up | ((b <= yr) & (yr < a))
-    seg, row, yr, a, b, up = seg[keep], row[keep], yr[keep], a[keep], b[keep], up[keep]
     xa, xb = p0.real[seg], p1.real[seg]
     xc = xa + (yr - a) * (xb - xa) / (b - a)
     col = np.searchsorted(xs, xc, side="left")  # probes xs[i] < xc are i < col
-    acc = np.bincount(row * (gx + 1) + col, weights=np.where(up, 1.0, -1.0),
+    acc = np.bincount(row * (gx + 1) + col, weights=np.where(a < b, 1.0, -1.0),
                       minlength=gy * (gx + 1)).reshape(gy, gx + 1)
     suffix = np.cumsum(acc[:, ::-1], axis=1)[:, ::-1]
     return np.rint(suffix[:, 1:]).astype(int).ravel()
@@ -233,7 +223,8 @@ def _crossing_windings(p0: np.ndarray, p1: np.ndarray, xs: np.ndarray,
 
 def _windings(trace: CurveTrace, xs: np.ndarray,
               ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Winding and fault at every probe of the grid xs x ys (row-major).
+    """Winding and fault at every probe of the grid xs x ys (row-major);
+    the axes need only be sorted.
 
     The crossing count gives each probe the polyline's winding; every (step,
     probe) pair where the step turns by pi/2 or more (the probe lies in the
@@ -242,6 +233,12 @@ def _windings(trace: CurveTrace, xs: np.ndarray,
     lies within ``_CLEARANCE`` times the trace's diameter of it, or when the
     trace or the probe is not finite; otherwise it is the fault of its first
     faulted pair in step order, or 0.
+
+    Both tests filter one candidate pass: the probes in the box about each
+    step's disk, grown by the clearance so that it holds the start vertex's
+    clearance square too.  With M the trace's largest modulus, rounding
+    moves the box's edges by under 5 eps M and the tests accept probes
+    under 8 eps M beyond it, so a box widened by 32 eps M loses no pair.
     """
     size = xs.size * ys.size
     p0 = trace.points
@@ -250,12 +247,13 @@ def _windings(trace: CurveTrace, xs: np.ndarray,
     clearance = _CLEARANCE * trace.diameter()
     probes = (xs[None, :] + 1j * ys[:, None]).ravel()
     p1 = np.roll(p0, -1)
+    mid = 0.5 * (p0 + p1)
+    half = 0.5 * np.abs(p1 - p0) + clearance + 32 * np.finfo(float).eps * np.abs(p0).max()
+    k, j = _box_pairs(mid - half * (1 + 1j), mid + half * (1 + 1j), xs, ys)
+    d0, d1 = p0[k] - probes[j], p1[k] - probes[j]
     near = np.zeros(size, dtype=bool)
-    k, j = _box_pairs(p0 - clearance * (1 + 1j), p0 + clearance * (1 + 1j), xs, ys)
-    near[j[np.abs(p0[k] - probes[j]) <= clearance]] = True
-    mid, rad = 0.5 * (p0 + p1), 0.5 * np.abs(p1 - p0)
-    k, j = _box_pairs(mid - rad * (1 + 1j), mid + rad * (1 + 1j), xs, ys)
-    flagged = (np.abs(_turn(p0[k] - probes[j], p1[k] - probes[j])) >= math.pi / 2) & ~near[j]
+    near[j[np.abs(d0) <= clearance]] = True
+    flagged = (np.abs(_turn(d0, d1)) >= math.pi / 2) & ~near[j]
     k, j = k[flagged], j[flagged]
     loops, faults = _refine_pairs(trace, k, probes[j], clearance)
     winding = _crossing_windings(p0, p1, xs, ys)

@@ -24,8 +24,9 @@ from hvl import (
     presets,
     trace_circle,
 )
-from hvl import cli, criterion
+from hvl import cli, criterion, geometry, render
 from hvl.cli import (
+    MAX_ORACLE_PROBES,
     MAX_THREADS,
     MAX_TRIALS,
     SweepConfig,
@@ -234,6 +235,28 @@ def test_verify_rejects_bad_grid(tmp_path, monkeypatch, capsys):
         code = main(["verify", "--input", "preset:example1", "--samples", samples])
         assert code == 1
     assert str(criterion.MAX_GRID) in capsys.readouterr().err
+
+
+def test_sample_and_probe_counts_above_their_limits_exit_1(monkeypatch, capsys):
+    """``trace``, ``render`` and ``valence`` refuse more than
+    ``geometry.MAX_SAMPLES`` samples and ``oracle`` more than
+    ``MAX_ORACLE_PROBES`` probes, each with one line naming its limit,
+    before any sample is taken or probe placed."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a refused count")
+
+    monkeypatch.setattr(geometry, "_clamped_primitive", no_work)  # every trace
+    monkeypatch.setattr(render, "_curve_samples", no_work)
+    monkeypatch.setattr(cli, "winding_number", no_work)
+    for limit, argvs in ((geometry.MAX_SAMPLES, (["trace", "--points"], ["render", "--samples"],
+                                                 ["valence", "--samples"])),
+                         (MAX_ORACLE_PROBES, (["oracle", "--samples"],))):
+        for argv in argvs:
+            for count in (limit + 1, 2 ** 40):
+                assert main([argv[0], "--input", "preset:example1", argv[1], str(count)]) == 1
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and err.count("\n") == 1
+                assert f"at most {limit} " in err
 
 
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):

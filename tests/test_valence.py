@@ -274,6 +274,112 @@ def test_scan_refines_all_pairs_in_one_batch(monkeypatch):
     assert 1 <= len(calls) <= 2 and sum(calls) > 0
 
 
+def _every_pair(monkeypatch, tr, xs, ys):
+    """``_windings`` with ``_bins`` returning every axis value, so that every
+    (step, probe) pair is a candidate.  Calls of a few probe rows each bound
+    the memory; a probe's winding and fault do not depend on the other
+    probes."""
+    rows = max(1, 2 ** 18 // (tr.n * xs.size))
+    with monkeypatch.context() as m:
+        m.setattr(valence, "_bins", lambda lo, hi, v: (
+            np.zeros(np.shape(lo), dtype=np.intp), np.full(np.shape(lo), v.size)))
+        parts = [valence._windings(tr, xs, ys[i:i + rows]) for i in range(0, ys.size, rows)]
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+class _Polyline(CurveTrace):
+    """A hand-built closed polyline at uniform t, whose ``point_at`` walks
+    its edges linearly, so that refinement sees the polyline itself."""
+
+    def point_at(self, tq):
+        s = (np.atleast_1d(tq) - self.t[0]) * self.n / (2 * math.pi)
+        k = np.floor(s).astype(int)
+        a, b = self.points[k % self.n], self.points[(k + 1) % self.n]
+        return a + (s - k) * (b - a)
+
+
+def _rectangle(x0: float, y0: float, w: float, h: float, n: int = 8) -> _Polyline:
+    """The rectangle [x0, x0 + w] x [y0, y0 + h], n steps a side,
+    counterclockwise from (x0, y0)."""
+    s = np.arange(n) / n
+    pts = np.concatenate([x0 + w * s + 1j * y0, x0 + w + 1j * (y0 + h * s),
+                          x0 + w * (1 - s) + 1j * (y0 + h), x0 + 1j * (y0 + h * (1 - s))])
+    t = -math.pi + 2 * math.pi * np.arange(4 * n) / (4 * n)
+    return _Polyline(map=EX1, radius=1.0, t=t, clamped=np.zeros(4 * n, dtype=bool), points=pts)
+
+
+def _edge_axes(tr, k):
+    """Sorted axes through the start vertex and the midpoint of step k, at
+    clearance distance from the vertex and at the extreme points of the
+    step's disk, each value with its two float neighbours."""
+    p0, p1 = tr.points[k], tr.points[(k + 1) % tr.n]
+    clearance = valence._CLEARANCE * tr.diameter()
+    mid, rad = 0.5 * (p0 + p1), 0.5 * np.abs(p1 - p0)
+    axes = []
+    for v0, vm in ((p0.real, mid.real), (p0.imag, mid.imag)):
+        v = np.array([v0 - clearance, v0, v0 + clearance, vm - rad, vm, vm + rad])
+        axes.append(np.unique(np.concatenate([np.nextafter(v, -np.inf), v,
+                                              np.nextafter(v, np.inf)])))
+    return axes
+
+
+@pytest.mark.parametrize("case", [
+    "example1", "example2", "star", "octagon", "sweep", "one_by_one", "non_uniform",
+    "shifted", "edges",
+])
+def test_binning_drops_no_candidate_pair(case, monkeypatch):
+    """The binned ``_windings`` gives every probe the winding and fault it
+    gets when every (step, probe) pair is a candidate: on the presets at
+    32 x 32 and 64 x 64, on sweep-like maps at 2,048 samples, on 1 x 1
+    probes (random ones, vertices and step midpoints), on unevenly spaced
+    sorted axes, on example1's trace moved far from the origin, and on axes
+    through the very edges of both tests (clearance squares and step
+    disks).  The edges are taken on example1's trace and on rectangles half
+    a clearance beside (2**e, -2**e): the box of a step from a corner meets
+    the corner's clearance square edge to edge, and rounding moves it by a
+    float spacing of 2**e, so a box widened by less, or only in proportion
+    to its own size, loses pairs there."""
+    if case in ("example1", "example2", "star", "octagon"):
+        tr = trace_circle(getattr(presets, case)(), 0.999, n=512)
+        runs = [(tr, *valence._probe_grid(tr.points, g, g)) for g in (32, 64)]
+    elif case == "sweep":
+        runs = []
+        for seed, p, m in ((21, 2, 3), (22, 1, 2), (23, 3, 2)):
+            tr = trace_circle(_sweep_map(seed, p, m), 0.999, n=2048)
+            runs.append((tr, *valence._probe_grid(tr.points, 32, 32)))
+    elif case == "one_by_one":
+        tr = trace_circle(presets.star(), 0.99, n=512)
+        x_lo, x_hi, y_lo, y_hi = valence.probe_box(tr.points)
+        rng = np.random.default_rng(5)
+        ws = np.concatenate([rng.uniform(x_lo, x_hi, 60) + 1j * rng.uniform(y_lo, y_hi, 60),
+                             tr.points[::32], 0.5 * (tr.points[:16] + tr.points[1:17])])
+        runs = [(tr, np.array([w.real]), np.array([w.imag])) for w in ws]
+    elif case == "non_uniform":
+        tr = trace_circle(EX1, 0.999, n=1024)
+        x_lo, x_hi, y_lo, y_hi = valence.probe_box(tr.points)
+        u = np.sort(np.random.default_rng(7).random((2, 48)) ** 3, axis=1)
+        runs = [(tr, x_lo + (x_hi - x_lo) * u[0], y_hi - (y_hi - y_lo) * u[1, ::-1])]
+    elif case == "shifted":
+        tr = trace_circle(EX1, 0.999, n=512)
+        far = _Polyline(map=EX1, radius=1.0, t=tr.t, points=tr.points + (3e8 - 7e8j),
+                        clamped=tr.clamped)
+        runs = [(far, *valence._probe_grid(far.points, g, g)) for g in (32, 64)]
+    else:
+        tr = trace_circle(EX1, 0.999, n=512)
+        runs = [(tr, *_edge_axes(tr, k)) for k in range(0, tr.n, 32)]
+        w, h = 1.3, 0.7
+        clearance = valence._CLEARANCE * math.hypot(w, h)
+        for e in range(3, 41):
+            rect = _rectangle(2.0 ** e + clearance / 2, -2.0 ** e - h - clearance / 2, w, h)
+            runs += [(rect, *_edge_axes(rect, k)) for k in (0, 8, 16, 24)]
+    for tr, xs, ys in runs:
+        winding, fault = valence._windings(tr, xs, ys)
+        want_winding, want_fault = _every_pair(monkeypatch, tr, xs, ys)
+        assert np.array_equal(winding, want_winding)
+        assert np.array_equal(fault, want_fault)
+        assert case != "edges" or np.any(fault == valence._NEAR)
+
+
 def test_scan_refuses_trace_of_another_map_or_radius():
     tr = trace_circle(EX1, 0.999, n=1024)
     for spec, r in ((EX2, 0.5), (EX2, 0.999), (EX1, 0.5)):
@@ -285,14 +391,16 @@ def test_scan_refuses_trace_of_another_map_or_radius():
 
 def test_crossing_rule_with_vertices_on_probe_rows():
     """A densely sampled limacon with an inner loop (windings 0, 1 and 2),
-    its vertices snapped onto probe rows wherever one is near: the row
-    crossings, half-open in y, match the independent ray count at every
-    probe off the polyline, including the rows through vertices, both on
-    the 40 x 40 grid and on each probe's own 1 x 1 grid."""
+    its vertices snapped onto probe rows wherever one is near, and a
+    pentagon with a horizontal step on a probe row (it crosses no row) and
+    a vertex on the top row: the row crossings, half-open in y, match the
+    independent ray count at every probe off the polyline, including the
+    rows through vertices, both on the 40 x 40 grid and on each probe's own
+    1 x 1 grid."""
     t = np.linspace(-math.pi, math.pi, 600, endpoint=False)
     pts = (0.5 + np.cos(t)) * np.exp(1j * t)
     xs, ys = valence._probe_grid(pts, 40, 40)
-    step = ys[1] - ys[0]
+    dx, step = xs[1] - xs[0], ys[1] - ys[0]
     row = np.rint((pts.imag - ys[0]) / step).astype(int)
     interior = (pts.imag > pts.imag.min()) & (pts.imag < pts.imag.max())
     snap = interior & (np.abs(pts.imag - ys[row]) < 0.2 * step) \
@@ -301,25 +409,31 @@ def test_crossing_rule_with_vertices_on_probe_rows():
     assert np.count_nonzero(snap) >= 40
     assert all(np.array_equal(a, b) for a, b in zip(valence._probe_grid(pts, 40, 40),
                                                     (xs, ys)))
-    nxt = np.roll(pts, -1)
-    got = valence._crossing_windings(pts, nxt, xs, ys).reshape(40, 40)
-    on_vertex_row = np.isin(np.arange(40), row[snap])
-    seen = set()
-    checked = 0
-    for j in range(40):
-        for i in range(40):
-            w = complex(xs[i], ys[j])
-            s = np.clip(np.real((w - pts) * np.conj(nxt - pts))
-                        / np.maximum(np.abs(nxt - pts) ** 2, 1e-300), 0.0, 1.0)
-            if np.min(np.abs(pts + s * (nxt - pts) - w)) < 1e-9:
-                continue  # on the polyline, where no winding is defined
-            assert got[j, i] == oracles.ray_winding(pts, w)
-            assert valence._crossing_windings(pts, nxt, xs[i:i + 1], ys[j:j + 1])[0] \
-                == got[j, i]
-            seen.add(int(got[j, i]))
-            checked += on_vertex_row[j]
-    assert seen == {0, 1, 2}
-    assert checked >= 200
+    pentagon = np.array([xs[5] + 0.5 * dx + 1j * ys[10], xs[30] + 0.5 * dx + 1j * ys[10],
+                         xs[34] + 0.3 * dx + 1j * (ys[24] + 0.4 * step),
+                         xs[20] + 0.5 * dx + 1j * ys[-1],
+                         xs[3] + 0.7 * dx + 1j * (ys[26] + 0.2 * step)])
+    assert not valence._crossing_windings(pentagon[:1], pentagon[1:2], xs, ys).any()
+    for pts, windings, vertex_row_probes in ((pts, {0, 1, 2}, 200), (pentagon, {0, 1}, 50)):
+        nxt = np.roll(pts, -1)
+        got = valence._crossing_windings(pts, nxt, xs, ys).reshape(40, 40)
+        on_vertex_row = np.isin(ys, pts.imag)
+        seen = set()
+        checked = 0
+        for j in range(40):
+            for i in range(40):
+                w = complex(xs[i], ys[j])
+                s = np.clip(np.real((w - pts) * np.conj(nxt - pts))
+                            / np.maximum(np.abs(nxt - pts) ** 2, 1e-300), 0.0, 1.0)
+                if np.min(np.abs(pts + s * (nxt - pts) - w)) < 1e-9:
+                    continue  # on the polyline, where no winding is defined
+                assert got[j, i] == oracles.ray_winding(pts, w)
+                assert valence._crossing_windings(pts, nxt, xs[i:i + 1], ys[j:j + 1])[0] \
+                    == got[j, i]
+                seen.add(int(got[j, i]))
+                checked += on_vertex_row[j]
+        assert seen == windings
+        assert checked >= vertex_row_probes
 
 
 def test_scan_refuses_grid_above_probe_limit(monkeypatch):
