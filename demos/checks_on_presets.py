@@ -12,7 +12,7 @@ from hvl import check_criterion, detect_cusps, presets
 
 
 def describe(name, spec):
-    report = check_criterion(spec.h, spec.m)
+    report = check_criterion(spec)
     n_exp = 2 * spec.p + spec.m - 1
     print(f"--- {name} (p={spec.p}, m={spec.m}, expect {n_exp} cusps) ---")
     print(f"  hypotheses hold       : {report.hypotheses_hold}")

@@ -21,7 +21,7 @@ def main():
         spec = getattr(presets, name)()
         criterion = None
         try:
-            criterion = check_criterion(spec.h, spec.m)
+            criterion = check_criterion(spec)
         except HvlError as exc:
             print(f"{name}: criterion check failed ({exc}); drawing bare scene")
         svg = render_scene(spec, criterion)

@@ -29,7 +29,6 @@ from .fncore import (
     SpecFileError,
     UnwrapError,
     clamp_to_interior,
-    derive_g,
     eval_f_many,
     eval_g_many,
     eval_g_prime_many,

@@ -47,14 +47,15 @@ from .fncore import (
     HarmonicMapSpec,
     HvlError,
     IndeterminateProbeError,
+    MAX_ORDER,
     ParameterError,
     PoleError,
     PolySeries,
     RationalDeriv,
     ResolutionError,
     SpecFileError,
-    derive_g,
     require_int,
+    require_order,
 )
 from .geometry import trace_circle
 from .presets import PRESETS
@@ -123,7 +124,7 @@ def parse_spec_doc(doc) -> HarmonicMapSpec:
             f"unsupported schema_version {doc.get('schema_version')!r}"
         )
     kind = doc.get("kind")
-    if kind not in _FIELDS:
+    if not isinstance(kind, str) or kind not in _FIELDS:
         raise SpecFileError(
             f"field 'kind' must be one of {sorted(_FIELDS)}, got {kind!r}"
         )
@@ -132,21 +133,17 @@ def parse_spec_doc(doc) -> HarmonicMapSpec:
         raise SpecFileError(
             f"unexpected field '{sorted(extra)[0]}' for kind '{kind}'"
         )
+    if kind == "preset":
+        params = doc.get("params", {})
+        if not isinstance(params, dict):
+            raise SpecFileError("field 'params' must be an object")
+        return _build_preset(doc.get("name"), params, text=False)
+    p, m = _as_int(doc, "p"), _as_int(doc, "m")
     if kind == "poly":
-        p = _as_int(doc, "p")
-        m = _as_int(doc, "m")
-        return derive_g(PolySeries(p, _as_complex_list(doc, "coeffs")), m)
-    if kind == "rational_hprime":
-        p = _as_int(doc, "p")
-        m = _as_int(doc, "m")
-        return derive_g(
-            RationalDeriv(p, _as_complex_list(doc, "numer"),
-                          _as_complex_list(doc, "denom")), m
-        )
-    params = doc.get("params", {})
-    if not isinstance(params, dict):
-        raise SpecFileError("field 'params' must be an object")
-    return _build_preset(doc.get("name"), params, text=False)
+        h = PolySeries(p, _as_complex_list(doc, "coeffs"))
+    else:
+        h = RationalDeriv(p, _as_complex_list(doc, "numer"), _as_complex_list(doc, "denom"))
+    return HarmonicMapSpec(h, m)
 
 
 def _build_preset(name, params: dict, text: bool) -> HarmonicMapSpec:
@@ -271,7 +268,7 @@ def _grid_pair(text: str) -> tuple[int, int]:
 
 def cmd_verify(args) -> int:
     map_spec = load_input(args.input)
-    report = check_criterion(map_spec.h, map_spec.m, args.samples)
+    report = check_criterion(map_spec, args.samples)
     doc = {"schema_version": SCHEMA_VERSION, "command": "verify",
            **report.to_dict()}
     _emit_json(doc, args.report)
@@ -289,7 +286,7 @@ def cmd_render(args) -> int:
     map_spec = load_input(args.input)
     criterion = None
     try:
-        criterion = check_criterion(map_spec.h, map_spec.m)
+        criterion = check_criterion(map_spec)
     except HvlError:
         pass  # draw without cusp markers
     svg = render_scene(map_spec, criterion, args.samples)
@@ -379,10 +376,10 @@ class SweepConfig:
     def __post_init__(self):
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ParameterError(f"trials must be between 1 and {MAX_TRIALS}")
-        if self.p < 1 or self.m < 2:
-            raise ParameterError("need p >= 1 and m >= 2")
-        if self.max_degree < self.p:
-            raise ParameterError("max_degree must be at least p")
+        require_order(self.p, 1, "p")
+        require_order(self.m, 2, "m")
+        if not self.p <= self.max_degree <= MAX_ORDER:
+            raise ParameterError(f"max_degree must be from p to {MAX_ORDER}")
         if not 0 <= self.coefficient_scale < math.inf:
             raise ParameterError("coefficient_scale must be finite and nonnegative")
         if not 0 <= self.margin_requirement < math.inf:
@@ -396,8 +393,9 @@ _SWEEP_RADIUS = 0.999  # the circle |z| = r each kept trial's valence scan trace
 
 def _sweep_trial(config: SweepConfig, trial: int, spec: PolySeries) -> dict:
     """Margin test, and a valence scan when kept, for one sweep trial."""
+    map_spec = HarmonicMapSpec(spec, config.m)
     try:
-        margin = check_monotonicity_margin(spec, config.m)
+        margin = check_monotonicity_margin(map_spec)
     except PoleError:
         margin = None
     kept = margin is not None and margin > config.margin_requirement
@@ -411,9 +409,7 @@ def _sweep_trial(config: SweepConfig, trial: int, spec: PolySeries) -> dict:
         "candidate": False,
     }
     if kept:
-        report = valence_scan(
-            derive_g(spec, config.m), r=_SWEEP_RADIUS, grid=config.grid, n_samples=2048,
-        )
+        report = valence_scan(map_spec, r=_SWEEP_RADIUS, grid=config.grid, n_samples=2048)
         row["max_valence"] = report.max_valence
         row["consistent_with_p"] = report.consistent_with_p
         row["candidate"] = report.max_valence > config.p

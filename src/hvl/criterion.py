@@ -32,10 +32,10 @@ import numpy as np
 from .fncore import (
     BoundaryHypothesisError,
     FunctionSpec,
+    HarmonicMapSpec,
     ParameterError,
     PoleError,
     UnwrapError,
-    derive_g,
     eval_f_many,
     eval_h_prime_many,
     eval_h_second_many,
@@ -148,28 +148,28 @@ def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192) -> PhaseTab
     return PhaseTable(spec=spec, t=t, phase=phase, min_modulus=float(mod.min()))
 
 
-def phase_function_many(spec: FunctionSpec, m: int, t, table: PhaseTable) -> np.ndarray:
+def phase_function_many(map_spec: HarmonicMapSpec, t, table: PhaseTable) -> np.ndarray:
     """F(t) = (2p+m-1) t + 2 arg H(e^{it}) on the table's continuous branch."""
     t = np.asarray(t, dtype=float)
-    return (2 * spec.p + m - 1) * t + 2.0 * table.eval_many(t)
+    return (2 * map_spec.p + map_spec.m - 1) * t + 2.0 * table.eval_many(t)
 
 
-def phase_function_derivative_many(spec: FunctionSpec, m: int, t) -> np.ndarray:
+def phase_function_derivative_many(map_spec: HarmonicMapSpec, t) -> np.ndarray:
     """F'(t) = m + 1 + 2 Re(z h''(z)/h'(z)) at z = e^{it}.
 
     Raises ``PoleError`` where h' vanishes (or has a pole) on the circle.
     """
     t = np.asarray(t, dtype=float)
     z = np.exp(1j * t)
-    hp = eval_h_prime_many(spec, z)
-    hpp = eval_h_second_many(spec, z)
+    hp = eval_h_prime_many(map_spec.h, z)
+    hpp = eval_h_second_many(map_spec.h, z)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = z * hpp / hp
     bad = ~np.isfinite(ratio)
     if np.any(bad):
         loc = z[np.atleast_1d(bad)].ravel()[0]
         raise PoleError("h' vanishes on the boundary circle", location=complex(loc))
-    return m + 1 + 2.0 * np.real(ratio)
+    return map_spec.m + 1 + 2.0 * np.real(ratio)
 
 
 @dataclass(frozen=True)
@@ -226,7 +226,7 @@ def _bisect_all(fn, a, b, fa, fb, tol: float):
     return t_best, f_best
 
 
-def find_criterion_roots(spec: FunctionSpec, m: int, grid_size: int = 8192,
+def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
                          table: PhaseTable | None = None) -> tuple[RootRecord, ...]:
     """All crossings of F with the levels 2 k pi for k in the searched set.
 
@@ -236,14 +236,14 @@ def find_criterion_roots(spec: FunctionSpec, m: int, grid_size: int = 8192,
     (recorded with ``suspected_tangency=True``).  The sign changes are
     bisected together to 1e-12 in t, one ``PhaseTable.eval_many`` call per
     step.  Records are sorted by t.  The phase table is
-    ``unwrap_boundary_phase(spec, grid_size)`` unless ``table`` is passed.
+    ``unwrap_boundary_phase(map_spec.h, grid_size)`` unless ``table`` is
+    passed.
     """
     if table is None:
-        table = unwrap_boundary_phase(spec, grid_size)
-    map_spec = derive_g(spec, m)
+        table = unwrap_boundary_phase(map_spec.h, grid_size)
     t, tol, thr = table.t, _BISECT_TOL, _TANGENCY_THRESHOLD
-    f_grid = (2 * spec.p + m - 1) * t + 2.0 * table.phase
-    k_min = level_set(spec.p, m).start
+    f_grid = (2 * map_spec.p + map_spec.m - 1) * t + 2.0 * table.phase
+    k_min = level_set(map_spec.p, map_spec.m).start
     targets = _TWO_PI * np.arange(k_min, 1 - k_min)
     # candidates (i, j): the levels within thr of F on the interval
     # [t_i, t_i+1], widened by one level on each side against rounding
@@ -258,7 +258,7 @@ def find_criterion_roots(spec: FunctionSpec, m: int, grid_size: int = 8192,
     touch = ((i > 0) & (np.abs(g) <= np.abs(g_left)) & (np.abs(g) <= np.abs(g_right))
              & (np.abs(g) < thr) & (g_left * g > 0.0) & (g * g_right > 0.0))
     t_root, resid = _bisect_all(
-        lambda tq, rows: phase_function_many(spec, m, tq, table) - targets[j[cross][rows]],
+        lambda tq, rows: phase_function_many(map_spec, tq, table) - targets[j[cross][rows]],
         t[i[cross]], t[i[cross] + 1], g[cross], g_right[cross], tol)
     in_domain = t_root < math.pi - tol
     roots: dict[int, list[tuple[float, float]]] = {}
@@ -287,7 +287,7 @@ def find_criterion_roots(spec: FunctionSpec, m: int, grid_size: int = 8192,
     return tuple(records)
 
 
-def check_monotonicity_margin(spec: FunctionSpec, m: int, grid_size: int = 8192) -> float:
+def check_monotonicity_margin(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> float:
     """Sampled margin of the monotonicity condition Re(1+zh''/h') > -(m-1)/2.
 
     Returns min Re(1 + z h''/h') + (m-1)/2 over ``grid_size`` angles on
@@ -310,8 +310,9 @@ def check_monotonicity_margin(spec: FunctionSpec, m: int, grid_size: int = 8192)
     modulus in (1e-9, 1 - 1e-9), where the condition always fails.
     """
     n = _grid(grid_size)
+    h = map_spec.h
     unit = np.exp(1j * np.linspace(-math.pi, math.pi, n, endpoint=False))
-    singular = np.concatenate([spec.H_zeros, spec.poles])
+    singular = np.concatenate([h.H_zeros, h.poles])
     radii = [_OUTER_RADIUS]
     if not np.all(np.abs(singular) > _OUTER_RADIUS + _TWO_PI / n):
         radii = [0.9, 0.99, 0.999, _OUTER_RADIUS]
@@ -322,8 +323,8 @@ def check_monotonicity_margin(spec: FunctionSpec, m: int, grid_size: int = 8192)
     worst = math.inf
     for r in radii:
         z = r * unit
-        hp = eval_h_prime_many(spec, z, on_pole="raise")
-        hpp = eval_h_second_many(spec, z, on_pole="raise")
+        hp = eval_h_prime_many(h, z, on_pole="raise")
+        hpp = eval_h_second_many(h, z, on_pole="raise")
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = np.real(1.0 + z * hpp / hp)
         bad = ~np.isfinite(vals)
@@ -332,7 +333,7 @@ def check_monotonicity_margin(spec: FunctionSpec, m: int, grid_size: int = 8192)
             raise PoleError(f"h' vanishes at a sampled point z = {loc:.6g}",
                             location=complex(loc))
         worst = min(worst, float(vals.min()))
-    return worst + (m - 1) / 2.0
+    return worst + (map_spec.m - 1) / 2.0
 
 
 @dataclass(frozen=True)
@@ -382,7 +383,7 @@ class CriterionReport:
         }
 
 
-def check_criterion(spec: FunctionSpec, m: int, grid_size: int = 8192) -> CriterionReport:
+def check_criterion(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> CriterionReport:
     """Run the full sufficient-condition check and assemble a report.
 
     ``criterion_satisfied`` is true exactly when H is zero-free on the closed
@@ -390,8 +391,7 @@ def check_criterion(spec: FunctionSpec, m: int, grid_size: int = 8192) -> Criter
     analytic there), every searched level is crossed at most once, the total
     crossing count is 2p+m-1, and no tangency is suspected.
     """
-    m = require_int(m, 2, "m must be an integer >= 2")
-    p = spec.p
+    h, p, m = map_spec.h, map_spec.p, map_spec.m
     counts = {k: 0 for k in level_set(p, m)}
 
     def failed(reason: str, margin=None) -> CriterionReport:
@@ -404,21 +404,21 @@ def check_criterion(spec: FunctionSpec, m: int, grid_size: int = 8192) -> Criter
 
     margin: float | None
     try:
-        margin = check_monotonicity_margin(spec, m, grid_size)
+        margin = check_monotonicity_margin(map_spec, grid_size)
     except PoleError:
         margin = None
 
-    if np.any(np.abs(spec.poles) < 1.0 - 1e-8):
+    if np.any(np.abs(h.poles) < 1.0 - 1e-8):
         return failed("h is not analytic on the closed disk "
                       "(denominator root inside |z| < 1)", margin)
     try:
-        table = unwrap_boundary_phase(spec, grid_size)
+        table = unwrap_boundary_phase(h, grid_size)
     except BoundaryHypothesisError as exc:
         return failed(str(exc), margin)
 
     winding = table.winding
     h_nonvanishing = table.min_modulus > _NONVANISH_TOL and winding == 0
-    roots = find_criterion_roots(spec, m, table=table)
+    roots = find_criterion_roots(map_spec, table=table)
     tangencies = sum(1 for r in roots if r.suspected_tangency)
     for r in roots:
         if not r.suspected_tangency:

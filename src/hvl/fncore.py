@@ -12,8 +12,9 @@ The co-analytic part is never stored independently: it is tied to h through
 
     g'(z) = z**(m-1) * h'(z),        m = 2, 3, 4, ...
 
-so a ``HarmonicMapSpec`` is just (h, m) plus the derived series for g when h
-is a series.
+so a ``HarmonicMapSpec`` is just the pair (h, m): it is the one map object
+every module takes, and g (its series ``g_coeffs`` when h is a series) is
+derived from it, never stored.  p and m are at most ``MAX_ORDER``.
 
 Evaluation is per kind: each spec class carries its own arithmetic for h',
 h'', H = h'/z**(p-1) and the radial primitives that give h and g, and the
@@ -126,6 +127,22 @@ def require_int(value, lo: int, message: str) -> int:
     return int(value)
 
 
+# The largest p or m (and sweep degree) a map may have.  The flat-sided
+# denominators and the sweep's series have degree up to 2p+m-1, and their
+# roots come from a dense companion matrix: cubic time, quadratic memory.
+MAX_ORDER = 10 ** 3
+
+
+def require_order(value, lo: int, name: str) -> int:
+    """p or m as an int; ``ParameterError`` unless an integer from ``lo`` to
+    ``MAX_ORDER``."""
+    rule = f"{name} must be an integer from {lo} to {MAX_ORDER}"
+    n = require_int(value, lo, rule)
+    if n > MAX_ORDER:
+        raise ParameterError(rule)
+    return n
+
+
 def _complex_tuple(values, name: str) -> tuple[complex, ...]:
     try:
         vals = tuple(complex(c) for c in values)
@@ -197,7 +214,7 @@ class PolySeries(_Kind):
     poles = _frozen(np.zeros(0, dtype=complex))  # a series h' has none
 
     def __post_init__(self):
-        object.__setattr__(self, "p", require_int(self.p, 1, "p must be a positive integer"))
+        object.__setattr__(self, "p", require_order(self.p, 1, "p"))
         coeffs = _complex_tuple(self.coeffs, "coeffs")
         if not coeffs:
             raise ParameterError("coeffs must be non-empty")
@@ -287,7 +304,7 @@ class RationalDeriv(_Kind):
     denom: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", require_int(self.p, 1, "p must be a positive integer"))
+        object.__setattr__(self, "p", require_order(self.p, 1, "p"))
         numer = _trim_poly(self.numer, "numer")
         denom = _trim_poly(self.denom, "denom")
         if denom[0] == 0:
@@ -423,36 +440,30 @@ FunctionSpec = Union[PolySeries, RationalDeriv]
 class HarmonicMapSpec:
     """The pair (h, m) defining f = h + conj(g) with g' = z**(m-1) h'.
 
-    ``g_coeffs`` is the derived series for g when h is a ``PolySeries``:
-    ``g_coeffs[j]`` is the coefficient of z**(p+m-1+j).  For rational h it is
-    None.  Evaluation reads g from h's own tables either way.
+    Two maps are equal exactly when their h and m are.  ``g_coeffs`` is
+    derived, not stored: for a ``PolySeries`` h, ``g_coeffs[j]`` is the
+    coefficient of z**(n+m-1) in g, (n/(n+m-1)) a_n with n = p+j, which is
+    exactly the antiderivative of z**(m-1) h'(z); for rational h it is None.
+    Evaluation reads g from h's own tables either way.
     """
 
     h: FunctionSpec
     m: int
-    g_coeffs: tuple[complex, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "m", require_int(self.m, 2, "m must be an integer >= 2"))
+        object.__setattr__(self, "m", require_order(self.m, 2, "m"))
+        if not isinstance(self.h, (PolySeries, RationalDeriv)):
+            raise ParameterError(f"unsupported function spec: {type(self.h).__name__}")
 
     @property
     def p(self) -> int:
         return self.h.p
 
-
-def derive_g(h: FunctionSpec, m: int) -> HarmonicMapSpec:
-    """Build the full map spec from h and the linkage exponent m.
-
-    For a series h the coefficient of z**(n+m-1) in g is (n/(n+m-1)) a_n,
-    which is exactly the antiderivative of z**(m-1) h'(z).
-    """
-    m = require_int(m, 2, "m must be an integer >= 2")
-    if isinstance(h, PolySeries):
-        _, g = h._table(m - 1)
-        return HarmonicMapSpec(h=h, m=m, g_coeffs=tuple(complex(c) for c in g))
-    if isinstance(h, RationalDeriv):
-        return HarmonicMapSpec(h=h, m=m, g_coeffs=None)
-    raise ParameterError(f"unsupported function spec: {type(h).__name__}")
+    @functools.cached_property
+    def g_coeffs(self) -> tuple[complex, ...] | None:
+        if isinstance(self.h, RationalDeriv):
+            return None
+        return tuple(complex(c) for c in self.h._table(self.m - 1)[1])
 
 
 # ---------------------------------------------------------------------------

@@ -18,23 +18,23 @@ The rational family puts the poles of h' exactly at the (2p+m-1)-th roots of
 
 from __future__ import annotations
 
-from .fncore import HarmonicMapSpec, ParameterError, PolySeries, RationalDeriv, derive_g
+from .fncore import HarmonicMapSpec, ParameterError, PolySeries, RationalDeriv, require_order
 
 
 def example1(p: int = 2, m: int = 4) -> HarmonicMapSpec:
     """h = z**p; with the default (p, m) = (2, 4), f = z^2 + (2/5) conj(z)^5."""
-    return derive_g(PolySeries(p, (1 + 0j,)), m)
+    return HarmonicMapSpec(PolySeries(p, (1 + 0j,)), m)
 
 
 def example2(p: int = 3, m: int = 2, c: complex = 1j) -> HarmonicMapSpec:
     """h = z**p + c z**(p+1)/(p+1), subject to |c| <= p - 2p/(2p+m+1)."""
-    c = complex(c)
+    p, m, c = require_order(p, 1, "p"), require_order(m, 2, "m"), complex(c)
     bound = p - 2.0 * p / (2 * p + m + 1)
     if abs(c) > bound + 1e-12:
         raise ParameterError(
             f"|c| = {abs(c):.6g} exceeds the admissible bound {bound:.6g} for p={p}, m={m}"
         )
-    return derive_g(PolySeries(p, (1 + 0j, c / (p + 1))), m)
+    return HarmonicMapSpec(PolySeries(p, (1 + 0j, c / (p + 1))), m)
 
 
 def flat_sided(p: int, m: int) -> HarmonicMapSpec:
@@ -43,12 +43,11 @@ def flat_sided(p: int, m: int) -> HarmonicMapSpec:
     The image of the open disk is bounded by 2p+m-1 straight lines meeting in
     cusps; the boundary circle itself maps onto nothing but the cusp points.
     """
-    if p < 1 or m < 2:
-        raise ParameterError("flat_sided requires p >= 1 and m >= 2")
+    p, m = require_order(p, 1, "p"), require_order(m, 2, "m")
     n_sides = 2 * p + m - 1
     numer = (0j,) * (p - 1) + (complex(p),)
     denom = (1 + 0j,) + (0j,) * (n_sides - 1) + (1 + 0j,)
-    return derive_g(RationalDeriv(p, numer, denom), m)
+    return HarmonicMapSpec(RationalDeriv(p, numer, denom), m)
 
 
 def star(p: int = 2, m: int = 2) -> HarmonicMapSpec:

@@ -165,9 +165,9 @@ def test_07_phase_derivative_matches_differences():
         table = unwrap_boundary_phase(spec.h)
         rng = np.random.default_rng(31 + spec.p)
         ts = rng.uniform(-math.pi + 2 * step, math.pi - 2 * step, size=100)
-        got = phase_function_derivative_many(spec.h, spec.m, ts)
-        fd = (phase_function_many(spec.h, spec.m, ts + step, table)
-              - phase_function_many(spec.h, spec.m, ts - step, table)) / (2 * step)
+        got = phase_function_derivative_many(spec, ts)
+        fd = (phase_function_many(spec, ts + step, table)
+              - phase_function_many(spec, ts - step, table)) / (2 * step)
         worst = max(worst, float(np.max(np.abs(got - fd) / np.abs(got))))
     ok = worst < 1e-6
     _line(7, ok, f"F' vs central differences, worst relative error {worst:.2e}")

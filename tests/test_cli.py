@@ -14,13 +14,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hvl import (
+    HarmonicMapSpec,
     ParameterError,
     PolySeries,
+    RationalDeriv,
     SpecFileError,
     cross_check,
-    derive_g,
     presets,
     trace_circle,
 )
@@ -38,6 +40,7 @@ from hvl.cli import (
     run_sweep,
     spec_to_doc,
 )
+from hvl.fncore import MAX_ORDER
 from hvl.valence import MAX_PROBES
 
 
@@ -67,6 +70,72 @@ def test_spec_doc_roundtrip():
     rat = presets.octagon()
     back2 = parse_spec_doc(spec_to_doc(rat))
     assert back2.h == rat.h and back2.m == rat.m
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=8)
+_FINITE = st.integers(-3, 3) | st.floats(-2, 2)
+_NUMBER = _FINITE | st.floats() | st.sampled_from([10 ** 400, True])
+_PAIR = st.tuples(_FINITE, _FINITE).map(list) | st.lists(_NUMBER, max_size=3)
+_PAIRS = st.lists(_PAIR, min_size=1, max_size=4).map(lambda rest: [[1, 0]] + rest) \
+    | st.lists(_PAIR, max_size=4)
+_ORDER = st.integers(-2, 6) | st.sampled_from([MAX_ORDER, MAX_ORDER + 1, 10 ** 400])
+# plausible, edge and arbitrary values for every field of every kind
+_FIELD_VALUES = {
+    "schema_version": st.sampled_from(["1", "2", 1]),
+    "kind": st.sampled_from(sorted(cli._FIELDS)) | _JSON,
+    "p": _ORDER | _JSON,
+    "m": _ORDER | _JSON,
+    "coeffs": _PAIRS | _JSON,
+    "numer": _PAIRS | _JSON,
+    "denom": _PAIRS | _JSON,
+    "name": st.sampled_from(sorted(cli.PRESETS)) | _JSON,
+    "params": st.dictionaries(st.sampled_from(["p", "m", "c", "q"]),
+                              _ORDER | _NUMBER | _PAIR | _JSON, max_size=3) | _JSON,
+    "extra": _JSON,
+}
+_DOCS = st.one_of(
+    [st.fixed_dictionaries(
+        {"kind": st.just(kind),
+         **{key: _FIELD_VALUES[key] for key in sorted(keys - {"kind", "schema_version"})}},
+        optional={"schema_version": _FIELD_VALUES["schema_version"]})
+     for kind, keys in sorted(cli._FIELDS.items())]
+    + [st.fixed_dictionaries({}, optional=_FIELD_VALUES), _JSON])
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(doc=_DOCS)
+def test_parse_spec_doc_returns_a_map_or_refuses(doc):
+    try:
+        spec = parse_spec_doc(doc)
+    except (SpecFileError, ParameterError):
+        return
+    assert isinstance(spec, HarmonicMapSpec)
+
+
+_COMPLEX = st.complex_numbers(max_magnitude=1e300, allow_nan=False, allow_infinity=False)
+_NONZERO = _COMPLEX.filter(lambda c: c != 0)
+
+
+@st.composite
+def _maps(draw):
+    p, m = draw(st.integers(1, MAX_ORDER)), draw(st.integers(2, MAX_ORDER))
+    if draw(st.booleans()):
+        h = PolySeries(p, [1 + 0j] + draw(st.lists(_COMPLEX, max_size=5)))
+    else:
+        numer = [0j] * (p - 1) + [draw(_NONZERO)] + draw(st.lists(_COMPLEX, max_size=3))
+        h = RationalDeriv(p, numer, [draw(_NONZERO)] + draw(st.lists(_COMPLEX, max_size=4)))
+    return HarmonicMapSpec(h, m)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(spec=_maps())
+def test_spec_doc_roundtrips_every_map(spec):
+    """A map written as a spec file and read back is the same map."""
+    assert parse_spec_doc(json.loads(json.dumps(spec_to_doc(spec)))) == spec
 
 
 def test_spec_doc_strictness():
@@ -257,6 +326,29 @@ def test_sample_and_probe_counts_above_their_limits_exit_1(monkeypatch, capsys):
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and err.count("\n") == 1
                 assert f"at most {limit} " in err
+
+
+def test_orders_above_their_limit_exit_1(monkeypatch, capsys):
+    """p, m and ``--max-degree`` above ``MAX_ORDER`` end in exit 1 with one
+    line naming the limit, before a flat-sided denominator is built, the
+    criterion runs or a sweep draws."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a refused order")
+
+    monkeypatch.setattr(presets, "RationalDeriv", no_work)
+    monkeypatch.setattr(cli, "check_criterion", no_work)
+    monkeypatch.setattr(cli, "run_sweep", no_work)
+    for order in (MAX_ORDER + 1, 10 ** 400):
+        argvs = [["verify", "--input", f"preset:{name},{key}={order}"]
+                 for name in ("example1", "example2", "star", "octagon") for key in ("p", "m")]
+        argvs += [["conjecture", "--trials", "1", *flags]
+                  for flags in (["--p", str(order), "--max-degree", str(order)],
+                                ["--m", str(order)], ["--max-degree", str(order)])]
+        for argv in argvs:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert f"to {MAX_ORDER}" in err
 
 
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):

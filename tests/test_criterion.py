@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from hvl import (
     BoundaryHypothesisError,
+    HarmonicMapSpec,
     ParameterError,
     PhaseTable,
     PolySeries,
@@ -47,14 +48,14 @@ def test_grid_size_must_be_pow2():
     for fn in (check_criterion, find_criterion_roots, check_monotonicity_margin):
         for bad in (1000, 3000, 512, 2048.0, True):
             with pytest.raises(ParameterError):
-                fn(EX1.h, EX1.m, bad)
+                fn(EX1, bad)
         with pytest.raises(ParameterError, match=f"to {criterion.MAX_GRID}"):
-            fn(EX1.h, EX1.m, 2 * criterion.MAX_GRID)
+            fn(EX1, 2 * criterion.MAX_GRID)
     for bad in (1000, 3000, 2 * criterion.MAX_GRID):
         with pytest.raises(ParameterError):
             unwrap_boundary_phase(EX1.h, bad)
     assert criterion._grid(criterion.MAX_GRID) == criterion.MAX_GRID
-    assert check_criterion(EX1.h, EX1.m, 2048).criterion_satisfied
+    assert check_criterion(EX1, 2048).criterion_satisfied
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +101,7 @@ def test_phase_function_endpoint_values():
     """F(-pi), F(0), F(pi) for the p=3 preset, closed form."""
     table = unwrap_boundary_phase(EX2.h)
     a = math.atan(1.0 / 3.0)
-    f = lambda t: float(phase_function_many(EX2.h, EX2.m, t, table))
+    f = lambda t: float(phase_function_many(EX2, t, table))
     assert f(-math.pi) == pytest.approx(-7 * math.pi - 2 * a, abs=1e-10)
     assert f(0.0) == pytest.approx(2 * a, abs=1e-10)
     assert f(math.pi) == pytest.approx(7 * math.pi - 2 * a, abs=1e-10)
@@ -113,10 +114,10 @@ def test_phase_function_derivative_closed_forms():
     # constant for h = z**2: F' = m+1 + 2 Re(z h''/h') = 5 + 2 = 7
     rng = np.random.default_rng(5)
     ts = rng.uniform(-np.pi, np.pi, size=50)
-    vals = phase_function_derivative_many(EX1.h, EX1.m, ts)
+    vals = phase_function_derivative_many(EX1, ts)
     assert np.max(np.abs(vals - 7.0)) < 1e-12
     # p=3 preset at t = 0: 3 + 2 Re((6+3i)/(3+i)) = 3 + 2*2.1
-    at_0 = float(phase_function_derivative_many(EX2.h, EX2.m, 0.0))
+    at_0 = float(phase_function_derivative_many(EX2, 0.0))
     assert at_0 == pytest.approx(7.2, abs=1e-12)
 
 
@@ -124,10 +125,10 @@ def test_phase_function_derivative_against_differences():
     table = unwrap_boundary_phase(EX2.h)
     rng = np.random.default_rng(19)
     ts = rng.uniform(-3.0, 3.0, size=50)
-    got = phase_function_derivative_many(EX2.h, EX2.m, ts)
+    got = phase_function_derivative_many(EX2, ts)
     step = 1e-5
-    fd = (phase_function_many(EX2.h, EX2.m, ts + step, table)
-          - phase_function_many(EX2.h, EX2.m, ts - step, table)) / (2 * step)
+    fd = (phase_function_many(EX2, ts + step, table)
+          - phase_function_many(EX2, ts - step, table)) / (2 * step)
     assert np.max(np.abs(got - fd) / np.abs(got)) < 1e-7
 
 
@@ -137,7 +138,7 @@ def test_phase_function_derivative_against_differences():
 
 def test_roots_of_linear_phase():
     """F(t) = 7t crosses level 2 pi k at t = 2 pi k / 7, k = -3..3."""
-    roots = find_criterion_roots(EX1.h, EX1.m)
+    roots = find_criterion_roots(EX1)
     assert len(roots) == 7
     assert all(not r.suspected_tangency for r in roots)
     for r, k in zip(roots, range(-3, 4)):
@@ -149,7 +150,7 @@ def test_roots_of_linear_phase():
 
 
 def test_roots_one_per_level_p3():
-    roots = find_criterion_roots(EX2.h, EX2.m)
+    roots = find_criterion_roots(EX2)
     assert len(roots) == 7
     assert sorted(r.k for r in roots) == list(range(-3, 4))
     ts = np.array([r.t for r in roots])
@@ -161,8 +162,7 @@ def test_roots_one_per_level_p3():
 def test_root_at_domain_seam_counted_once():
     """h = z**3, m = 5: F = 10 t has a crossing exactly at t = -pi, and the
     matching one at +pi must not be double counted."""
-    h = PolySeries(3, (1 + 0j,))
-    roots = find_criterion_roots(h, 5)
+    roots = find_criterion_roots(HarmonicMapSpec(PolySeries(3, (1 + 0j,)), 5))
     assert len(roots) == 10  # 2p+m-1
     ts = sorted(r.t for r in roots)
     want = [-math.pi + math.pi * j / 5.0 for j in range(10)]
@@ -173,7 +173,7 @@ def _check_pure_power(p, m):
     """h = z**p gives H = p, so F = N t with N = 2p+m-1: one root per level k
     at t = 2 pi k / N in [-pi, pi), the one at -pi included when N is even."""
     n = 2 * p + m - 1
-    report = check_criterion(PolySeries(p, (1 + 0j,)), m)
+    report = check_criterion(HarmonicMapSpec(PolySeries(p, (1 + 0j,)), m))
     ks = list(range(-(n // 2), n - n // 2))
     assert [r.k for r in report.roots] == ks
     want = 2 * math.pi * np.array(ks) / n
@@ -202,7 +202,7 @@ def test_tangency_is_recorded_once(k, sign):
     s = 3000
     f = 2 * math.pi * k + sign * (5e-9 + 0.1 * (t - t[s]) ** 2)
     table = PhaseTable(spec=EX1.h, t=t, phase=(f - 7 * t) / 2.0, min_modulus=2.0)
-    roots = find_criterion_roots(EX1.h, EX1.m, table=table)
+    roots = find_criterion_roots(EX1, table=table)
     assert len(roots) == 1
     r = roots[0]
     assert r.suspected_tangency
@@ -214,8 +214,8 @@ def test_tangency_is_recorded_once(k, sign):
 
 def test_precomputed_table_is_honored():
     table = unwrap_boundary_phase(EX2.h)
-    a = find_criterion_roots(EX2.h, EX2.m, table=table)
-    b = find_criterion_roots(EX2.h, EX2.m)
+    a = find_criterion_roots(EX2, table=table)
+    b = find_criterion_roots(EX2)
     assert [(r.k, r.t) for r in a] == [(r.k, r.t) for r in b]
 
 
@@ -225,18 +225,19 @@ def test_precomputed_table_is_honored():
 
 def test_margin_closed_forms():
     # h = z**2, m = 4: Re(1 + z h''/h') = 2 everywhere, margin 2 + 3/2
-    assert check_monotonicity_margin(EX1.h, EX1.m) == pytest.approx(3.5, abs=1e-12)
+    assert check_monotonicity_margin(EX1) == pytest.approx(3.5, abs=1e-12)
     # h = z**3, m = 5: Re(1 + 2) = 3, margin 3 + 2
-    assert check_monotonicity_margin(PolySeries(3, (1 + 0j,)), 5) == pytest.approx(5.0, abs=1e-12)
+    margin = check_monotonicity_margin(HarmonicMapSpec(PolySeries(3, (1 + 0j,)), 5))
+    assert margin == pytest.approx(5.0, abs=1e-12)
     # p=3 preset: infimum over the disk is 3.0, approached radially
-    margin2 = check_monotonicity_margin(EX2.h, EX2.m)
+    margin2 = check_monotonicity_margin(EX2)
     assert 3.0 <= margin2 < 3.01
 
 
 def test_margin_sees_interior_critical_point():
     """h = z + (5/2) z**2 has h'(-1/5) = 0; near that point the condition
     fails badly and the hugging circles must see it."""
-    margin = check_monotonicity_margin(PolySeries(1, (1 + 0j, 2.5 + 0j)), 2)
+    margin = check_monotonicity_margin(HarmonicMapSpec(PolySeries(1, (1 + 0j, 2.5 + 0j)), 2))
     assert margin < -100.0
     assert margin == pytest.approx(-997.5, abs=1.0)
 
@@ -268,7 +269,8 @@ def test_margin_of_zero_free_maps_matches_every_circle():
         if not _zero_free(p, coeffs):
             continue
         m = int(rng.integers(2, 5))
-        _assert_at_or_above(check_monotonicity_margin(PolySeries(p, coeffs), m, 2048),
+        spec = HarmonicMapSpec(PolySeries(p, coeffs), m)
+        _assert_at_or_above(check_monotonicity_margin(spec, 2048),
                             oracles.margin_all_circles(p, m, coeffs, grid=2048))
         checked += 1
         if checked == 500:
@@ -277,7 +279,7 @@ def test_margin_of_zero_free_maps_matches_every_circle():
     for spec in (presets.star(), presets.octagon(), presets.flat_sided(3, 2),
                  presets.flat_sided(1, 4)):
         h = spec.h
-        _assert_at_or_above(check_monotonicity_margin(h, spec.m),
+        _assert_at_or_above(check_monotonicity_margin(spec),
                             oracles.margin_all_circles(h.p, spec.m, numer=h.numer,
                                                        denom=h.denom))
 
@@ -291,7 +293,7 @@ def test_margin_with_interior_zeros_samples_every_circle():
         coeffs = _random_series(rng, 1, 6, 0.2)
         if _zero_free(1, coeffs):
             continue
-        assert (check_monotonicity_margin(PolySeries(1, coeffs), 2)
+        assert (check_monotonicity_margin(HarmonicMapSpec(PolySeries(1, coeffs), 2))
                 == oracles.margin_all_circles(1, 2, coeffs))
         checked += 1
     assert checked >= 50
@@ -306,7 +308,7 @@ def test_margin_with_a_zero_near_the_circle_between_samples():
     step = 2 * math.pi / 8192
     for r0 in (1 - 5e-7, 1 + 1e-6, 1 + 0.9 * step):
         coeffs = (1 + 0j, -0.5 / (r0 * cmath.exp(0.5j * step)))  # H = 1 - z/z0
-        margin = check_monotonicity_margin(PolySeries(1, coeffs), 6)
+        margin = check_monotonicity_margin(HarmonicMapSpec(PolySeries(1, coeffs), 6))
         assert margin == oracles.margin_all_circles(1, 6, coeffs)
         assert margin < -100
     rng = np.random.default_rng(8192)
@@ -319,7 +321,8 @@ def test_margin_with_a_zero_near_the_circle_between_samples():
                               # H = (1 - z/z0)(1 - z/3i)
                               (2, (1 + 0j, -2 / 3 * (1 / z0 + 1 / 3j), 1 / (6j * z0)))):
                 assert _zero_free(p, coeffs)
-                _assert_at_or_above(check_monotonicity_margin(PolySeries(p, coeffs), 2),
+                spec = HarmonicMapSpec(PolySeries(p, coeffs), 2)
+                _assert_at_or_above(check_monotonicity_margin(spec),
                                     oracles.margin_all_circles(p, 2, coeffs))
 
 
@@ -352,7 +355,7 @@ def test_margin_counts_its_circles(monkeypatch):
     ]
     for spec, circles in cases:
         calls.clear()
-        check_monotonicity_margin(spec, 2, 1024)
+        check_monotonicity_margin(HarmonicMapSpec(spec, 2), 1024)
         assert calls == [1024] * circles, spec
 
 
@@ -362,7 +365,7 @@ def test_margin_counts_its_circles(monkeypatch):
 
 def test_criterion_satisfied_on_good_presets():
     for spec in (EX1, EX2):
-        report = check_criterion(spec.h, spec.m)
+        report = check_criterion(spec)
         assert report.criterion_satisfied
         assert report.hypotheses_hold
         assert report.h_nonvanishing
@@ -372,14 +375,14 @@ def test_criterion_satisfied_on_good_presets():
         assert report.winding_boundary == 0
         assert all(v <= 1 for v in report.per_level_counts.values())
         assert report.min_modulus_boundary == pytest.approx(2.0, abs=1e-13)
-    r1 = check_criterion(EX1.h, EX1.m)
+    r1 = check_criterion(EX1)
     assert r1.monotonicity_margin == pytest.approx(3.5, abs=1e-12)
     # levels beyond reach stay at zero crossings
     assert r1.per_level_counts[4] == 0 and r1.per_level_counts[-4] == 0
 
 
 def test_criterion_report_roundtrips_to_dict():
-    report = check_criterion(EX1.h, EX1.m)
+    report = check_criterion(EX1)
     doc = report.to_dict()
     assert doc["expected_roots"] == 7
     assert doc["total_roots"] == 7
@@ -391,7 +394,7 @@ def test_criterion_report_roundtrips_to_dict():
 
 def test_interior_zero_of_normalized_deriv_fails_criterion():
     """h = z - z**2: H = 1 - 2z winds once about 0 along the boundary."""
-    report = check_criterion(PolySeries(1, (1 + 0j, -1 + 0j)), 2)
+    report = check_criterion(HarmonicMapSpec(PolySeries(1, (1 + 0j, -1 + 0j)), 2))
     assert not report.criterion_satisfied
     assert not report.h_nonvanishing
     assert report.winding_boundary == 1
@@ -404,7 +407,7 @@ def test_boundary_vanishing_reported():
     spec = PolySeries(1, (1 + 0j, -0.5 + 0j))
     with pytest.raises(BoundaryHypothesisError, match="vanishes"):
         unwrap_boundary_phase(spec)
-    report = check_criterion(spec, 2)
+    report = check_criterion(HarmonicMapSpec(spec, 2))
     assert not report.hypotheses_hold
     assert not report.criterion_satisfied
     assert "vanishes" in report.failure_reason
@@ -413,7 +416,7 @@ def test_boundary_vanishing_reported():
 def test_boundary_pole_reported():
     """The flat-sided family has h' poles on the circle itself."""
     star = presets.star()
-    report = check_criterion(star.h, star.m)
+    report = check_criterion(star)
     assert not report.hypotheses_hold
     assert not report.criterion_satisfied
     assert "blows up" in report.failure_reason
@@ -423,17 +426,18 @@ def test_boundary_pole_reported():
 
 
 def test_interior_pole_rejected():
-    report = check_criterion(RationalDeriv(1, (1,), (1, -2)), 2)
+    report = check_criterion(HarmonicMapSpec(RationalDeriv(1, (1,), (1, -2)), 2))
     assert not report.criterion_satisfied
     assert "not analytic" in report.failure_reason
 
 
 def test_check_criterion_validates_m():
+    """The criterion reads m from the map, which validates it once."""
     with pytest.raises(ParameterError):
-        check_criterion(EX1.h, 1)
+        check_criterion(HarmonicMapSpec(EX1.h, 1))
     with pytest.raises(ParameterError):
-        check_criterion(EX1.h, True)
-    # numpy integers pass, as they do in derive_g
-    report = check_criterion(EX1.h, np.int64(4))
+        check_criterion(HarmonicMapSpec(EX1.h, True))
+    # numpy integers pass, as they do in the map
+    report = check_criterion(HarmonicMapSpec(EX1.h, np.int64(4)))
     assert type(report.m) is int
-    assert report.to_dict() == check_criterion(EX1.h, 4).to_dict()
+    assert report.to_dict() == check_criterion(HarmonicMapSpec(EX1.h, 4)).to_dict()

@@ -1,5 +1,6 @@
 """Core evaluators: spec validation, series and closed-form rational evaluation."""
 
+import dataclasses
 import gc
 import inspect
 import sys
@@ -20,7 +21,6 @@ from hvl import (
     RationalDeriv,
     RepeatedPoleError,
     clamp_to_interior,
-    derive_g,
     eval_f_many,
     eval_g_many,
     eval_g_prime_many,
@@ -30,6 +30,8 @@ from hvl import (
     eval_normalized_deriv_many,
     presets,
 )
+
+from hvl.fncore import MAX_ORDER
 
 import oracles
 
@@ -45,6 +47,9 @@ def test_polyseries_rejects_bad_p():
         PolySeries(-3, (1 + 0j,))
     with pytest.raises(ParameterError):
         PolySeries(True, (1 + 0j,))
+    with pytest.raises(ParameterError, match=f"p must be an integer from 1 to {MAX_ORDER}"):
+        PolySeries(MAX_ORDER + 1, (1 + 0j,))
+    assert PolySeries(MAX_ORDER, (1 + 0j,)).p == MAX_ORDER
 
 
 def test_polyseries_normalization_enforced():
@@ -73,6 +78,8 @@ def test_rational_deriv_validation():
         RationalDeriv(1, (1, np.nan), (1,))
     with pytest.raises(ParameterError, match="denom must be finite"):
         RationalDeriv(1, (1,), (1, -np.inf))
+    with pytest.raises(ParameterError, match=f"to {MAX_ORDER}"):
+        RationalDeriv(MAX_ORDER + 1, (1,), (1,))
     RationalDeriv(2, (0, 2), (1, 0, 0.5))
 
 
@@ -87,22 +94,45 @@ def test_map_spec_requires_m_at_least_two():
     with pytest.raises(ParameterError):
         HarmonicMapSpec(h=h, m=1)
     with pytest.raises(ParameterError):
-        derive_g(h, 1)
-    with pytest.raises(ParameterError):
-        derive_g(h, True)
+        HarmonicMapSpec(h, True)
+    with pytest.raises(ParameterError, match=f"m must be an integer from 2 to {MAX_ORDER}"):
+        HarmonicMapSpec(h, MAX_ORDER + 1)
+    assert HarmonicMapSpec(h, MAX_ORDER).m == MAX_ORDER
+
+
+def test_map_spec_refuses_other_kinds_of_h():
+    for bad in ("x", None, 2, presets.example1()):
+        with pytest.raises(ParameterError, match="unsupported function spec"):
+            HarmonicMapSpec(bad, 2)
+
+
+def test_map_is_its_pair():
+    """A map is (h, m) and nothing else: equal pairs give equal, equally
+    hashed maps, and g is derived, never passed or set."""
+    for h in (PolySeries(2, (1 + 0j, 0.1j)), RationalDeriv(1, (1, 0.5), (1, 0, 0.25))):
+        a, b = HarmonicMapSpec(h, 3), HarmonicMapSpec(h, 3)
+        a.g_coeffs  # a derived value read on one map only leaves it equal
+        assert a == b and hash(a) == hash(b)
+        assert a != HarmonicMapSpec(h, 4)
+        assert [f.name for f in dataclasses.fields(a)] == ["h", "m"]
+        with pytest.raises(TypeError):
+            HarmonicMapSpec(h, 3, g_coeffs=(7 + 0j,))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.g_coeffs = (7 + 0j,)
+    assert presets.example2() == HarmonicMapSpec(PolySeries(3, (1 + 0j, 0.25j)), 2)
 
 
 # ---------------------------------------------------------------------------
-# derive_g coefficient rule
+# The derived series of g
 
 
-def test_derive_g_simplest_case():
-    spec = derive_g(PolySeries(2, (1 + 0j,)), 4)
+def test_g_coeffs_simplest_case():
+    spec = HarmonicMapSpec(PolySeries(2, (1 + 0j,)), 4)
     # coefficient of z**5 in g is (2/5) * 1
     assert spec.g_coeffs == (complex(2.0 / 5.0),)
 
 
-def test_derive_g_matches_hand_rule():
+def test_g_coeffs_match_hand_rule():
     rng = np.random.default_rng(101)
     for _ in range(10):
         p = int(rng.integers(1, 5))
@@ -111,15 +141,15 @@ def test_derive_g_matches_hand_rule():
         coeffs = (1 + 0j,) + tuple(
             complex(a, b) for a, b in rng.normal(size=(n_extra, 2))
         )
-        spec = derive_g(PolySeries(p, coeffs), m)
+        spec = HarmonicMapSpec(PolySeries(p, coeffs), m)
         for j, a in enumerate(coeffs):
             n = p + j
             expected = (n / (n + m - 1)) * a
             assert spec.g_coeffs[j] == pytest.approx(expected, abs=1e-15)
 
 
-def test_derive_g_rational_has_no_series():
-    spec = derive_g(RationalDeriv(1, (1,), (1, 0.25)), 3)
+def test_g_coeffs_of_rational_h_are_none():
+    spec = HarmonicMapSpec(RationalDeriv(1, (1,), (1, 0.25)), 3)
     assert spec.g_coeffs is None
     assert spec.p == 1
 
@@ -238,7 +268,7 @@ def test_rational_matches_equivalent_series():
         got = evaluate(rational, zs)
         want = evaluate(series, zs)
         assert np.max(np.abs(got - want)) < 1e-11, evaluate.__name__
-    map_r, map_s = derive_g(rational, 3), derive_g(series, 3)
+    map_r, map_s = HarmonicMapSpec(rational, 3), HarmonicMapSpec(series, 3)
     for evaluate in (eval_g_many, eval_g_prime_many, eval_f_many):
         got = evaluate(map_r, zs)
         want = evaluate(map_s, zs)
@@ -282,7 +312,7 @@ def _random_rational_maps(seed, count):
         p = int(rng.integers(1, 4))
         m = int(rng.integers(2, 5))
         numer = (0j,) * (p - 1) + (complex(p), complex(*rng.normal(size=2)))
-        maps.append(derive_g(RationalDeriv(p, numer, (1, 0, 0, 0, 0, c)), m))
+        maps.append(HarmonicMapSpec(RationalDeriv(p, numer, (1, 0, 0, 0, 0, c)), m))
     return maps
 
 
@@ -308,9 +338,9 @@ def test_far_poles_match_quadrature_oracle():
     polynomial part; h and g must still match the quadrature oracle."""
     far = np.polynomial.polynomial.polyfromroots([-100.0, 130 + 400j, 750 - 20j])
     maps = [
-        derive_g(RationalDeriv(2, (0, 2, 0.3), (1, 0.01)), 7),  # one pole at -100
-        derive_g(RationalDeriv(1, (1, 0.5, -0.2), tuple(far / far[0])), 4),
-        derive_g(RationalDeriv(2, (0, 2), (1, 0, 0, 0, 0, 1e-5)), 5),  # poles at modulus 10
+        HarmonicMapSpec(RationalDeriv(2, (0, 2, 0.3), (1, 0.01)), 7),  # one pole at -100
+        HarmonicMapSpec(RationalDeriv(1, (1, 0.5, -0.2), tuple(far / far[0])), 4),
+        HarmonicMapSpec(RationalDeriv(2, (0, 2), (1, 0, 0, 0, 0, 1e-5)), 5),  # poles at modulus 10
     ]
     rng = np.random.default_rng(43)
     for spec in maps:
@@ -326,9 +356,9 @@ def test_far_poles_match_quadrature_oracle():
 def test_repeated_poles_raise():
     """Double or nearly double poles make the residues cancel; evaluation
     must refuse with a named error instead of returning a wrong value."""
-    double = derive_g(RationalDeriv(1, (1,), (1, -1, 0.25)), 2)  # (1 - z/2)^2
+    double = HarmonicMapSpec(RationalDeriv(1, (1,), (1, -1, 0.25)), 2)  # (1 - z/2)^2
     a, b = 1.3, 1.3 + 1e-9
-    close = derive_g(RationalDeriv(1, (1,), (1, -(1 / a + 1 / b), 1 / (a * b))), 3)
+    close = HarmonicMapSpec(RationalDeriv(1, (1,), (1, -(1 / a + 1 / b), 1 / (a * b))), 3)
     for spec, pole in ((double, 2.0), (close, a)):
         with pytest.raises(RepeatedPoleError) as info:
             eval_h_many(spec.h, np.array([0.3, 0.5j]))
@@ -343,7 +373,7 @@ def test_repeated_poles_raise():
 def test_radius_passing_near_interior_pole_matches_oracle():
     """A radial segment that misses an interior pole evaluates on the side of
     the pole it actually passes, and matches the quadrature oracle."""
-    spec = derive_g(RationalDeriv(1, (1,), (1, -2)), 2)  # pole at z = 0.5
+    spec = HarmonicMapSpec(RationalDeriv(1, (1,), (1, -2)), 2)  # pole at z = 0.5
     zs = 0.7 * np.exp(1j * np.array([0.01, -0.01, 0.002, -0.002]))
     vals, failed = eval_h_many(spec.h, zs, on_failure="mask")
     assert not failed.any()
@@ -406,7 +436,7 @@ def test_clamp_only_near_boundary_poles():
 def test_interior_pole_fails_loudly():
     """A pole of h' strictly inside the disk is not integrable past; the
     quadrature must refuse rather than return garbage."""
-    spec = derive_g(RationalDeriv(1, (1,), (1, -2)), 2)  # pole at z = 0.5
+    spec = HarmonicMapSpec(RationalDeriv(1, (1,), (1, -2)), 2)  # pole at z = 0.5
     with pytest.raises(QuadratureError):
         eval_f_many(spec, 0.7)
     # points whose radial segment stays clear of the pole still work
@@ -425,7 +455,7 @@ def test_eval_h_many_mask_mode():
     with pytest.raises(ParameterError, match="on_failure"):
         eval_h_many(spec, [0.9], on_failure="bogus")
     with pytest.raises(ParameterError, match="on_failure"):
-        eval_f_many(derive_g(spec, 2), [0.3], on_failure="bogus")
+        eval_f_many(HarmonicMapSpec(spec, 2), [0.3], on_failure="bogus")
     for evaluate in (eval_h_prime_many, eval_h_second_many, eval_normalized_deriv_many):
         with pytest.raises(ParameterError, match="on_pole"):
             evaluate(spec, [0.5], on_pole="bogus")
@@ -437,7 +467,7 @@ def test_spec_tables_are_freed_with_the_spec():
     zs = np.array([0.0, 0.3 + 0.2j, -0.5j, 0.9])
     refs = []
     for h in (PolySeries(2, (1 + 0j, 0.1j)), RationalDeriv(1, (1, 0.5), (1, 0, 0.25))):
-        map_spec = derive_g(h, 3)
+        map_spec = HarmonicMapSpec(h, 3)
         for evaluate in (eval_h_many, eval_h_prime_many, eval_h_second_many,
                          eval_normalized_deriv_many):
             evaluate(h, zs)

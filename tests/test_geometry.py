@@ -20,6 +20,7 @@ from hvl import (
     CriterionReport,
     CurveTrace,
     DomainError,
+    HarmonicMapSpec,
     InconsistencyError,
     ParameterError,
     QuadratureError,
@@ -31,7 +32,6 @@ from hvl import (
     check_criterion,
     clamp_to_interior,
     concavity_check,
-    derive_g,
     detect_cusps,
     eval_f_many,
     presets,
@@ -189,7 +189,7 @@ def test_trace_clamps_only_at_boundary_poles():
 
 
 def test_trace_interior_pole_raises():
-    spec = derive_g(RationalDeriv(1, (1,), (1, -2)), 2)  # h' pole at z = 0.5
+    spec = HarmonicMapSpec(RationalDeriv(1, (1,), (1, -2)), 2)  # h' pole at z = 0.5
     with pytest.raises(QuadratureError):
         trace_circle(spec, 0.7, n=256)
 
@@ -236,7 +236,7 @@ def test_concavity_identity_holds_for_rational_family():
 
 
 def test_detect_cusps_on_preset():
-    report = check_criterion(EX1.h, EX1.m)
+    report = check_criterion(EX1)
     cusps = detect_cusps(EX1, report)
     assert cusps.count == 7
     want = 2 * np.arange(-3, 4) * math.pi / 7.0
@@ -246,13 +246,13 @@ def test_detect_cusps_on_preset():
 
 
 def test_detect_cusps_requires_certificate():
-    report = check_criterion(presets.star().h, presets.star().m)
+    report = check_criterion(presets.star())
     with pytest.raises(ParameterError):
         detect_cusps(presets.star(), report)
 
 
 def test_detect_cusps_rejects_mismatched_report():
-    report = check_criterion(EX1.h, EX1.m)
+    report = check_criterion(EX1)
     with pytest.raises(ParameterError):
         detect_cusps(EX2, report)
 

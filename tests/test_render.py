@@ -45,7 +45,7 @@ def test_scene_determinism():
 
 
 def test_cusp_markers_follow_certificate():
-    report = check_criterion(EX1.h, EX1.m)
+    report = check_criterion(EX1)
     svg = render_scene(EX1, criterion=report, samples=FAST)
     assert svg.count("<circle") == 7
     assert 'fill="#c0392b"' in svg
@@ -55,7 +55,7 @@ def test_no_markers_without_certificate():
     svg = render_scene(EX1, samples=FAST)
     assert svg.count("<circle") == 0
     star = presets.star()
-    report = check_criterion(star.h, star.m)  # not satisfied
+    report = check_criterion(star)  # not satisfied
     svg_star = render_scene(star, criterion=report, samples=FAST)
     assert svg_star.count("<circle") == 0
 
@@ -83,7 +83,7 @@ def test_polylines_match_per_coordinate_formatter(name, monkeypatch):
     """The one-template polyline points have the bytes of one "%.6f" call
     per coordinate, in every polyline of the scene."""
     spec = getattr(presets, name)()
-    report = check_criterion(spec.h, spec.m)
+    report = check_criterion(spec)
     svg = render_scene(spec, criterion=report, samples=FAST)
     monkeypatch.setattr(render, "_polyline_points", oracles.svg_points_ref)
     assert oracles.first_difference(

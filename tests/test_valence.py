@@ -8,6 +8,7 @@ import pytest
 from hvl import (
     CrossCheck,
     CurveTrace,
+    HarmonicMapSpec,
     IndeterminateProbeError,
     ParameterError,
     PolySeries,
@@ -15,7 +16,6 @@ from hvl import (
     ResolutionError,
     ScanQualityError,
     cross_check,
-    derive_g,
     eval_f_many,
     newton_preimages,
     presets,
@@ -148,7 +148,7 @@ def _sweep_map(seed: int, p: int, m: int):
     coeffs = (1 + 0j,) + tuple(
         0.2 * complex(block[2 * i], block[2 * i + 1]) / (math.sqrt(2.0) * (p + 1 + i))
         for i in range(6 - p))
-    return derive_g(PolySeries(p, coeffs), m)
+    return HarmonicMapSpec(PolySeries(p, coeffs), m)
 
 
 @pytest.mark.parametrize("spec", [
@@ -211,7 +211,7 @@ def test_refinement_corrects_a_coarse_trace():
     the ray count of a dense trace.  A probe on the curve at a step's
     midpoint or quarter point is within clearance of a refinement midpoint;
     one an eighth of a step in still sees a quarter-step turn by pi/2."""
-    spec = derive_g(PolySeries(1, (1 + 0j,)), 8)  # f = z + conj(z**8) / 8
+    spec = HarmonicMapSpec(PolySeries(1, (1 + 0j,)), 8)  # f = z + conj(z**8) / 8
     t = -math.pi + 2 * math.pi * np.arange(3) / 3
     tri = CurveTrace(map=spec, radius=0.5, t=t, clamped=np.zeros(3, dtype=bool),
                      points=eval_f_many(spec, 0.5 * np.exp(1j * t)))
@@ -385,8 +385,10 @@ def test_scan_refuses_trace_of_another_map_or_radius():
     for spec, r in ((EX2, 0.5), (EX2, 0.999), (EX1, 0.5)):
         with pytest.raises(ParameterError):
             valence_scan(spec, r=r, grid=(16, 16), trace=tr)
-    assert valence_scan(presets.example1(), r=0.999, grid=(16, 16), trace=tr) \
-        == valence_scan(EX1, r=0.999, grid=(16, 16), n_samples=1024)
+    # an equal map, however it was built, is the trace's map
+    for same in (presets.example1(), HarmonicMapSpec(PolySeries(2, (1 + 0j,)), 4)):
+        assert valence_scan(same, r=0.999, grid=(16, 16), trace=tr) \
+            == valence_scan(EX1, r=0.999, grid=(16, 16), n_samples=1024)
 
 
 def test_crossing_rule_with_vertices_on_probe_rows():
@@ -517,8 +519,9 @@ def test_cross_check_refuses_trace_of_another_map_or_radius():
     for spec, r in ((EX2, 0.5), (EX2, 0.999), (EX1, 0.5)):
         with pytest.raises(ParameterError):
             cross_check(spec, 0.5, r=r, trace=tr)
-    verdict, details = cross_check(presets.example1(), 0.5, r=0.999, trace=tr)
-    assert verdict == CrossCheck.AGREE and details["winding"] == 2
+    for same in (presets.example1(), HarmonicMapSpec(PolySeries(2, (1 + 0j,)), 4)):
+        verdict, details = cross_check(same, 0.5, r=0.999, trace=tr)
+        assert verdict == CrossCheck.AGREE and details["winding"] == 2
 
 
 def test_preimages_requires_enough_starts():
@@ -541,7 +544,8 @@ def test_preimages_deduplication():
 
 
 # Poles of h' at radius |0.3+0.1i|**(-1/6), about 1.21: off the circle.
-RATIONAL_OFF = derive_g(RationalDeriv(p=2, numer=(0, 2), denom=(1, 0, 0, 0, 0, 0, 0.3 + 0.1j)), 3)
+RATIONAL_OFF = HarmonicMapSpec(
+    RationalDeriv(p=2, numer=(0, 2), denom=(1, 0, 0, 0, 0, 0, 0.3 + 0.1j)), 3)
 
 
 def _same_preimages(a, b) -> bool:
