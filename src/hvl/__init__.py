@@ -71,6 +71,7 @@ from .valence import (
     newton_preimages_many,
     valence_scan,
     winding_number,
+    winding_numbers,
 )
 from .render import render_scene
 from . import presets

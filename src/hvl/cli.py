@@ -46,7 +46,6 @@ from .fncore import (
     DomainError,
     HarmonicMapSpec,
     HvlError,
-    IndeterminateProbeError,
     MAX_ORDER,
     ParameterError,
     PoleError,
@@ -60,8 +59,8 @@ from .fncore import (
 from .geometry import trace_circle
 from .presets import PRESETS
 from .render import render_scene
-from .valence import (CrossCheck, check_scan_grid, cross_check_many, probe_box,
-                      valence_scan, winding_number)
+from .valence import (CrossCheck, WindingResult, check_scan_grid, cross_check_many,
+                      probe_box, valence_scan, winding_numbers)
 
 SCHEMA_VERSION = "1"
 MAX_THREADS = 64  # the most worker threads HVL_THREADS may ask for
@@ -315,15 +314,15 @@ def cmd_oracle(args) -> int:
     x_lo, x_hi, y_lo, y_hi = probe_box(trace.points)
     rng = np.random.default_rng(args.seed)
     windings = []
-    n_skipped = 0
     attempts = 0
     while len(windings) < n_probes and attempts < 50 * n_probes:
-        attempts += 1
-        w = complex(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
-        try:
-            windings.append(winding_number(trace, w))
-        except (IndeterminateProbeError, ResolutionError):
-            n_skipped += 1
+        # no more attempts than probes still needed, so every draw is used;
+        # one row (x, y) per attempt: the stream of one draw of x, then of y
+        k = min(n_probes - len(windings), 50 * n_probes - attempts)
+        draws = rng.uniform((x_lo, y_lo), (x_hi, y_hi), size=(k, 2))
+        windings += [result for result in winding_numbers(trace, draws.view(complex)[:, 0])
+                     if isinstance(result, WindingResult)]
+        attempts += k
     if len(windings) < n_probes:
         raise ResolutionError(
             f"could not place {n_probes} determinate probes "
@@ -344,7 +343,7 @@ def cmd_oracle(args) -> int:
         "radius": args.radius,
         "seed": args.seed,
         "n_probes": len(rows),
-        "n_skipped": n_skipped,
+        "n_skipped": attempts - len(windings),
         "n_agree": sum(1 for r in rows if r["verdict"] == CrossCheck.AGREE.value),
         "n_disagree": n_disagree,
         "n_indeterminate_multiplicity": sum(

@@ -14,7 +14,8 @@ The co-analytic part is never stored independently: it is tied to h through
 
 so a ``HarmonicMapSpec`` is just the pair (h, m): it is the one map object
 every module takes, and g (its series ``g_coeffs`` when h is a series) is
-derived from it, never stored.  p and m are at most ``MAX_ORDER``.
+derived from it, never stored.  p and m are at most ``MAX_ORDER``, and
+``coeffs``, ``numer`` and ``denom`` hold at most ``MAX_COEFFS`` entries.
 
 Evaluation is per kind: each spec class carries its own arithmetic for h',
 h'', H = h'/z**(p-1) and the radial primitives that give h and g, and the
@@ -131,6 +132,9 @@ def require_int(value, lo: int, message: str) -> int:
 # denominators and the sweep's series have degree up to 2p+m-1, and their
 # roots come from a dense companion matrix: cubic time, quadratic memory.
 MAX_ORDER = 10 ** 3
+# The most entries a coefficient tuple (coeffs, numer or denom) may hold:
+# enough for the flat-sided denominators at p = m = MAX_ORDER (2p+m entries).
+MAX_COEFFS = 3 * MAX_ORDER
 
 
 def require_order(value, lo: int, name: str) -> int:
@@ -148,6 +152,8 @@ def _complex_tuple(values, name: str) -> tuple[complex, ...]:
         vals = tuple(complex(c) for c in values)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParameterError(f"{name} must be complex numbers: {exc}") from None
+    if len(vals) > MAX_COEFFS:
+        raise ParameterError(f"{name} may hold at most {MAX_COEFFS} entries, got {len(vals)}")
     bad = [c for c in vals if not cmath.isfinite(c)]
     if bad:
         raise ParameterError(f"{name} must be finite, got {bad[0]!r}")

@@ -13,13 +13,16 @@ rule of Hormann & Agathos, "The point in polygon problem for arbitrary
 polygons", Comput. Geom. 20, 2001), plus one batch that refines every
 (step, probe) pair where a step turns by pi/2 or more, one evaluation of f
 per level; one exact candidate pass per step finds those pairs.
-``valence_scan`` runs it on a padded bounding-box grid; ``winding_number``
-is its 1 x 1 case.  ``newton_preimages_many`` solves f(z) = w directly
-with a damped Newton method for harmonic maps, for all probes at once:
-every (probe, start) pair of a block of at most 64 probes iterates in one
-array, so each damping step is one evaluation of f however many probes
-there are, and each probe gets the bits of a one-probe solve
-(``newton_preimages`` is that one-probe case).  ``cross_check_many``
+``valence_scan`` runs it on a padded bounding-box grid; ``winding_numbers``
+runs it on the grid of the sorted coordinates of scattered points, each
+point reading its own cell, and ``winding_number`` is its one-point case.
+``newton_preimages_many`` solves f(z) = w directly with a damped Newton
+method for harmonic maps, for all probes at once: every (probe, start)
+pair of a block of at most 64 probes iterates in one array, and each round
+of damping is one evaluation of f, at every pair's next try inside the
+disk (tries outside it are skipped unevaluated), however many probes there
+are.  Each probe gets the bits of a one-probe solve with one evaluation
+per try (``newton_preimages`` is the one-probe case).  ``cross_check_many``
 plays the two routes against each other on windings the caller already
 has; ``cross_check`` does so at one w.
 """
@@ -97,23 +100,55 @@ def _refine_pairs(trace: CurveTrace, k: np.ndarray, w: np.ndarray,
 
 
 def winding_number(trace: CurveTrace, w) -> WindingResult:
-    """Winding number of the traced curve around w: the 1 x 1 case of the
-    scan's ``_windings``, so every probe gets the value the scan gives it.
+    """Winding number of the traced curve around w: the one-point case of
+    ``winding_numbers``, so every probe gets the value the scan gives it.
 
     A probe within 1e-4 times the curve's diameter of a vertex or of a
     refinement midpoint, or on a trace that is not finite, raises
     ``IndeterminateProbeError``; one whose quarter-steps still turn by pi/2
     raises ``ResolutionError``.  A non-finite w raises ``ParameterError``.
     """
-    w = complex(w)
-    if not np.isfinite(w):
-        raise ParameterError(f"probe {w} is not finite")
-    winding, fault = _windings(trace, np.array([w.real]), np.array([w.imag]))
-    if fault[0]:
-        raise (IndeterminateProbeError if fault[0] == _NEAR else ResolutionError)(
-            f"probe {w:.6g} is too near the traced curve to resolve")
-    return WindingResult(w=w, winding=int(winding[0]),
-                         min_curve_distance=float(np.abs(trace.points - w).min()))
+    result = winding_numbers(trace, [w])[0]
+    if isinstance(result, WindingResult):
+        return result
+    raise result
+
+
+# Points wound together by ``winding_numbers``: n points make an n x n grid.
+_WINDING_BLOCK = 64
+
+
+def winding_numbers(trace: CurveTrace, ws) -> list:
+    """``winding_number`` at every w of ``ws``: per w a ``WindingResult``,
+    or the ``IndeterminateProbeError`` or ``ResolutionError`` it would
+    raise, returned, not raised.
+
+    Each block of at most 64 points is one ``_windings`` pass over the grid
+    of their sorted abscissae x sorted ordinates, each point reading its own
+    cell; a grid probe's winding and fault do not depend on the other
+    probes, so each point gets the scan's value.  A non-finite w raises
+    ``ParameterError``.
+    """
+    ws = [complex(w) for w in ws]
+    for w in ws:
+        if not np.isfinite(w):
+            raise ParameterError(f"probe {w} is not finite")
+    out = []
+    for b in range(0, len(ws), _WINDING_BLOCK):
+        block = np.array(ws[b:b + _WINDING_BLOCK], dtype=complex)
+        xo, yo = np.argsort(block.real), np.argsort(block.imag)
+        col, row = np.empty_like(xo), np.empty_like(yo)
+        col[xo] = row[yo] = np.arange(block.size)
+        winding, fault = _windings(trace, block.real[xo], block.imag[yo])
+        cell = row * block.size + col
+        for w, c in zip(ws[b:b + _WINDING_BLOCK], cell):
+            if fault[c]:
+                out.append((IndeterminateProbeError if fault[c] == _NEAR else ResolutionError)(
+                    f"probe {w:.6g} is too near the traced curve to resolve"))
+            else:
+                out.append(WindingResult(w=w, winding=int(winding[c]),
+                                         min_curve_distance=float(np.abs(trace.points - w).min())))
+    return out
 
 
 @dataclass(frozen=True)
@@ -356,12 +391,15 @@ def _halton_starts(n: int) -> np.ndarray:
 # starts keep every per-pair array at 16,384 entries, however many probes
 # the caller passes.
 _NEWTON_BLOCK = 64
-# A Newton step is halved up to _HALVINGS - 1 times until |f - w| drops.
-# Once at most _BATCH_HALVINGS pairs are still halving, all their remaining
-# tries go into one ``eval_f_many`` call and each takes its first improving
-# one: a few straggling starts then cost one call per step, not one per try.
+# A Newton step is halved up to _HALVINGS - 1 times until |f - w| drops, and
+# iterates stay in |z| < _CONFINE.  A try outside that disk is never taken,
+# so it is skipped before f is evaluated; each round of halvings then makes
+# one ``eval_f_many`` call, at every pair's next try inside the disk.  Once
+# at most _BATCH_HALVINGS pairs are left, all their remaining inside tries go
+# into one call and each pair takes its first improving one.
 _HALVINGS = 21
 _BATCH_HALVINGS = 32
+_CONFINE = 0.9995
 # A start has converged once |f(z) - w| <= _NEWTON_TOL, within _MAX_ITER
 # Newton steps; converged starts within _DEDUPE_RADIUS are one preimage.
 _NEWTON_TOL = 1e-10
@@ -374,12 +412,13 @@ def newton_preimages_many(map_spec: HarmonicMapSpec, ws,
     """``newton_preimages`` at every w of ``ws``, one ``PreimageSet`` each.
 
     All (probe, start) pairs of a block of at most 64 probes iterate in one
-    array: each Newton step evaluates h' once on the live pairs, and f on
-    the pairs still halving once per halving, or once for all halvings left
-    when few pairs are (``_BATCH_HALVINGS``).  The starts and f at the starts
-    are computed once per call.  Every pair does the arithmetic of a
-    one-probe solve, and f has the same bits in every call, so each result
-    is the same, bit for bit, as ``newton_preimages`` gives for its probe.
+    array: each Newton step evaluates h' once on the live pairs, and f once
+    per round of halvings, at each pair's next try inside the disk (tries
+    outside it are skipped unevaluated), or once for all tries left when
+    few pairs are (``_BATCH_HALVINGS``).  The starts and f at the starts
+    are computed once per call.  Every pair takes the try a one-probe solve
+    with one evaluation per try takes, and f has the same bits in every
+    call, so each result is the same, bit for bit, as that solve gives.
     """
     if n_starts < 100:
         raise ParameterError("newton_preimages needs at least 100 starts")
@@ -421,38 +460,86 @@ def _newton_block(map_spec, starts, f0, failed, block):
         idx, za, ra, delta = idx[usable], za[usable], ra[usable], delta[usable]
         if idx.size == 0:
             continue
-        accepted = np.zeros(idx.size, dtype=bool)
-        z_new = za.copy()
-        r_new = ra.copy()
-        step = delta.copy()
-        tried = 0
-        while tried < _HALVINGS and not accepted.all():
-            todo = np.flatnonzero(~accepted)
-            width = _HALVINGS - tried if todo.size <= _BATCH_HALVINGS else 1
-            steps = np.empty((width, todo.size), dtype=complex)
-            steps[0] = step[todo]
-            for k in range(1, width):
-                steps[k] = steps[k - 1] * 0.5
-            z_try = za[todo] + steps
-            inside = np.abs(z_try) < 0.9995
-            r_try = np.full(z_try.shape, np.inf, dtype=complex)
-            if np.any(inside):
-                f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask")
-                f_try[f_bad] = np.nan
-                r_try[inside] = f_try - np.broadcast_to(wp[idx[todo]], z_try.shape)[inside]
-            better = np.isfinite(r_try) & (np.abs(r_try) < np.abs(ra[todo]))
-            cols = np.flatnonzero(better.any(axis=0))
-            rows = better[:, cols].argmax(axis=0)  # each pair's first improving try
-            z_new[todo[cols]] = z_try[rows, cols]
-            r_new[todo[cols]] = r_try[rows, cols]
-            accepted[todo[cols]] = True
-            step[todo] = steps[-1] * 0.5
-            tried += width
+        accepted, z_new, r_new = _damped_step(map_spec, za, ra, delta, wp[idx])
         alive[idx[~accepted]] = False
         z[idx[accepted]] = z_new[accepted]
         res[idx[accepted]] = r_new[accepted]
     done |= alive & (np.abs(res) <= _NEWTON_TOL)
     return z.reshape(shape), res.reshape(shape), done.reshape(shape)
+
+
+def _damped_step(map_spec, za, ra, step, w):
+    """Each pair's first try za + step / 2**k (k < ``_HALVINGS``, halved by
+    repeated ``* 0.5``) inside |z| < ``_CONFINE`` whose residual f - w is
+    finite and below |ra| in modulus.  Returns which pairs found one, and
+    their new iterates and residuals.  ``step`` is overwritten."""
+    accepted = np.zeros(za.size, dtype=bool)
+    z_new, r_new = za.copy(), ra.copy()
+    tries = np.zeros(za.size, dtype=int)
+    todo = np.arange(za.size)
+    while True:
+        todo = _skip_outside(za, step, tries, todo)
+        if todo.size == 0:
+            return accepted, z_new, r_new
+        batch = todo.size <= _BATCH_HALVINGS
+        width = _HALVINGS - tries[todo].min() if batch else 1
+        steps = np.empty((width, todo.size), dtype=complex)
+        steps[0] = step[todo]
+        for k in range(1, width):
+            steps[k] = steps[k - 1] * 0.5
+        z_try = za[todo] + steps
+        # a batch holds tries past a pair's last, and later tries may leave the disk
+        inside = (np.arange(width)[:, None] < _HALVINGS - tries[todo]) & (np.abs(z_try) < _CONFINE)
+        r_try = np.full(z_try.shape, np.inf, dtype=complex)
+        f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask")
+        f_try[f_bad] = np.nan
+        r_try[inside] = f_try - np.broadcast_to(w[todo], z_try.shape)[inside]
+        better = np.isfinite(r_try) & (np.abs(r_try) < np.abs(ra[todo]))
+        cols = np.flatnonzero(better.any(axis=0))
+        rows = better[:, cols].argmax(axis=0)  # each pair's first improving try
+        z_new[todo[cols]] = z_try[rows, cols]
+        r_new[todo[cols]] = r_try[rows, cols]
+        accepted[todo[cols]] = True
+        if batch:
+            return accepted, z_new, r_new
+        todo = todo[~better[0]]
+        step[todo] *= 0.5
+        tries[todo] += 1
+
+
+def _skip_outside(za, step, tries, todo):
+    """Advance each pair of ``todo`` past its next tries za + step that lie
+    outside |z| < ``_CONFINE`` (never taken, so f is not evaluated there);
+    returns the pairs that still have a try left.
+
+    First a jump: the segment za + t step (|za| < _CONFINE) leaves the disk
+    of radius _CONFINE (1 + 2**-20) at t1, the positive root of
+    a t**2 + 2 b t + c with a = |step|**2, b = Re(conj(za) step) and
+    c = |za|**2 - radius**2 < 0, and stays out beyond it.  Rounding moves a
+    try's modulus by less than 1e-15 relative, and t1 by less than 1e-9, so
+    every try with 2**-k >= 2 t1 is outside: those are skipped at once, the
+    step scaled by 2**-k (exact, as the repeated halving is).  Then the
+    tries left are tested one at a time, so no try inside is skipped.
+    """
+    s, z = step[todo], za[todo]
+    a = s.real ** 2 + s.imag ** 2
+    b = z.real * s.real + z.imag * s.imag
+    c = z.real ** 2 + z.imag ** 2 - (_CONFINE * (1 + 2.0 ** -20)) ** 2
+    with np.errstate(all="ignore"):  # a step of 0 (t1 = inf) or of overflowing size
+        root = np.sqrt(b * b - a * c)
+        kappa = -1.0 - np.log2(np.where(b >= 0, -c / (b + root), (root - b) / a))
+        jump = np.where(kappa >= 0, np.minimum(np.floor(kappa) + 1, _HALVINGS - tries[todo]), 0)
+    jump = jump.astype(int)
+    hit = jump > 0
+    step[todo[hit]] = s[hit] * np.ldexp(1.0, -jump[hit])
+    tries[todo] += jump
+    out = todo
+    while out.size:
+        out = out[tries[out] < _HALVINGS]
+        out = out[~(np.abs(za[out] + step[out]) < _CONFINE)]
+        step[out] *= 0.5
+        tries[out] += 1
+    return todo[tries[todo] < _HALVINGS]
 
 
 def _dedupe(w: complex, z: np.ndarray, res: np.ndarray, done: np.ndarray) -> PreimageSet:

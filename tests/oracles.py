@@ -5,7 +5,9 @@ test (only hvl's error classes are imported): series are summed directly
 with explicit powers, derivatives come from finite differences, and winding
 numbers are counted by ray crossings or by summing turning angles.  The
 point is to have a second route to every quantity so the library can be
-checked against something it does not share code with.
+checked against something it does not share code with.  The one exception
+is the Newton reference, whose subject is the iteration: its caller hands
+it hvl's f and h'.
 """
 
 import functools
@@ -319,6 +321,98 @@ def example2_g(z, c=1j):
     # g' = z h' = 3 z**3 + c z**4, integrated with g(0) = 0
     z = np.asarray(z, dtype=complex)
     return 0.75 * z**4 + (c / 5.0) * z**5
+
+
+# ---------------------------------------------------------------------------
+# Newton preimages, one probe at a time with one evaluation of f per try:
+# the damped iteration as first written, before any batching or skipping.
+
+
+def radical_inverse(i, base):
+    """The van der Corput value of the integer i in ``base``, digit by digit."""
+    val, denom = 0.0, 1.0
+    while i > 0:
+        denom *= base
+        val += (i % base) / denom
+        i //= base
+    return val
+
+
+def halton_disk(n):
+    """The first n Halton(2, 3) points, mapped to [-1, 1]**2, that lie in
+    |z| < 0.999."""
+    pts = []
+    i = 0
+    while len(pts) < n:
+        i += 1
+        z = np.complex128(complex(2.0 * radical_inverse(i, 2) - 1.0,
+                                  2.0 * radical_inverse(i, 3) - 1.0))
+        if np.abs(z) < 0.999:
+            pts.append(z)
+    return np.array(pts, dtype=complex)
+
+
+def newton_reference(f, h_prime, m, w, n_starts=256):
+    """Solve f(z) = w by damped Newton from ``n_starts`` Halton starts.
+
+    ``f(z)`` returns (values, failed mask) and ``h_prime(z)`` the values of
+    h' (NaN at a pole); g' is z**(m-1) h'.  Each Newton step
+    dz = (conj(g') conj(r) - conj(h') r) / (|h'|**2 - |g'|**2) is halved up
+    to 20 times, one evaluation of f per try on the starts still halving,
+    until a try inside |z| < 0.9995 lowers |r|; a start with no such try,
+    or a non-finite step, is dropped.  Starts with |r| <= 1e-10 within 100
+    steps have converged; those within 1e-6 of each other are one root,
+    which keeps the smallest |r|.  Returns (roots, residuals, n_converged),
+    the roots in (Re z, Im z) order.
+    """
+    z = halton_disk(n_starts)
+    f0, bad = f(z)
+    res = f0 - w
+    res[bad] = np.inf
+    alive = ~bad
+    done = np.zeros(z.size, dtype=bool)
+    for _ in range(100):
+        done |= alive & (np.abs(res) <= 1e-10)
+        live = np.flatnonzero(alive & ~done)
+        if live.size == 0:
+            break
+        zl, rl = z[live], res[live]
+        a = h_prime(zl)
+        b = zl ** (m - 1) * a
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (np.conj(b) * np.conj(rl) - np.conj(a) * rl) / (np.abs(a) ** 2 - np.abs(b) ** 2)
+        ok = np.isfinite(step)
+        alive[live[~ok]] = False
+        live, zl, rl, step = live[ok], zl[ok], rl[ok], step[ok]
+        moved = np.zeros(live.size, dtype=bool)
+        for _ in range(21):
+            z_try = zl + step
+            trying = ~moved & (np.abs(z_try) < 0.9995)
+            r_try = np.full(live.size, np.inf, dtype=complex)
+            if trying.any():
+                f_try, f_bad = f(z_try[trying])
+                f_try[f_bad] = np.nan
+                r_try[trying] = f_try - w
+            take = np.isfinite(r_try) & (np.abs(r_try) < np.abs(rl))
+            z[live[take]] = z_try[take]
+            res[live[take]] = r_try[take]
+            moved |= take
+            step = step * 0.5
+        alive[live[~moved]] = False
+    done |= alive & (np.abs(res) <= 1e-10)
+    roots, residuals = [], []
+    for i in sorted(np.flatnonzero(done), key=lambda i: (z[i].real, z[i].imag)):
+        zi, ri = complex(z[i]), abs(complex(res[i]))
+        for j, zr in enumerate(roots):
+            if abs(zi - zr) <= 1e-6:
+                if ri < residuals[j]:
+                    roots[j], residuals[j] = zi, ri
+                break
+        else:
+            roots.append(zi)
+            residuals.append(ri)
+    return (np.array(roots, dtype=complex), np.array(residuals, dtype=float),
+            int(done.sum()))
 
 
 def svg_points_ref(pts):

@@ -17,16 +17,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hvl import (
+    CrossCheck,
     HarmonicMapSpec,
+    IndeterminateProbeError,
     ParameterError,
     PolySeries,
     RationalDeriv,
+    ResolutionError,
     SpecFileError,
     cross_check,
     presets,
     trace_circle,
+    winding_number,
 )
-from hvl import cli, criterion, geometry, render
+from hvl import cli, criterion, fncore, geometry, render, valence
 from hvl.cli import (
     MAX_ORACLE_PROBES,
     MAX_THREADS,
@@ -40,7 +44,7 @@ from hvl.cli import (
     run_sweep,
     spec_to_doc,
 )
-from hvl.fncore import MAX_ORDER
+from hvl.fncore import MAX_COEFFS, MAX_ORDER
 from hvl.valence import MAX_PROBES
 
 
@@ -316,7 +320,7 @@ def test_sample_and_probe_counts_above_their_limits_exit_1(monkeypatch, capsys):
 
     monkeypatch.setattr(geometry, "_clamped_primitive", no_work)  # every trace
     monkeypatch.setattr(render, "_curve_samples", no_work)
-    monkeypatch.setattr(cli, "winding_number", no_work)
+    monkeypatch.setattr(cli, "winding_numbers", no_work)
     for limit, argvs in ((geometry.MAX_SAMPLES, (["trace", "--points"], ["render", "--samples"],
                                                  ["valence", "--samples"])),
                          (MAX_ORACLE_PROBES, (["oracle", "--samples"],))):
@@ -349,6 +353,25 @@ def test_orders_above_their_limit_exit_1(monkeypatch, capsys):
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert f"to {MAX_ORDER}" in err
+
+
+def test_spec_file_coefficients_above_their_limit_exit_1(tmp_path, monkeypatch, capsys):
+    """A spec file whose ``coeffs``, ``numer`` or ``denom`` holds more than
+    ``MAX_COEFFS`` entries ends in exit 1 with one line naming the limit,
+    before any root is found; ``star`` at p = m = ``MAX_ORDER`` (a
+    denominator of exactly ``MAX_COEFFS`` entries) still builds."""
+    monkeypatch.setattr(fncore, "_roots", lambda c: pytest.fail("roots of a refused spec"))
+    over = [[1.0, 0.0]] + [[0.5, 0.0]] * MAX_COEFFS
+    docs = [{**POLY_DOC, "coeffs": over},
+            {**RATIONAL_POLE_DOC, "numer": over},
+            {**RATIONAL_POLE_DOC, "denom": over}]
+    for i, doc in enumerate(docs):
+        assert main(["verify", "--input", write_spec(tmp_path, doc, f"spec{i}.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"at most {MAX_COEFFS} entries" in err
+    assert len(presets.star(MAX_ORDER, MAX_ORDER).h.denom) == MAX_COEFFS
+    assert len(PolySeries(1, [1.0] + [0.5] * (MAX_COEFFS - 1)).coeffs) == MAX_COEFFS
 
 
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
@@ -530,6 +553,70 @@ def test_oracle_rows_match_per_probe_cross_check(tmp_path, name):
         assert row["winding"] == details["winding"]
         assert row["preimages_inside"] == details["preimages_inside"]
         assert row["min_jacobian"] == details["min_jacobian"]
+
+
+def _scalar_draw_windings(spec, n, seed, r=0.999):
+    """The oracle's probe placement one attempt at a time: one scalar draw
+    of x, then of y, and one ``winding_number`` call per attempt, at most
+    50 n attempts.  Returns the windings placed and the attempts made."""
+    trace = trace_circle(spec, r, 4096)
+    x_lo, x_hi, y_lo, y_hi = valence.probe_box(trace.points)
+    rng = np.random.default_rng(seed)
+    windings, attempts = [], 0
+    while len(windings) < n and attempts < 50 * n:
+        attempts += 1
+        w = complex(rng.uniform(x_lo, x_hi), rng.uniform(y_lo, y_hi))
+        try:
+            windings.append(winding_number(trace, w))
+        except (IndeterminateProbeError, ResolutionError):
+            pass
+    return windings, attempts
+
+
+def _winding_echo(map_spec, windings, r):
+    """A stand-in for Newton: each row echoes its ``WindingResult``."""
+    return [(CrossCheck.AGREE, {"winding": wres.winding, "preimages_inside": wres.winding,
+                                "min_jacobian": wres.min_curve_distance})
+            for wres in windings]
+
+
+def test_oracle_probes_match_scalar_draws(tmp_path, monkeypatch):
+    """Drawn as many at a time as are still needed and wound in blocks of
+    at most 64, the oracle's probes are those of one scalar draw and one
+    ``winding_number`` call per attempt: the report is byte-identical to
+    one built from that loop.  On star some attempts are skipped (7 of 77
+    at seed 11), so the draws come in more than one batch, and the first
+    batch of 70 spans two blocks.  Newton is replaced on both sides by a
+    row that echoes each winding."""
+    monkeypatch.setattr(cli, "cross_check_many", _winding_echo)
+    spec = presets.star()
+    windings, attempts = _scalar_draw_windings(spec, 70, 11)
+    assert len(windings) == 70 and attempts > 70
+    rows = [{"w": [wres.w.real, wres.w.imag], "verdict": verdict.value,
+             "winding": details["winding"], "preimages_inside": details["preimages_inside"],
+             "min_jacobian": details["min_jacobian"]}
+            for wres, (verdict, details) in zip(windings, _winding_echo(spec, windings, 0.999))]
+    expected = {"schema_version": "1", "command": "oracle", "radius": 0.999, "seed": 11,
+                "n_probes": 70, "n_skipped": attempts - 70, "n_agree": 70, "n_disagree": 0,
+                "n_indeterminate_multiplicity": 0, "probes": rows}
+    cli._emit_json(expected, str(tmp_path / "expected.json"))
+    out = tmp_path / "oracle.json"
+    assert main(["oracle", "--input", "preset:star", "--samples", "70", "--seed", "11",
+                 "--report", str(out)]) == 0
+    assert out.read_bytes() == (tmp_path / "expected.json").read_bytes()
+
+
+def test_oracle_that_cannot_place_its_probes_keeps_its_counts(monkeypatch, capsys):
+    """With a clearance so wide that about 1 attempt in 100 is determinate,
+    ``oracle`` gives up after 50 n attempts and names the same counts as
+    the scalar loop."""
+    monkeypatch.setattr(valence, "_CLEARANCE", 0.3)
+    spec = presets.star()
+    windings, attempts = _scalar_draw_windings(spec, 8, 2)
+    assert attempts == 400 and 0 < len(windings) < 8
+    assert main(["oracle", "--input", "preset:star", "--samples", "8", "--seed", "2"]) == 3
+    assert capsys.readouterr().err == (
+        f"error: could not place 8 determinate probes (managed {len(windings)} in 400 attempts)\n")
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from hvl import (
     ScanQualityError,
     cross_check,
     eval_f_many,
+    eval_h_prime_many,
     newton_preimages,
     presets,
     trace_circle,
@@ -582,6 +583,30 @@ def test_preimages_many_matches_single_probe(spec, monkeypatch):
 
 @pytest.mark.parametrize("spec", [EX1, EX2, presets.star(), presets.octagon(), RATIONAL_OFF],
                          ids=["example1", "example2", "star", "octagon", "rational"])
+def test_preimages_match_one_try_per_halving_reference(spec):
+    """``newton_preimages_many`` against ``oracles.newton_reference``, a
+    one-probe loop with one evaluation of f per try that shares only f and
+    h' with it: the same roots, residuals and converged count, bit for bit,
+    at random probes, the origin and a w far outside the image."""
+    tr = trace_circle(spec, 0.999, 1024)
+    re, im = tr.points.real, tr.points.imag
+    rng = np.random.default_rng(41)
+    ws = [complex(rng.uniform(re.min(), re.max()), rng.uniform(im.min(), im.max()))
+          for _ in range(3)]
+    ws += [0j, complex(re.max() + 5 * np.ptp(re), 1.0)]
+    got = valence.newton_preimages_many(spec, ws, n_starts=128)
+    for w, pre in zip(ws, got):
+        roots, residuals, n_converged = oracles.newton_reference(
+            lambda z: eval_f_many(spec, z, on_failure="mask"),
+            lambda z: eval_h_prime_many(spec.h, z, on_pole="nan"), spec.m, w, n_starts=128)
+        assert pre.roots.tobytes() == roots.tobytes()
+        assert pre.residuals.tobytes() == residuals.tobytes()
+        assert pre.n_converged == n_converged
+    assert got[-1].count == 0
+
+
+@pytest.mark.parametrize("spec", [EX1, EX2, presets.star(), presets.octagon(), RATIONAL_OFF],
+                         ids=["example1", "example2", "star", "octagon", "rational"])
 def test_batched_halvings_match_sequential(spec, monkeypatch):
     """Trying all remaining halvings of the last few pairs in one call gives
     the bits of trying them one call at a time."""
@@ -598,10 +623,42 @@ def test_batched_halvings_match_sequential(spec, monkeypatch):
         assert all(_same_preimages(a, b) for a, b in zip(runs[0], other))
 
 
-@pytest.mark.parametrize("w, most", [(5 + 5j, 300), (0.338 + 0.293j, 200)])
+def test_skipped_tries_all_lie_outside():
+    """``_skip_outside`` jumps over the halving tries it proves outside the
+    disk and tests the rest one at a time: it must stop at the first try
+    that one-at-a-time testing from the start finds inside, with the same
+    step bits, also for iterates within 1e-16 of the circle and steps from
+    1e-18 to 1e8 in random, radial and tangential directions."""
+    rng = np.random.default_rng(53)
+    n, confine = 20000, valence._CONFINE
+    za = confine * (1 - 10.0 ** rng.uniform(-16, 0, n)) * np.exp(1j * rng.uniform(-np.pi, np.pi, n))
+    za = za[np.abs(za) < confine]
+    n = za.size
+    unit = za / np.abs(za)
+    size = 10.0 ** rng.uniform(-18, 8, n)
+    step = size * np.choose(rng.integers(0, 4, n), [unit, -unit, 1j * unit,
+                                                    np.exp(1j * rng.uniform(-np.pi, np.pi, n))])
+    tries = rng.integers(0, 5, n)
+    want_step, want_tries = step.copy(), tries.copy()
+    out = np.arange(n)
+    while out.size:
+        out = out[want_tries[out] < valence._HALVINGS]
+        out = out[~(np.abs(za[out] + want_step[out]) < confine)]
+        want_step[out] = want_step[out] * 0.5
+        want_tries[out] += 1
+    left = valence._skip_outside(za, step, tries, np.arange(n))
+    assert np.array_equal(tries, want_tries)
+    assert np.array_equal(left, np.flatnonzero(want_tries < valence._HALVINGS))
+    assert step[left].tobytes() == want_step[left].tobytes()
+    assert 0 < left.size < n
+
+
+@pytest.mark.parametrize("w, most", [(5 + 5j, 125), (0.338 + 0.293j, 125)])
 def test_star_solve_batches_its_last_halvings(w, most, monkeypatch):
     """A one-probe solve whose few straggling starts halve until the last
-    Newton step makes a few hundred f evaluations, not one per halving."""
+    Newton step makes about a hundred f evaluations (115 and 114 here), not
+    one per halving: tries outside the disk are skipped unevaluated, and
+    the last few pairs' remaining tries share one call."""
     calls = []
     eval_f = valence.eval_f_many
 
