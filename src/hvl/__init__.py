@@ -45,6 +45,7 @@ from .criterion import (
     check_monotonicity_margin,
     find_criterion_roots,
     level_set,
+    monotonicity_margins,
     phase_function_derivative_many,
     phase_function_many,
     unwrap_boundary_phase,

@@ -36,12 +36,13 @@ import json
 import math
 import os
 import sys
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .criterion import check_criterion, check_monotonicity_margin
+from .criterion import check_criterion, monotonicity_margins
 from .fncore import (
     DomainError,
     HarmonicMapSpec,
@@ -64,7 +65,7 @@ from .valence import (CrossCheck, WindingResult, check_scan_grid, cross_check_ma
 
 SCHEMA_VERSION = "1"
 MAX_THREADS = 64  # the most worker threads HVL_THREADS may ask for
-MAX_TRIALS = 10 ** 5  # the most trials one sweep may draw (all specs are built first)
+MAX_TRIALS = 10 ** 5  # the most trials one sweep may draw
 MAX_ORACLE_PROBES = 10 ** 4  # the most probes one oracle run may place
 
 
@@ -310,9 +311,10 @@ def cmd_oracle(args) -> int:
     n_probes = require_int(args.samples, 1, "oracle needs at least 1 probe (--samples)")
     if n_probes > MAX_ORACLE_PROBES:
         raise ParameterError(f"oracle takes at most {MAX_ORACLE_PROBES} probes (--samples)")
+    seed = require_int(args.seed, 0, "--seed must be a nonnegative integer")
     trace = trace_circle(map_spec, args.radius, 4096)
     x_lo, x_hi, y_lo, y_hi = probe_box(trace.points)
-    rng = np.random.default_rng(args.seed)
+    rng = np.random.default_rng(seed)
     windings = []
     attempts = 0
     while len(windings) < n_probes and attempts < 50 * n_probes:
@@ -383,6 +385,7 @@ class SweepConfig:
             raise ParameterError("coefficient_scale must be finite and nonnegative")
         if not 0 <= self.margin_requirement < math.inf:
             raise ParameterError("margin_requirement must be finite and nonnegative")
+        require_int(self.seed, 0, "seed must be a nonnegative integer")
         check_scan_grid(self.grid)
 
 
@@ -390,17 +393,33 @@ _SWEEP_BLOCK = 16  # trials per thread task; results never depend on workers
 _SWEEP_RADIUS = 0.999  # the circle |z| = r each kept trial's valence scan traces
 
 
-def _sweep_trial(config: SweepConfig, trial: int, spec: PolySeries) -> dict:
-    """Margin test, and a valence scan when kept, for one sweep trial."""
-    map_spec = HarmonicMapSpec(spec, config.m)
-    try:
-        margin = check_monotonicity_margin(map_spec)
-    except PoleError:
+def _coefficient_blocks(config: SweepConfig):
+    """(first trial, coefficient tuples) for each block of ``_SWEEP_BLOCK``
+    trials, drawn in trial order from the seeded stream."""
+    rng = np.random.default_rng(config.seed)
+    n_free = config.max_degree - config.p  # coefficients above z**p
+    for start in range(0, config.trials, _SWEEP_BLOCK):
+        block = []
+        for _ in range(min(_SWEEP_BLOCK, config.trials - start)):
+            draw = rng.standard_normal(2 * n_free) if n_free else np.zeros(0)
+            block.append((1 + 0j,) + tuple(
+                config.coefficient_scale * complex(draw[2 * i], draw[2 * i + 1])
+                / (math.sqrt(2.0) * (config.p + 1 + i))
+                for i in range(n_free)
+            ))
+        yield start, block
+
+
+def _sweep_trial(config: SweepConfig, trial: int, map_spec: HarmonicMapSpec,
+                 margin: float | PoleError) -> dict:
+    """The row of one sweep trial from its margin, with a valence scan when
+    kept."""
+    if isinstance(margin, PoleError):
         margin = None
     kept = margin is not None and margin > config.margin_requirement
     row = {
         "trial": trial,
-        "coeffs": [[c.real, c.imag] for c in spec.coeffs],
+        "coeffs": [[c.real, c.imag] for c in map_spec.h.coeffs],
         "margin": margin,
         "kept": kept,
         "max_valence": None,
@@ -415,6 +434,15 @@ def _sweep_trial(config: SweepConfig, trial: int, spec: PolySeries) -> dict:
     return row
 
 
+def _sweep_block(config: SweepConfig, start: int, block: list[tuple]) -> list[dict]:
+    """The rows of one block of trials, their margins taken on one unit
+    circle; the block's specs are freed on return."""
+    map_specs = [HarmonicMapSpec(PolySeries(config.p, coeffs), config.m) for coeffs in block]
+    margins = monotonicity_margins(map_specs)
+    return [_sweep_trial(config, start + i, map_spec, margin)
+            for i, (map_spec, margin) in enumerate(zip(map_specs, margins))]
+
+
 def run_sweep(config: SweepConfig, workers: int = 1) -> dict:
     """Draw random h, keep those passing the margin test, scan their valence.
 
@@ -425,33 +453,26 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> dict:
     z**(n-1) coefficient is n a_n, so this puts every derivative coefficient
     on the coefficient_scale level regardless of degree.
 
-    Every trial's coefficients are drawn first; the trials then run in
-    fixed blocks of ``_SWEEP_BLOCK`` on ``workers`` threads and are
-    reassembled in trial order, so the report is the same for any
-    ``workers`` count.
+    The trials run in fixed blocks of ``_SWEEP_BLOCK`` on ``workers``
+    threads.  Each block's coefficients are drawn on the calling thread, in
+    trial order, just before the block is handed to a thread, and at most
+    ``workers`` blocks are in flight, so the specs alive at once stay within
+    ``workers`` blocks whatever the trial count.  The rows are reassembled
+    in trial order, so the report is the same for any ``workers`` count.
     """
-    rng = np.random.default_rng(config.seed)
-    n_free = config.max_degree - config.p  # coefficients above z**p
-    specs = []
-    for _ in range(config.trials):
-        block = rng.standard_normal(2 * n_free) if n_free else np.zeros(0)
-        specs.append(PolySeries(config.p, (1 + 0j,) + tuple(
-            config.coefficient_scale * complex(block[2 * i], block[2 * i + 1])
-            / (math.sqrt(2.0) * (config.p + 1 + i))
-            for i in range(n_free)
-        )))
-
-    def run_block(start: int) -> list[dict]:
-        return [_sweep_trial(config, trial, specs[trial])
-                for trial in range(start, min(start + _SWEEP_BLOCK, len(specs)))]
-
-    starts = range(0, len(specs), _SWEEP_BLOCK)
+    samples: list[dict] = []
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(run_block, starts))
+            pending: deque = deque()
+            for start, block in _coefficient_blocks(config):
+                if len(pending) == workers:
+                    samples += pending.popleft().result()
+                pending.append(pool.submit(_sweep_block, config, start, block))
+            while pending:
+                samples += pending.popleft().result()
     else:
-        blocks = [run_block(start) for start in starts]
-    samples = [row for block in blocks for row in block]
+        for start, block in _coefficient_blocks(config):
+            samples += _sweep_block(config, start, block)
     n_kept = sum(row["kept"] for row in samples)
     candidates = [row["trial"] for row in samples if row["candidate"]]
     return {

@@ -19,7 +19,7 @@ of H via its boundary winding number, and samples the monotonicity margin
     min Re(1 + z h''(z)/h'(z)) + (m - 1)/2
 
 over circles; a positive margin forces F' > 0 so each level is hit at most
-once.
+once.  ``monotonicity_margins`` samples many maps on one unit circle.
 """
 
 from __future__ import annotations
@@ -104,9 +104,25 @@ class PhaseTable:
         return lifted.reshape(tq.shape)
 
 
-def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192) -> PhaseTable:
+def _circle(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The boundary grid t = linspace(-pi, pi, n + 1) and e^{it}.
+
+    The phase unwrap samples all n + 1 points; the margin samples the first
+    n, bit for bit ``linspace(-pi, pi, n, endpoint=False)`` for every power
+    of two n up to ``MAX_GRID``.
+    """
+    t = np.linspace(-math.pi, math.pi, n + 1)
+    return t, np.exp(1j * t)
+
+
+def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192, *,
+                          circle: tuple[np.ndarray, np.ndarray] | None = None) -> PhaseTable:
     """Continuous branch of arg H on the boundary, anchored at t = -pi,
     from ``grid_size`` + 1 samples (a power of two >= 1024) refined locally.
+
+    ``circle`` is the grid (t, e^{it}) of ``grid_size`` + 1 points from -pi
+    to pi when the caller has built it already (``check_criterion`` shares
+    it with the margin); by default it is built here.
 
     Raises ``BoundaryHypothesisError`` when H vanishes on the boundary (its
     minimum sampled modulus falls to 1e-9) or blows up there (a
@@ -119,8 +135,8 @@ def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192) -> PhaseTab
             "normalized derivative blows up on the boundary "
             "(denominator root on |z| = 1)"
         )
-    t = np.linspace(-math.pi, math.pi, grid_size + 1)
-    hv = eval_normalized_deriv_many(spec, np.exp(1j * t), on_pole="nan")
+    t, z = _circle(grid_size) if circle is None else circle
+    hv = eval_normalized_deriv_many(spec, z, on_pole="nan")
     pv = np.angle(hv)
     mod = np.abs(hv)
     while True:
@@ -287,31 +303,11 @@ def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
     return tuple(records)
 
 
-def check_monotonicity_margin(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> float:
-    """Sampled margin of the monotonicity condition Re(1+zh''/h') > -(m-1)/2.
-
-    Returns min Re(1 + z h''/h') + (m-1)/2 over ``grid_size`` angles on
-    circles about the origin; positive means F is strictly increasing
-    wherever the sampled circles are representative.
-
-    v = Re(1 + z h''/h') = p + Re(z H'/H) is harmonic wherever H = h'/z**(p-1)
-    has no zero and h' no pole, so on a disk free of them the minimum
-    principle puts the minimum of v on the boundary circle.  When every zero
-    of H and every pole of h' lies more than one angle step 2 pi/grid_size
-    beyond the circle r = 1 - 1e-6, only that circle is sampled.  The gap
-    keeps that sample at or below the one over all circles: near a zero of
-    H at distance d beyond a circle, v is about c - d/(d**2 + s**2) at arc
-    offset s, which for fixed s rises with d once d >= s.  With d at least
-    half a step the outer circle's sample nearest the zero lies below the
-    lowest sample of any inner circle.  A nearer zero makes a dip narrower
-    than a step, which the outer circle's samples can straddle while inner
-    circles catch it.  Otherwise the circles 0.9, 0.99, 0.999 and 1 - 1e-6
-    are sampled, plus a pair hugging every zero of H and pole of h' at a
-    modulus in (1e-9, 1 - 1e-9), where the condition always fails.
-    """
-    n = _grid(grid_size)
+def _margin(map_spec: HarmonicMapSpec, unit: np.ndarray) -> float:
+    """The margin of one map (see ``check_monotonicity_margin``), sampled
+    on the circles r * ``unit`` for the points e^{it} of ``unit``."""
+    n = unit.size
     h = map_spec.h
-    unit = np.exp(1j * np.linspace(-math.pi, math.pi, n, endpoint=False))
     singular = np.concatenate([h.H_zeros, h.poles])
     radii = [_OUTER_RADIUS]
     if not np.all(np.abs(singular) > _OUTER_RADIUS + _TWO_PI / n):
@@ -334,6 +330,55 @@ def check_monotonicity_margin(map_spec: HarmonicMapSpec, grid_size: int = 8192) 
                             location=complex(loc))
         worst = min(worst, float(vals.min()))
     return worst + (map_spec.m - 1) / 2.0
+
+
+def monotonicity_margins(map_specs, grid_size: int = 8192) -> list[float | PoleError]:
+    """The margin of ``check_monotonicity_margin`` for each map of
+    ``map_specs``, all sampled on one unit circle of ``grid_size`` angles.
+
+    The circle e^{it} is computed once per call and shared by every map
+    (there is no cache across calls).  Each entry is the map's margin, or
+    the ``PoleError`` that ``check_monotonicity_margin`` raises for it,
+    returned with the same message instead of raised.
+    """
+    n = _grid(grid_size)
+    unit = _circle(n)[1][:n]
+    margins: list[float | PoleError] = []
+    for map_spec in map_specs:
+        try:
+            margins.append(_margin(map_spec, unit))
+        except PoleError as exc:
+            # without its traceback the error holds no frame, so no map
+            margins.append(exc.with_traceback(None))
+    return margins
+
+
+def check_monotonicity_margin(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> float:
+    """Sampled margin of the monotonicity condition Re(1+zh''/h') > -(m-1)/2.
+
+    Returns min Re(1 + z h''/h') + (m-1)/2 over ``grid_size`` angles on
+    circles about the origin; positive means F is strictly increasing
+    wherever the sampled circles are representative.
+
+    v = Re(1 + z h''/h') = p + Re(z H'/H) is harmonic wherever H = h'/z**(p-1)
+    has no zero and h' no pole, so on a disk free of them the minimum
+    principle puts the minimum of v on the boundary circle.  When every zero
+    of H and every pole of h' lies more than one angle step 2 pi/grid_size
+    beyond the circle r = 1 - 1e-6, only that circle is sampled.  The gap
+    keeps that sample at or below the one over all circles: near a zero of
+    H at distance d beyond a circle, v is about c - d/(d**2 + s**2) at arc
+    offset s, which for fixed s rises with d once d >= s.  With d at least
+    half a step the outer circle's sample nearest the zero lies below the
+    lowest sample of any inner circle.  A nearer zero makes a dip narrower
+    than a step, which the outer circle's samples can straddle while inner
+    circles catch it.  Otherwise the circles 0.9, 0.99, 0.999 and 1 - 1e-6
+    are sampled, plus a pair hugging every zero of H and pole of h' at a
+    modulus in (1e-9, 1 - 1e-9), where the condition always fails.
+    """
+    margin, = monotonicity_margins([map_spec], grid_size)
+    if isinstance(margin, PoleError):
+        raise margin
+    return margin
 
 
 @dataclass(frozen=True)
@@ -402,9 +447,11 @@ def check_criterion(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> Criteri
             criterion_satisfied=False, tangency_suspects=0, failure_reason=reason,
         )
 
+    # one boundary grid for the margin's unit circle and the phase unwrap
+    circle = _circle(_grid(grid_size))
     margin: float | None
     try:
-        margin = check_monotonicity_margin(map_spec, grid_size)
+        margin = _margin(map_spec, circle[1][:-1])
     except PoleError:
         margin = None
 
@@ -412,7 +459,7 @@ def check_criterion(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> Criteri
         return failed("h is not analytic on the closed disk "
                       "(denominator root inside |z| < 1)", margin)
     try:
-        table = unwrap_boundary_phase(h, grid_size)
+        table = unwrap_boundary_phase(h, grid_size, circle=circle)
     except BoundaryHypothesisError as exc:
         return failed(str(exc), margin)
 

@@ -55,9 +55,10 @@ def render_scene(map_spec: HarmonicMapSpec,
     if samples > MAX_SAMPLES:
         raise ParameterError(f"render takes at most {MAX_SAMPLES} samples per curve")
     t = -math.pi + _TWO_PI * np.arange(samples) / samples
+    unit = np.exp(1j * t)  # shared by the boundary and every circle
     warnings: list[str] = []
 
-    boundary = _curve_samples(map_spec, _MAX_RADIUS * np.exp(1j * t))
+    boundary = _curve_samples(map_spec, _MAX_RADIUS * unit)
     if boundary.size < 2:
         raise ParameterError("boundary curve failed to evaluate; nothing to draw")
     re, im = boundary.real, -boundary.imag
@@ -90,7 +91,7 @@ def render_scene(map_spec: HarmonicMapSpec,
 
     for r in _CIRCLE_RADII:
         try:
-            pts = _curve_samples(map_spec, r * np.exp(1j * t))
+            pts = _curve_samples(map_spec, r * unit)
             if pts.size < 2:
                 raise HvlError("fewer than 2 finite samples")
             closed = np.concatenate([pts, pts[:1]])

@@ -14,7 +14,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hvl import (
     CrossCheck,
@@ -699,3 +699,84 @@ def test_python_dash_m_hvl_runs_the_cli(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["criterion_satisfied"] is True
+
+
+# ---------------------------------------------------------------------------
+# Every argv ends with a documented exit code
+
+
+def _values(valid, edge):
+    """A cheap valid value half the time, else an edge or invalid one."""
+    return st.sampled_from(valid) | st.sampled_from(edge)
+
+
+_INPUTS = _values(
+    ["preset:example1", "preset:example2", "preset:star", "preset:octagon"],
+    ["preset:example2,c=nan", "preset:example2,c=2", "preset:example2,c=1e999",
+     "preset:example1,p=x", "preset:star,q=1", "preset:nope", "preset:", "",
+     "no-such-spec.json", "."])
+_RADII = _values(["0.5", "0.999", "1"],
+                 ["0", "-1", "1.5", "nan", "inf", "1e-300", "0.9999999999", "x"])
+_SEEDS = _values(["0", "7"], ["-1", str(2 ** 64), str(10 ** 400), "1.5", "x"])
+_BAD_COUNTS = ["0", "-1", "255", str(2 ** 21), str(10 ** 400), "nan", "1e3", "x", ""]
+_GRIDS = _values(["4x4", "8x8"], ["0x8", "1x1", "8x", "-1x8", "8x8x8", "100000x100000", "x"])
+_FLAGS = {
+    "verify": {"--samples": _values(["1024", "2048"], _BAD_COUNTS)},
+    "trace": {"--radius": _RADII, "--points": _values(["256", "300"], _BAD_COUNTS)},
+    "render": {"--samples": _values(["512"], _BAD_COUNTS)},
+    "valence": {"--radius": _RADII, "--samples": _values(["256"], _BAD_COUNTS),
+                "--grid": _GRIDS},
+    "oracle": {"--radius": _RADII, "--samples": _values(["1", "2"], _BAD_COUNTS + ["10001"]),
+               "--seed": _SEEDS},
+    "conjecture": {
+        "--trials": _values(["1", "2"], _BAD_COUNTS + ["100001"]),
+        "--p": _values(["1", "2"], _BAD_COUNTS + ["1001"]),
+        "--m": _values(["2", "3"], _BAD_COUNTS + ["1", "1001"]),
+        "--max-degree": _values(["1", "3", "5"], _BAD_COUNTS + ["1001"]),
+        "--scale": _values(["0.2", "0"], ["3", "1e200", "1e308", "-1", "nan", "inf", "x"]),
+        "--seed": _SEEDS,
+        "--margin-requirement": _values(["0", "0.5"], ["-1", "1e308", "nan", "inf", "x"]),
+        "--grid": _GRIDS,
+    },
+}
+_REPORTS = st.sampled_from([os.devnull, ".", os.path.join("no-such-dir", "report.json")])
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(_values(sorted(_FLAGS), ["", "nope", "--help"]))
+    flags = _FLAGS.get(command, {})
+    argv = [command]
+    if command != "conjecture" and draw(st.integers(0, 9)):
+        argv += ["--input", draw(_INPUTS)]
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=3)) if flags else ():
+        argv += [flag, draw(flags[flag])]
+    if draw(st.booleans()):
+        argv += ["--report" if command != "trace" else "--out", draw(_REPORTS)]
+    if not draw(st.integers(0, 9)):
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--x", "-", "7"])))
+    return argv, draw(_values([None, "1", "2"], ["0", "x", "-1", str(MAX_THREADS + 1)]))
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(case=_argvs())
+@example(case=(["conjecture", "--trials", "1", "--seed", "-1"], None))
+@example(case=(["oracle", "--input", "preset:example1", "--samples", "1", "--seed", "-1"], None))
+def test_main_ends_with_an_exit_code(case):
+    """Subcommands, flags and small, edge or invalid values: ``main`` returns
+    an exit code from 0 to 4, or argparse ends a usage error (1) or
+    ``--help`` (0) by ``SystemExit``; nothing else is raised."""
+    argv, threads = case
+    saved = os.environ.pop("HVL_THREADS", None)
+    if threads is not None:
+        os.environ["HVL_THREADS"] = threads
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code in (0, 1), argv
+    else:
+        assert code in range(5), argv
+    finally:
+        os.environ.pop("HVL_THREADS", None)
+        if saved is not None:
+            os.environ["HVL_THREADS"] = saved

@@ -19,6 +19,7 @@ from hvl import (
     HarmonicMapSpec,
     ParameterError,
     PhaseTable,
+    PoleError,
     PolySeries,
     RationalDeriv,
     check_criterion,
@@ -26,6 +27,7 @@ from hvl import (
     criterion,
     find_criterion_roots,
     level_set,
+    monotonicity_margins,
     phase_function_derivative_many,
     phase_function_many,
     presets,
@@ -357,6 +359,68 @@ def test_margin_counts_its_circles(monkeypatch):
         calls.clear()
         check_monotonicity_margin(HarmonicMapSpec(spec, 2), 1024)
         assert calls == [1024] * circles, spec
+
+
+def _margin_or_error(map_spec):
+    try:
+        return check_monotonicity_margin(map_spec)
+    except PoleError as exc:
+        return exc
+
+
+def test_margins_of_a_block_equal_the_one_map_margins():
+    """``monotonicity_margins`` over blocks of 16 maps gives each map's
+    ``check_monotonicity_margin`` bit for bit, and returns, not raises, the
+    same ``PoleError`` for a map whose h' vanishes at a sampled point."""
+    rng = np.random.default_rng(19)
+    maps = [HarmonicMapSpec(PolySeries(1, (1 + 0j, -1 / (2 * 0.99))), 2),  # h'(0.99) = 0
+            presets.star(), presets.octagon(), presets.flat_sided(3, 2),
+            presets.flat_sided(1, 4)]
+    for _ in range(520):
+        p = int(rng.integers(1, 4))
+        scale = float(rng.choice([0.2, 0.2, 1.5]))  # the larger scale puts zeros of H inside
+        maps.append(HarmonicMapSpec(PolySeries(p, _random_series(rng, p, 6, scale)),
+                                    int(rng.integers(2, 5))))
+    maps = [maps[i] for i in rng.permutation(len(maps))]
+    kinds = {"zero-free": 0, "interior zeros": 0, "error": 0}
+    for start in range(0, len(maps), 16):
+        block = maps[start:start + 16]
+        for map_spec, got in zip(block, monotonicity_margins(block), strict=True):
+            want = _margin_or_error(map_spec)
+            if isinstance(want, PoleError):
+                kinds["error"] += 1
+                assert type(got) is type(want)
+                assert str(got) == str(want) and got.location == want.location
+                assert got.__traceback__ is None
+                continue
+            assert float.hex(got) == float.hex(want), map_spec
+            h = map_spec.h
+            if isinstance(h, PolySeries):
+                kinds["zero-free" if _zero_free(h.p, h.coeffs) else "interior zeros"] += 1
+    assert kinds["error"] >= 1 and kinds["zero-free"] >= 300 and kinds["interior zeros"] >= 50
+
+
+def test_one_unit_circle_per_call(monkeypatch):
+    """One ``monotonicity_margins`` call over a block computes e^{it} on
+    one grid, and one ``check_criterion`` computes one boundary grid that
+    the margin and the phase unwrap share."""
+    grids = []
+    real = np.exp
+
+    def counted(x, *args, **kwargs):
+        if np.size(x) >= 1024:
+            grids.append(np.size(x))
+        return real(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    block = [EX1, EX2] + [HarmonicMapSpec(PolySeries(1, (1 + 0j, 0.1 * k + 0.05j)), 2)
+                          for k in range(14)]
+    assert len(monotonicity_margins(block, 1024)) == 16
+    assert grids == [1025]
+    for spec in (EX1, EX2, presets.star()):
+        grids.clear()
+        check_criterion(spec, 1024)
+        assert grids == [1025], spec
 
 
 # ---------------------------------------------------------------------------

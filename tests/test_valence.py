@@ -1,6 +1,8 @@
 """Winding numbers, the probe scan, Newton preimages, and the cross check."""
 
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from hvl import (
     valence_scan,
     winding_number,
 )
-from hvl import valence
+from hvl import cli, valence
 from hvl.cli import SweepConfig, run_sweep
 
 import oracles
@@ -141,6 +143,29 @@ def test_scan_worker_count_does_not_change_results():
     b = run_sweep(config, workers=8)
     assert a["n_kept"] > 0
     assert a == b
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sweep_holds_few_blocks_of_specs(monkeypatch, workers):
+    """Each block's specs are built just before it runs, and at most
+    ``workers`` blocks run at once, so a sweep never holds more than
+    (workers + 1) blocks of ``PolySeries`` alive, however many trials."""
+    live = []
+    peak = 0
+    lock = threading.Lock()
+
+    def counted(*args):
+        nonlocal peak
+        spec = PolySeries(*args)
+        with lock:
+            live.append(weakref.ref(spec))
+            peak = max(peak, sum(ref() is not None for ref in live))
+        return spec
+
+    monkeypatch.setattr(cli, "PolySeries", counted)
+    report = run_sweep(SweepConfig(trials=200, seed=5, grid=(8, 8)), workers=workers)
+    assert len(live) == len(report["samples"]) == 200
+    assert 0 < peak <= (workers + 1) * cli._SWEEP_BLOCK
 
 
 def _sweep_map(seed: int, p: int, m: int):
