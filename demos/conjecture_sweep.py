@@ -23,7 +23,7 @@ def main():
     print(f"sweep: {trials} trials, p={config.p}, m={config.m}, "
           f"degree <= {config.max_degree}, scale {config.coefficient_scale}, "
           f"seed {seed}")
-    report = run_sweep(config, workers=4)
+    report = run_sweep(config)
     kept = [row for row in report["samples"] if row["kept"]]
     print(f"kept {len(kept)} samples with positive margin")
     if kept:

@@ -14,9 +14,7 @@ Exit codes: 0 success / affirmative verdict; 1 input, parse, or validation
 problems; 2 a well-posed check answered "no" (criterion fails, valence
 exceeds p); 3 numerical trouble (pole on the radial path, scan quality, oracle
 disagreement, empty sweep); 4 counterexample candidates found by
-``conjecture``.  ``HVL_THREADS`` sets how many threads run the blocks of
-``conjecture`` trials (0 or unset = auto); results are identical for every
-thread count.
+``conjecture``.
 
 Spec files carry ``schema_version`` "1" and one of three kinds::
 
@@ -34,10 +32,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -64,7 +59,6 @@ from .valence import (CrossCheck, WindingResult, check_scan_grid, cross_check_ma
                       probe_box, valence_scan, winding_numbers)
 
 SCHEMA_VERSION = "1"
-MAX_THREADS = 64  # the most worker threads HVL_THREADS may ask for
 MAX_TRIALS = 10 ** 5  # the most trials one sweep may draw
 MAX_ORACLE_PROBES = 10 ** 4  # the most probes one oracle run may place
 
@@ -219,18 +213,6 @@ def load_input(arg: str) -> HarmonicMapSpec:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-def resolve_workers() -> int:
-    """Worker count from HVL_THREADS (0 or unset = auto, capped at 8)."""
-    raw = os.environ.get("HVL_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ParameterError(f"HVL_THREADS must be an integer, got {raw!r}") from None
-    if not 0 <= n <= MAX_THREADS:
-        raise ParameterError(f"HVL_THREADS must be between 0 and {MAX_THREADS}, got {n}")
-    return n or min(os.cpu_count() or 1, 8)
-
-
 def _clean(obj):
     """Make a report JSON-safe: non-finite floats become null."""
     if isinstance(obj, float):
@@ -278,6 +260,8 @@ def cmd_verify(args) -> int:
 def cmd_trace(args) -> int:
     map_spec = load_input(args.input)
     trace = trace_circle(map_spec, args.radius, args.points)
+    if not np.isfinite(trace.points).any():
+        raise ResolutionError(f"the image of |z| = {args.radius} is not finite at any sample")
     _emit(trace.to_csv(), args.out)
     return 0
 
@@ -314,6 +298,8 @@ def cmd_oracle(args) -> int:
     seed = require_int(args.seed, 0, "--seed must be a nonnegative integer")
     trace = trace_circle(map_spec, args.radius, 4096)
     x_lo, x_hi, y_lo, y_hi = probe_box(trace.points)
+    if not math.isfinite(float(x_hi) - float(x_lo) + float(y_hi) - float(y_lo)):
+        raise ResolutionError(f"the image of |z| = {args.radius} has no finite probe box")
     rng = np.random.default_rng(seed)
     windings = []
     attempts = 0
@@ -389,33 +375,15 @@ class SweepConfig:
         check_scan_grid(self.grid)
 
 
-_SWEEP_BLOCK = 16  # trials per thread task; results never depend on workers
+_SWEEP_BLOCK = 16  # trials whose margins share one unit circle
 _SWEEP_RADIUS = 0.999  # the circle |z| = r each kept trial's valence scan traces
-
-
-def _coefficient_blocks(config: SweepConfig):
-    """(first trial, coefficient tuples) for each block of ``_SWEEP_BLOCK``
-    trials, drawn in trial order from the seeded stream."""
-    rng = np.random.default_rng(config.seed)
-    n_free = config.max_degree - config.p  # coefficients above z**p
-    for start in range(0, config.trials, _SWEEP_BLOCK):
-        block = []
-        for _ in range(min(_SWEEP_BLOCK, config.trials - start)):
-            draw = rng.standard_normal(2 * n_free) if n_free else np.zeros(0)
-            block.append((1 + 0j,) + tuple(
-                config.coefficient_scale * complex(draw[2 * i], draw[2 * i + 1])
-                / (math.sqrt(2.0) * (config.p + 1 + i))
-                for i in range(n_free)
-            ))
-        yield start, block
 
 
 def _sweep_trial(config: SweepConfig, trial: int, map_spec: HarmonicMapSpec,
                  margin: float | PoleError) -> dict:
     """The row of one sweep trial from its margin, with a valence scan when
     kept."""
-    if isinstance(margin, PoleError):
-        margin = None
+    margin = None if isinstance(margin, PoleError) else margin
     kept = margin is not None and margin > config.margin_requirement
     row = {
         "trial": trial,
@@ -434,16 +402,25 @@ def _sweep_trial(config: SweepConfig, trial: int, map_spec: HarmonicMapSpec,
     return row
 
 
-def _sweep_block(config: SweepConfig, start: int, block: list[tuple]) -> list[dict]:
-    """The rows of one block of trials, their margins taken on one unit
-    circle; the block's specs are freed on return."""
-    map_specs = [HarmonicMapSpec(PolySeries(config.p, coeffs), config.m) for coeffs in block]
+def _sweep_block(config: SweepConfig, rng: np.random.Generator, start: int) -> list[dict]:
+    """The rows of the block of trials from ``start``, drawn in trial order
+    from ``rng``, their margins taken on one unit circle; the block's specs
+    are freed on return."""
+    n_free = config.max_degree - config.p  # coefficients above z**p
+    map_specs = []
+    for _ in range(min(_SWEEP_BLOCK, config.trials - start)):
+        draw = rng.standard_normal(2 * n_free) if n_free else np.zeros(0)
+        coeffs = (1 + 0j,) + tuple(
+            config.coefficient_scale * complex(draw[2 * i], draw[2 * i + 1])
+            / (math.sqrt(2.0) * (config.p + 1 + i))
+            for i in range(n_free))
+        map_specs.append(HarmonicMapSpec(PolySeries(config.p, coeffs), config.m))
     margins = monotonicity_margins(map_specs)
     return [_sweep_trial(config, start + i, map_spec, margin)
             for i, (map_spec, margin) in enumerate(zip(map_specs, margins))]
 
 
-def run_sweep(config: SweepConfig, workers: int = 1) -> dict:
+def run_sweep(config: SweepConfig) -> dict:
     """Draw random h, keep those passing the margin test, scan their valence.
 
     One fixed-size block of normal deviates is drawn per trial whether or
@@ -453,26 +430,14 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> dict:
     z**(n-1) coefficient is n a_n, so this puts every derivative coefficient
     on the coefficient_scale level regardless of degree.
 
-    The trials run in fixed blocks of ``_SWEEP_BLOCK`` on ``workers``
-    threads.  Each block's coefficients are drawn on the calling thread, in
-    trial order, just before the block is handed to a thread, and at most
-    ``workers`` blocks are in flight, so the specs alive at once stay within
-    ``workers`` blocks whatever the trial count.  The rows are reassembled
-    in trial order, so the report is the same for any ``workers`` count.
+    The trials run in fixed blocks of ``_SWEEP_BLOCK``, each drawn in trial
+    order just before it runs, so at most one block of specs is alive at a
+    time whatever the trial count.
     """
+    rng = np.random.default_rng(config.seed)
     samples: list[dict] = []
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            pending: deque = deque()
-            for start, block in _coefficient_blocks(config):
-                if len(pending) == workers:
-                    samples += pending.popleft().result()
-                pending.append(pool.submit(_sweep_block, config, start, block))
-            while pending:
-                samples += pending.popleft().result()
-    else:
-        for start, block in _coefficient_blocks(config):
-            samples += _sweep_block(config, start, block)
+    for start in range(0, config.trials, _SWEEP_BLOCK):
+        samples += _sweep_block(config, rng, start)
     n_kept = sum(row["kept"] for row in samples)
     candidates = [row["trial"] for row in samples if row["candidate"]]
     return {
@@ -493,7 +458,7 @@ def cmd_conjecture(args) -> int:
         margin_requirement=args.margin_requirement,
         grid=_grid_pair(args.grid),
     )
-    report = run_sweep(config, workers=resolve_workers())
+    report = run_sweep(config)
     _emit_json(report, args.report)
     if report["n_kept"] == 0:
         print("error: acceptance region empty; lower coefficient_scale",

@@ -166,7 +166,13 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _roots(c: np.ndarray) -> np.ndarray:
-    """Roots of an ascending complex coefficient array (none for a constant)."""
+    """Roots of an ascending complex coefficient array (none for a constant);
+    ``ParameterError`` where the companion matrix would overflow."""
+    c = npoly.polytrim(c)
+    with np.errstate(all="ignore"):
+        if not np.isfinite(c[:-1] / c[-1]).all():
+            raise ParameterError(f"a polynomial of h' has a leading coefficient ({c[-1]:.3g}) "
+                                 "too small beside the others to find its roots")
     return np.asarray(npoly.polyroots(c), dtype=complex)
 
 
@@ -229,6 +235,10 @@ class PolySeries(_Kind):
                 f"normalization violated: coefficient of z**p must be exactly 1, got {coeffs[0]!r}"
             )
         object.__setattr__(self, "coeffs", coeffs)
+        with np.errstate(over="ignore"):  # a sum past the float range is inf
+            if not np.isfinite([np.abs(d).sum() for d in (self._d1, self._d2)]).all():
+                raise ParameterError("coeffs too large: n a_n (of h') or n (n-1) a_n (of h''), "
+                                     "or the sum of their moduli, overflow")
 
     @_derived
     def _a(self) -> np.ndarray:

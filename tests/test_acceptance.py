@@ -194,7 +194,7 @@ def test_08_coanalytic_part_satisfies_the_linkage():
 
 
 def test_09_seeded_sweep_finds_no_counterexample():
-    report = run_sweep(SweepConfig(trials=1500), workers=8)
+    report = run_sweep(SweepConfig(trials=1500))
     kept = [row for row in report["samples"] if row["kept"]]
     all_one = all(row["max_valence"] == 1 for row in kept)
     ok = (len(kept) >= 50 and all_one and report["n_candidates"] == 0)

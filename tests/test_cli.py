@@ -33,14 +33,12 @@ from hvl import (
 from hvl import cli, criterion, fncore, geometry, render, valence
 from hvl.cli import (
     MAX_ORACLE_PROBES,
-    MAX_THREADS,
     MAX_TRIALS,
     SweepConfig,
     build_parser,
     load_input,
     main,
     parse_spec_doc,
-    resolve_workers,
     run_sweep,
     spec_to_doc,
 )
@@ -58,6 +56,14 @@ POLY_DOC = {"schema_version": "1", "kind": "poly", "p": 2, "m": 4,
             "coeffs": [[1.0, 0.0]]}
 RATIONAL_POLE_DOC = {"kind": "rational_hprime", "p": 1, "m": 2,
                      "numer": [[1.0, 0.0]], "denom": [[1.0, 0.0], [-2.0, 0.0]]}
+# coefficients at the float limit: the series' n a_n overflow, so the spec is
+# refused; the rational h' is accepted, but is not finite on or inside the circle
+OVERFLOWING_DOCS = {
+    "poly": {"kind": "poly", "p": 1, "m": 2, "coeffs": [[1, 0], [1e308, 0], [1e308, 1e308]]},
+    "rational": {"kind": "rational_hprime", "p": 1, "m": 2,
+                 "numer": [[1e308, 0], [1e308, 1e308], [1e308, 0]],
+                 "denom": [[1, 0], [0.5, 0]]},
+}
 
 
 # ---------------------------------------------------------------------------
@@ -207,32 +213,6 @@ def test_load_input_file_errors(tmp_path):
     bad.write_text("{not json")
     with pytest.raises(SpecFileError, match="not valid JSON"):
         load_input(str(bad))
-
-
-def test_resolve_workers(monkeypatch, capsys):
-    monkeypatch.delenv("HVL_THREADS", raising=False)
-    assert 1 <= resolve_workers() <= 8
-    monkeypatch.setenv("HVL_THREADS", "3")
-    assert resolve_workers() == 3
-    monkeypatch.setenv("HVL_THREADS", "0")
-    assert 1 <= resolve_workers() <= 8
-    monkeypatch.setenv("HVL_THREADS", "-1")
-    with pytest.raises(ParameterError):
-        resolve_workers()
-    monkeypatch.setenv("HVL_THREADS", "many")
-    with pytest.raises(ParameterError):
-        resolve_workers()
-    # above MAX_THREADS is refused before any trial runs or thread starts;
-    # the limit itself is accepted (and not run)
-    monkeypatch.setenv("HVL_THREADS", str(MAX_THREADS))
-    assert resolve_workers() == MAX_THREADS
-    monkeypatch.setenv("HVL_THREADS", str(MAX_THREADS + 1))
-    with pytest.raises(ParameterError, match=str(MAX_THREADS)):
-        resolve_workers()
-    capsys.readouterr()
-    assert main(["conjecture", "--trials", "1"]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: HVL_THREADS") and str(MAX_THREADS) in err
 
 
 # ---------------------------------------------------------------------------
@@ -437,8 +417,9 @@ def test_verify_rejects_inadmissible_preset_param(capsys):
 def test_verify_non_finite_boundary_exit_2(tmp_path):
     """Finite coefficients whose H overflows on the circle fail the
     boundary hypothesis: a report and exit 2, not a traceback, and no
-    floating-point warning on the way."""
-    doc = {**POLY_DOC, "p": 1, "m": 2, "coeffs": [[1, 0], [1e308, 1e308]]}
+    floating-point warning on the way.  (A series h with such coefficients
+    is refused; a rational h' is not.)"""
+    doc = OVERFLOWING_DOCS["rational"]
     out = tmp_path / "report.json"
     with warnings.catch_warnings(), np.errstate(divide="warn", over="warn", invalid="warn"):
         warnings.simplefilter("error")
@@ -447,6 +428,26 @@ def test_verify_non_finite_boundary_exit_2(tmp_path):
     report = json.loads(out.read_text())
     assert report["failure_reason"] == "normalized derivative is not finite on the boundary"
     assert report["criterion_satisfied"] is False
+
+
+@pytest.mark.parametrize("kind, command, want", [
+    *[("poly", command, 1) for command in ("verify", "trace", "render", "valence", "oracle")],
+    ("rational", "verify", 2), ("rational", "trace", 3), ("rational", "render", 1),
+    ("rational", "valence", 3), ("rational", "oracle", 3),
+])
+def test_overflowing_coefficients_end_with_one_line(tmp_path, capsys, kind, command, want):
+    """Coefficients at the float limit end with a documented exit code and
+    one ``error:`` line, not a traceback or a floating-point warning; the
+    criterion instead answers "no" (exit 2) with its reason in the report."""
+    out = tmp_path / "out"
+    argv = [command, "--input", write_spec(tmp_path, OVERFLOWING_DOCS[kind]), "--out", str(out)]
+    assert main(argv) == want
+    err = capsys.readouterr().err
+    if want == 2:
+        assert err == ""
+        assert json.loads(out.read_text())["failure_reason"] is not None
+    else:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 def test_trace_csv(tmp_path, capsys):
@@ -680,17 +681,6 @@ def test_conjecture_ok_and_deterministic(tmp_path):
     assert doc["n_candidates"] == 0
 
 
-def test_conjecture_workers_do_not_change_bytes(tmp_path, monkeypatch):
-    out1, out2 = tmp_path / "w1.json", tmp_path / "w8.json"
-    argv = ["conjecture", "--trials", "6", "--seed", "1", "--grid", "16x16",
-            "--report"]
-    monkeypatch.setenv("HVL_THREADS", "1")
-    assert main(argv + [str(out1)]) == 0
-    monkeypatch.setenv("HVL_THREADS", "8")
-    assert main(argv + [str(out2)]) == 0
-    assert out1.read_bytes() == out2.read_bytes()
-
-
 def test_python_dash_m_hvl_runs_the_cli(tmp_path):
     """``python -m hvl`` is the ``hvl`` command, with only ``src`` on the path."""
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -755,28 +745,20 @@ def _argvs(draw):
         argv += ["--report" if command != "trace" else "--out", draw(_REPORTS)]
     if not draw(st.integers(0, 9)):
         argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(["--x", "-", "7"])))
-    return argv, draw(_values([None, "1", "2"], ["0", "x", "-1", str(MAX_THREADS + 1)]))
+    return argv
 
 
-@settings(derandomize=True, database=None, max_examples=150, deadline=None)
-@given(case=_argvs())
-@example(case=(["conjecture", "--trials", "1", "--seed", "-1"], None))
-@example(case=(["oracle", "--input", "preset:example1", "--samples", "1", "--seed", "-1"], None))
-def test_main_ends_with_an_exit_code(case):
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(argv=_argvs())
+@example(argv=["conjecture", "--trials", "1", "--seed", "-1"])
+@example(argv=["oracle", "--input", "preset:example1", "--samples", "1", "--seed", "-1"])
+def test_main_ends_with_an_exit_code(argv):
     """Subcommands, flags and small, edge or invalid values: ``main`` returns
     an exit code from 0 to 4, or argparse ends a usage error (1) or
     ``--help`` (0) by ``SystemExit``; nothing else is raised."""
-    argv, threads = case
-    saved = os.environ.pop("HVL_THREADS", None)
-    if threads is not None:
-        os.environ["HVL_THREADS"] = threads
     try:
         code = main(argv)
     except SystemExit as exc:
         assert exc.code in (0, 1), argv
     else:
         assert code in range(5), argv
-    finally:
-        os.environ.pop("HVL_THREADS", None)
-        if saved is not None:
-            os.environ["HVL_THREADS"] = saved

@@ -64,6 +64,31 @@ def test_polyseries_normalization_enforced():
     PolySeries(2, (1 + 0j, 0.5))
 
 
+def test_polyseries_refuses_overflowing_derivative_tables():
+    """n a_n and n (n-1) a_n, and the sums of their moduli, must be finite;
+    the largest maps the spec-document tests draw (|a_n| <= 1e300, p up to
+    MAX_ORDER, five terms above z**p) still build."""
+    for coeffs in ([1, 1e308, 1e308 + 1e308j],  # n a_n overflows
+                   [1, 0, 3e307],  # only n (n-1) a_n overflows
+                   [1, 8e307, 1e307]):  # every entry is finite, their sums are not
+        with pytest.raises(ParameterError, match="too large"):
+            PolySeries(1, coeffs)
+    PolySeries(MAX_ORDER, [1] + [1e300 * (0.6 + 0.8j)] * 5)
+
+
+def test_roots_refuse_a_leading_coefficient_too_small_to_divide_by():
+    """A leading coefficient so small beside the others that the companion
+    matrix overflows is refused, for the zeros of H and the poles of h',
+    instead of ending in numpy's LinAlgError; a small one that still
+    divides gives its far root."""
+    for h, roots in ((PolySeries(1, [1, 0, 7.4e-312]), "H_zeros"),
+                     (RationalDeriv(1, [1, 0, 7.4e-312], [1, 0.5]), "H_zeros"),
+                     (RationalDeriv(1, [1], [1, 0.5, 1e-312]), "poles")):
+        with pytest.raises(ParameterError, match="too small"):
+            getattr(h, roots)
+    assert PolySeries(1, [1, 1e-300]).H_zeros[0] == pytest.approx(-5e299)
+
+
 def test_rational_deriv_validation():
     with pytest.raises(ParameterError, match="denom"):
         RationalDeriv(1, (1,), (0, 1))

@@ -1,11 +1,11 @@
 """Winding numbers, the probe scan, Newton preimages, and the cross check."""
 
 import math
-import threading
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hvl import (
     CrossCheck,
@@ -17,6 +17,7 @@ from hvl import (
     RationalDeriv,
     ResolutionError,
     ScanQualityError,
+    check_monotonicity_margin,
     cross_check,
     eval_f_many,
     eval_h_prime_many,
@@ -135,37 +136,27 @@ def test_scan_grid_validation():
         valence_scan(EX1, grid=(1, 8))
 
 
-def test_scan_worker_count_does_not_change_results():
-    """Sweep trials run in fixed blocks on worker threads and come back in
-    trial order, so the worker count never changes the report."""
-    config = SweepConfig(trials=40, seed=3, grid=(16, 16))
-    a = run_sweep(config, workers=1)
-    b = run_sweep(config, workers=8)
-    assert a["n_kept"] > 0
-    assert a == b
-
-
-@pytest.mark.parametrize("workers", [1, 3])
-def test_sweep_holds_few_blocks_of_specs(monkeypatch, workers):
-    """Each block's specs are built just before it runs, and at most
-    ``workers`` blocks run at once, so a sweep never holds more than
-    (workers + 1) blocks of ``PolySeries`` alive, however many trials."""
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_sweep_holds_few_blocks_of_specs(monkeypatch, blocks):
+    """Each block's specs are built just before it runs and freed when it
+    returns, so a sweep never holds more than one block of ``PolySeries``
+    alive, however many blocks it runs (here ``blocks`` full ones and a
+    partial one)."""
     live = []
     peak = 0
-    lock = threading.Lock()
 
     def counted(*args):
         nonlocal peak
         spec = PolySeries(*args)
-        with lock:
-            live.append(weakref.ref(spec))
-            peak = max(peak, sum(ref() is not None for ref in live))
+        live.append(weakref.ref(spec))
+        peak = max(peak, sum(ref() is not None for ref in live))
         return spec
 
     monkeypatch.setattr(cli, "PolySeries", counted)
-    report = run_sweep(SweepConfig(trials=200, seed=5, grid=(8, 8)), workers=workers)
-    assert len(live) == len(report["samples"]) == 200
-    assert 0 < peak <= (workers + 1) * cli._SWEEP_BLOCK
+    trials = blocks * cli._SWEEP_BLOCK + cli._SWEEP_BLOCK // 2
+    report = run_sweep(SweepConfig(trials=trials, seed=5, grid=(8, 8)))
+    assert len(live) == len(report["samples"]) == trials
+    assert 0 < peak <= cli._SWEEP_BLOCK
 
 
 def _sweep_map(seed: int, p: int, m: int):
@@ -175,6 +166,29 @@ def _sweep_map(seed: int, p: int, m: int):
         0.2 * complex(block[2 * i], block[2 * i + 1]) / (math.sqrt(2.0) * (p + 1 + i))
         for i in range(6 - p))
     return HarmonicMapSpec(PolySeries(p, coeffs), m)
+
+
+@st.composite
+def _sweep_style_maps(draw):
+    """h = z**p + a_(p+1) z**(p+1) + ... up to degree p + 4, a_n = scale c_n / n
+    as in the conjecture sweep, with c_n zero or of modulus 1e-6 to 1 and
+    scale zero or 1e-6 to 3, and m of 2 or 3."""
+    p = draw(st.integers(1, 3))
+    degree = draw(st.integers(p, p + 4))
+    scale = draw(st.just(0.0) | st.floats(1e-6, 3.0))
+    unit = st.just(0j) | st.complex_numbers(min_magnitude=1e-6, max_magnitude=1)
+    coeffs = [1 + 0j] + [scale * draw(unit) / n for n in range(p + 1, degree + 1)]
+    return HarmonicMapSpec(PolySeries(p, coeffs), draw(st.sampled_from([2, 3])))
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(spec=_sweep_style_maps())
+def test_admissible_polynomials_wind_p_times(spec):
+    """A map whose monotonicity margin is positive winds the circle of
+    radius 0.999 p times around the origin."""
+    assume(check_monotonicity_margin(spec) > 0)
+    trace = trace_circle(spec, 0.999, n=2048)
+    assert winding_number(trace, 0).winding == spec.h.p
 
 
 @pytest.mark.parametrize("spec", [
