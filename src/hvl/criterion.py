@@ -24,6 +24,7 @@ once.  ``monotonicity_margins`` samples many maps on one unit circle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ from .fncore import (
     ParameterError,
     PoleError,
     UnwrapError,
+    _derivatives_into,
     eval_f_many,
     eval_h_prime_many,
     eval_h_second_many,
@@ -303,9 +305,11 @@ def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
     return tuple(records)
 
 
-def _margin(map_spec: HarmonicMapSpec, unit: np.ndarray) -> float:
+def _margin(map_spec: HarmonicMapSpec, unit: np.ndarray, outer_power, rows) -> float:
     """The margin of one map (see ``check_monotonicity_margin``), sampled
-    on the circles r * ``unit`` for the points e^{it} of ``unit``."""
+    on the circles r * ``unit`` for the points e^{it} of ``unit``, in the
+    ``rows`` of ``monotonicity_margins``; ``outer_power(k)`` is z**k on the
+    outer circle, the first row."""
     n = unit.size
     h = map_spec.h
     singular = np.concatenate([h.H_zeros, h.poles])
@@ -316,13 +320,21 @@ def _margin(map_spec: HarmonicMapSpec, unit: np.ndarray) -> float:
             r0 = abs(z0)  # the scalar abs: numpy's array abs may round differently
             if 1e-9 < r0 < 1.0 - 1e-9:
                 radii.extend([min(r0 * (1 + 1e-3), 1.0 - 1e-9), r0 * (1 - 1e-3)])
+    outer, inner, hp, hpp, *work = rows
+
+    def inner_power(k: int) -> np.ndarray:  # ``**=`` takes the loop of ``**`` (np.square at 2)
+        np.copyto(work[2], inner)
+        work[2] **= k
+        return work[2]
+
     worst = math.inf
     for r in radii:
-        z = r * unit
-        hp = eval_h_prime_many(h, z, on_pole="raise")
-        hpp = eval_h_second_many(h, z, on_pole="raise")
+        z = outer if r == _OUTER_RADIUS else np.multiply(r, unit, out=inner)
+        power = outer_power if z is outer else inner_power
+        _derivatives_into(h, z, hp, hpp, work, power)
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = np.real(1.0 + z * hpp / hp)
+            vals = np.add(1.0, np.divide(np.multiply(z, hpp, out=work[0]), hp, out=work[1]),
+                          out=work[0]).real
         bad = ~np.isfinite(vals)
         if np.any(bad):
             loc = z[bad][0]
@@ -332,21 +344,27 @@ def _margin(map_spec: HarmonicMapSpec, unit: np.ndarray) -> float:
     return worst + (map_spec.m - 1) / 2.0
 
 
-def monotonicity_margins(map_specs, grid_size: int = 8192) -> list[float | PoleError]:
+def monotonicity_margins(map_specs, grid_size: int = 8192, *,
+                         circle: tuple | None = None) -> list[float | PoleError]:
     """The margin of ``check_monotonicity_margin`` for each map of
-    ``map_specs``, all sampled on one unit circle of ``grid_size`` angles.
+    ``map_specs``, all sampled on one unit circle of ``grid_size`` angles
+    (the first points of ``circle``, as ``unwrap_boundary_phase`` takes it).
 
-    The circle e^{it} is computed once per call and shared by every map
-    (there is no cache across calls).  Each entry is the map's margin, or
-    the ``PoleError`` that ``check_monotonicity_margin`` raises for it,
-    returned with the same message instead of raised.
+    Per call, not per map: e^{it}, one block of seven rows (the outer circle
+    r = 1 - 1e-6, each inner circle, h', h'' and three of scratch), and the
+    outer circle's z**(p-1) and z**(p-2), once per p; all freed on return.
+    Each entry is the map's margin, or the ``PoleError`` that
+    ``check_monotonicity_margin`` raises for it, returned, not raised.
     """
     n = _grid(grid_size)
-    unit = _circle(n)[1][:n]
+    unit = (_circle(n) if circle is None else circle)[1][:n]
+    rows = np.empty((7, n), dtype=complex)
+    outer = np.multiply(_OUTER_RADIUS, unit, out=rows[0])
+    outer_power = functools.cache(lambda k: outer ** k)  # freed with this call
     margins: list[float | PoleError] = []
     for map_spec in map_specs:
         try:
-            margins.append(_margin(map_spec, unit))
+            margins.append(_margin(map_spec, unit, outer_power, rows))
         except PoleError as exc:
             # without its traceback the error holds no frame, so no map
             margins.append(exc.with_traceback(None))
@@ -449,10 +467,8 @@ def check_criterion(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> Criteri
 
     # one boundary grid for the margin's unit circle and the phase unwrap
     circle = _circle(_grid(grid_size))
-    margin: float | None
-    try:
-        margin = _margin(map_spec, circle[1][:-1])
-    except PoleError:
+    margin, = monotonicity_margins([map_spec], grid_size, circle=circle)
+    if isinstance(margin, PoleError):
         margin = None
 
     if np.any(np.abs(h.poles) < 1.0 - 1e-8):

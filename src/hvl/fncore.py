@@ -191,12 +191,17 @@ class _Kind:
     """The arithmetic of one kind of h, behind the public evaluators.
 
     Each kind provides ``poles`` (of h') and ``H_zeros`` (of the normalized
-    derivative H = h'/z**(p-1)) as arrays, raw ``_h_prime``, ``_h_second``
-    and ``_H`` (non-finite at poles), and ``_primitive``, the radial
-    primitives F_q(z) = integral of u**q h'(u) over [0, z] (q = 0 gives h,
-    q = m-1 gives g).  Every table is a cached property of the frozen spec
-    (the F_q tables sit in one dict keyed by q): built on first use,
-    read-only, freed with the spec.
+    derivative H = h'/z**(p-1)) as arrays, raw ``_derivs`` and ``_H``
+    (non-finite at poles), and ``_primitive``, the radial primitives
+    F_q(z) = integral of u**q h'(u) over [0, z] (q = 0 gives h, q = m-1
+    gives g).  Every table is a cached property of the frozen spec (the F_q
+    tables sit in one dict keyed by q): built on first use, read-only,
+    freed with the spec.
+
+    ``_derivs(z, hp, hpp, work, power)`` writes h' into ``hp`` and h'' into
+    ``hpp`` (either may be None), with three scratch arrays ``work`` and
+    ``power(k)`` = z**k (which may write ``work[2]``), never over an input:
+    numpy rounds an in-place complex product of one element differently.
     """
 
     @functools.cached_property
@@ -260,15 +265,18 @@ class PolySeries(_Kind):
     def H_zeros(self) -> np.ndarray:
         return _roots(self._d1)
 
-    def _h_prime(self, z):
-        return z ** (self.p - 1) * npoly.polyval(z, self._d1)
-
-    def _h_second(self, z):
+    def _derivs(self, z, hp, hpp, work, power):
+        d, tmp, _ = work  # h' = z**(p-1) D1(z), h'' = z**(p-2) D2(z)
+        if hp is not None:
+            np.multiply(power(self.p - 1), _polyval_into(z, self._d1, d, tmp), out=hp)
+        if hpp is None:
+            return
         if self.p >= 2:
-            return z ** (self.p - 2) * npoly.polyval(z, self._d2)
-        if self._d2.size > 1:
-            return npoly.polyval(z, self._d2[1:])  # d2[0] == 0 for p == 1
-        return np.zeros(z.shape, dtype=complex)
+            np.multiply(power(self.p - 2), _polyval_into(z, self._d2, d, tmp), out=hpp)
+        elif self._d2.size > 1:
+            _polyval_into(z, self._d2[1:], hpp, tmp)  # d2[0] == 0 for p == 1
+        else:
+            hpp.fill(0)
 
     def _H(self, z):
         return npoly.polyval(z, self._d1)
@@ -358,12 +366,14 @@ class RationalDeriv(_Kind):
     def H_zeros(self) -> np.ndarray:
         return _roots(self._P[self.p - 1:])
 
-    def _h_prime(self, z):
-        return npoly.polyval(z, self._P) / npoly.polyval(z, self._Q)
-
-    def _h_second(self, z):
-        q = npoly.polyval(z, self._Q)
-        return npoly.polyval(z, self._second_num) / (q * q)
+    def _derivs(self, z, hp, hpp, work, power):
+        d, tmp, q = work  # h' = P/Q, h'' = N2/(Q*Q), from one Q(z)
+        _polyval_into(z, self._Q, q, tmp)
+        if hp is not None:
+            np.divide(_polyval_into(z, self._P, d, tmp), q, out=hp)
+        if hpp is not None:
+            n2 = _polyval_into(z, self._second_num, d, tmp)
+            np.divide(n2, np.multiply(q, q, out=tmp), out=hpp)
 
     def _H(self, z):
         return npoly.polyval(z, self._P[self.p - 1:]) / npoly.polyval(z, self._Q)
@@ -494,6 +504,40 @@ def _check_disk(zs: np.ndarray) -> None:
         raise DomainError(f"evaluation outside the closed unit disk: |z| = {abs(worst):.6g}")
 
 
+def _polyval_into(x: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """``npoly.polyval(x, c)`` for a 1-d ``c`` in ``out``, products in ``tmp``:
+    the same operations in the same order, so the same bits."""
+    np.add(c[-1], np.multiply(x, 0, out=tmp), out=out)
+    for i in range(2, c.size + 1):
+        np.add(c[-i], np.multiply(out, x, out=tmp), out=out)
+    return out
+
+
+def _pole_error(what: str, at: np.ndarray) -> PoleError:
+    loc = at.ravel()[0]
+    return PoleError(f"{what} has a pole at z = {loc:.6g}", location=complex(loc))
+
+
+def _new_derivative(spec: FunctionSpec, z: np.ndarray, which: int) -> np.ndarray:
+    """h' (``which`` 0) or h'' (1) at z: ``_derivs`` with new arrays."""
+    out = [None, None]
+    out[which] = np.empty_like(z)
+    spec._derivs(z, *out, [np.empty_like(z) for _ in range(3)], lambda k: z ** k)
+    return out[which]
+
+
+def _derivatives_into(spec: FunctionSpec, z, hp, hpp, work, power) -> None:
+    """``spec._derivs`` at z (kept in the closed disk by the caller), raising
+    the ``PoleError`` of ``eval_h_prime_many``, then ``eval_h_second_many``."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        spec._derivs(z, hp, hpp, work, power)
+    if spec.poles.size:  # without poles there is nothing to report
+        for vals, what in ((hp, "h'"), (hpp, "h''")):
+            finite = np.isfinite(vals)
+            if not finite.all():
+                raise _pole_error(what, z[~finite])
+
+
 def _prepare(z):
     arr = np.asarray(z, dtype=complex)
     return np.atleast_1d(arr), arr.ndim == 0
@@ -558,8 +602,7 @@ def _finite_many(spec: FunctionSpec, evaluate, zs, on_pole: str, what: str):
         bad = ~np.isfinite(vals)
         if np.any(bad):
             if on_pole == "raise":
-                loc = arr[bad].ravel()[0]
-                raise PoleError(f"{what} has a pole at z = {loc:.6g}", location=complex(loc))
+                raise _pole_error(what, arr[bad])
             vals = np.where(bad, np.nan + 0j, vals)
     return vals[0] if scalar else vals
 
@@ -586,12 +629,12 @@ def eval_h_prime_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     on a denominator zero (``on_pole="nan"`` substitutes NaN instead, for
     sampling sweeps that skip poles).
     """
-    return _finite_many(spec, spec._h_prime, zs, on_pole, "h'")
+    return _finite_many(spec, lambda z: _new_derivative(spec, z, 0), zs, on_pole, "h'")
 
 
 def eval_h_second_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     """h'' at an array of points; exact evaluation."""
-    return _finite_many(spec, spec._h_second, zs, on_pole, "h''")
+    return _finite_many(spec, lambda z: _new_derivative(spec, z, 1), zs, on_pole, "h''")
 
 
 def eval_normalized_deriv_many(spec: FunctionSpec, zs, on_pole: str = "raise"):

@@ -64,8 +64,11 @@ _NEAR, _COARSE = 1, 2  # the faults of ``_refine_pairs`` and ``_windings``
 
 
 def _turn(a, b):
-    """Turn in [-pi, pi] about a probe of a step whose ends lie at a and b from it."""
-    return np.angle(b * np.conj(a))
+    """Turn in [-pi, pi] about a probe of a step whose ends lie at a and b
+    from it; NaN where b conj(a) overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = b * np.conj(a)
+    return np.where(np.isfinite(c), np.angle(c), np.nan)
 
 
 def _refine_pairs(trace: CurveTrace, k: np.ndarray, w: np.ndarray,
@@ -77,7 +80,8 @@ def _refine_pairs(trace: CurveTrace, k: np.ndarray, w: np.ndarray,
     probe sees only the midpoints of its own steps.  Returns per pair the
     winding about w of the refined sub-polyline closed by the chord, and the
     first fault met depth first: ``_NEAR`` (a midpoint within ``clearance``
-    of w), ``_COARSE`` (a quarter-step still turning by pi/2 or more) or 0.
+    of w, or a turn that overflows), ``_COARSE`` (a quarter-step still
+    turning by pi/2 or more) or 0.
     """
     if k.size == 0:
         return np.zeros(0, dtype=int), np.zeros(0, dtype=int)
@@ -94,9 +98,10 @@ def _refine_pairs(trace: CurveTrace, k: np.ndarray, w: np.ndarray,
     half = np.zeros(split.shape, dtype=int)
     half[split] = np.where(np.abs(dq) <= clearance, _NEAR,
                            _COARSE * (np.maximum(abs(left), abs(right)) >= math.pi / 2))
-    fault = np.where(np.abs(d[1]) <= clearance, _NEAR,
+    loops = (turn.sum(axis=0) - _turn(d[0], d[2])) / _TWO_PI  # NaN where a turn overflows
+    fault = np.where((np.abs(d[1]) <= clearance) | np.isnan(loops), _NEAR,
                      np.where(half[0] > 0, half[0], half[1]))
-    return np.rint((turn.sum(axis=0) - _turn(d[0], d[2])) / _TWO_PI).astype(int), fault
+    return np.rint(np.nan_to_num(loops)).astype(int), fault
 
 
 def winding_number(trace: CurveTrace, w) -> WindingResult:
@@ -231,8 +236,9 @@ def _box_pairs(lo: np.ndarray, hi: np.ndarray, xs: np.ndarray, ys: np.ndarray):
 
 
 def _crossing_windings(p0: np.ndarray, p1: np.ndarray, xs: np.ndarray,
-                       ys: np.ndarray) -> np.ndarray:
-    """Nonzero-rule winding of the closed polyline at every grid probe.
+                       ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero-rule winding of the closed polyline at every grid probe, and
+    the mask of probes on a row where a crossing's abscissa overflows.
 
     Segment p0[k] -> p1[k] crosses row y upward when y0 <= y < y1 and
     downward when y1 <= y < y0 (half-open, so a vertex on a row counts
@@ -248,12 +254,14 @@ def _crossing_windings(p0: np.ndarray, p1: np.ndarray, xs: np.ndarray,
     yr = ys[row]
     a, b = y0[seg], y1[seg]
     xa, xb = p0.real[seg], p1.real[seg]
-    xc = xa + (yr - a) * (xb - xa) / (b - a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        xc = xa + (yr - a) * (xb - xa) / (b - a)
+    lost = np.bincount(row, weights=~np.isfinite(xc), minlength=gy) > 0
     col = np.searchsorted(xs, xc, side="left")  # probes xs[i] < xc are i < col
     acc = np.bincount(row * (gx + 1) + col, weights=np.where(a < b, 1.0, -1.0),
                       minlength=gy * (gx + 1)).reshape(gy, gx + 1)
     suffix = np.cumsum(acc[:, ::-1], axis=1)[:, ::-1]
-    return np.rint(suffix[:, 1:]).astype(int).ravel()
+    return np.rint(suffix[:, 1:]).astype(int).ravel(), np.repeat(lost, gx)
 
 
 def _windings(trace: CurveTrace, xs: np.ndarray,
@@ -288,17 +296,17 @@ def _windings(trace: CurveTrace, xs: np.ndarray,
     d0, d1 = p0[k] - probes[j], p1[k] - probes[j]
     near = np.zeros(size, dtype=bool)
     near[j[np.abs(d0) <= clearance]] = True
-    flagged = (np.abs(_turn(d0, d1)) >= math.pi / 2) & ~near[j]
+    flagged = ~(np.abs(_turn(d0, d1)) < math.pi / 2) & ~near[j]  # an overflow too
     k, j = k[flagged], j[flagged]
     loops, faults = _refine_pairs(trace, k, probes[j], clearance)
-    winding = _crossing_windings(p0, p1, xs, ys)
+    winding, lost = _crossing_windings(p0, p1, xs, ys)
     np.add.at(winding, j, loops)
     faulted = faults != 0
     # pairs run in step order, so a probe's first faulted pair is its first listed
     first_probe, first_pair = np.unique(j[faulted], return_index=True)
     fault = np.zeros(size, dtype=int)
     fault[first_probe] = faults[faulted][first_pair]
-    fault[near] = _NEAR
+    fault[near | lost] = _NEAR
     return winding, fault
 
 
@@ -452,9 +460,12 @@ def _newton_block(map_spec, starts, f0, failed, block):
         za, ra = z[idx], res[idx]
         a = eval_h_prime_many(map_spec.h, za, on_pole="nan")
         b = za ** (map_spec.m - 1) * a  # g', as eval_g_prime_many forms it
-        det = np.abs(a) ** 2 - np.abs(b) ** 2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            delta = (np.conj(b) * np.conj(ra) - np.conj(a) * ra) / det
+        try:
+            with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+                det = np.abs(a) ** 2 - np.abs(b) ** 2
+                delta = (np.conj(b) * np.conj(ra) - np.conj(a) * ra) / det
+        except FloatingPointError:
+            raise ResolutionError("the Newton step overflows: h' or f - w is too large") from None
         usable = np.isfinite(delta)
         alive[idx[~usable]] = False
         idx, za, ra, delta = idx[usable], za[usable], ra[usable], delta[usable]

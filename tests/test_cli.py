@@ -354,6 +354,24 @@ def test_spec_file_coefficients_above_their_limit_exit_1(tmp_path, monkeypatch, 
     assert len(PolySeries(1, [1.0] + [0.5] * (MAX_COEFFS - 1)).coeffs) == MAX_COEFFS
 
 
+def test_products_that_overflow_end_in_one_error_line(tmp_path, capsys):
+    """A map whose image reaches about 1e300 makes the winding and Newton
+    products overflow: ``valence`` ends in the scan-quality error and
+    ``oracle`` in the Newton-overflow error, each exit 3 with one line and
+    no numpy warning (the suite turns every RuntimeWarning into an error),
+    so no overflowed product becomes a count."""
+    doc = {"kind": "poly", "p": 3, "m": 2, "coeffs": [[1, 0], [1e300, 0], [1e300, -1e300]]}
+    path = write_spec(tmp_path, doc)
+    for cmd, message in (("valence", "probes were indeterminate"),
+                         ("oracle", "the Newton step overflows")):
+        assert main([cmd, "--input", path, "--report", str(tmp_path / f"{cmd}.json")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+        assert not (tmp_path / f"{cmd}.json").exists()
+    # a turn whose product overflows is NaN, not an angle
+    assert np.isnan(valence._turn(np.array([1e200 + 1e200j]), np.array([1e200 - 1e200j]))).all()
+
+
 def test_parser_is_built_once_and_reused(tmp_path, monkeypatch, capsys):
     """One parser serves every ``main`` call of a process: reports after a
     usage error and after other subcommands equal those of a first call."""

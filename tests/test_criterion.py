@@ -8,7 +8,9 @@ oracles throughout:
 """
 
 import cmath
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,6 +27,8 @@ from hvl import (
     check_criterion,
     check_monotonicity_margin,
     criterion,
+    eval_h_prime_many,
+    eval_h_second_many,
     find_criterion_roots,
     level_set,
     monotonicity_margins,
@@ -33,6 +37,7 @@ from hvl import (
     presets,
     unwrap_boundary_phase,
 )
+from hvl.cli import SweepConfig, run_sweep
 
 import oracles
 
@@ -331,15 +336,16 @@ def test_margin_with_a_zero_near_the_circle_between_samples():
 def test_margin_counts_its_circles(monkeypatch):
     """One circle for a map whose zeros of H and poles of h' all lie more
     than an angle step beyond r = 1 - 1e-6, 4 + 2k circles for k of them
-    inside |z| < 1 - 1e-9, and 4 for a zero within the step outside."""
+    inside |z| < 1 - 1e-9, and 4 for a zero within the step outside.
+    Counted by the one evaluation of h' and h'' per circle."""
     calls = []
-    real = criterion.eval_h_prime_many
+    real = criterion._derivatives_into
 
-    def counted(spec, z, **kwargs):
+    def counted(spec, z, *args):
         calls.append(z.size)
-        return real(spec, z, **kwargs)
+        return real(spec, z, *args)
 
-    monkeypatch.setattr(criterion, "eval_h_prime_many", counted)
+    monkeypatch.setattr(criterion, "_derivatives_into", counted)
     step = 2 * math.pi / 1024
     cases = [
         (EX1.h, 1), (EX2.h, 1),
@@ -361,9 +367,95 @@ def test_margin_counts_its_circles(monkeypatch):
         assert calls == [1024] * circles, spec
 
 
-def _margin_or_error(map_spec):
+def _margin_by_evaluators(map_spec, grid_size=8192):
+    """The margin as it was sampled before the per-call buffers: on the
+    same radii, one ``eval_h_prime_many`` and one ``eval_h_second_many``
+    call per circle, then ``np.real(1.0 + z * hpp / hp)``."""
+    unit = criterion._circle(grid_size)[1][:grid_size]
+    h, outer = map_spec.h, 1.0 - 1e-6
+    singular = np.concatenate([h.H_zeros, h.poles])
+    radii = [outer]
+    if not np.all(np.abs(singular) > outer + 2 * math.pi / grid_size):
+        radii = [0.9, 0.99, 0.999, outer]
+        for z0 in singular:
+            r0 = abs(z0)
+            if 1e-9 < r0 < 1.0 - 1e-9:
+                radii.extend([min(r0 * (1 + 1e-3), 1.0 - 1e-9), r0 * (1 - 1e-3)])
+    worst = math.inf
+    for r in radii:
+        z = r * unit
+        hp = eval_h_prime_many(h, z, on_pole="raise")
+        hpp = eval_h_second_many(h, z, on_pole="raise")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.real(1.0 + z * hpp / hp)
+        bad = ~np.isfinite(vals)
+        if np.any(bad):
+            loc = z[bad][0]
+            raise PoleError(f"h' vanishes at a sampled point z = {loc:.6g}",
+                            location=complex(loc))
+        worst = min(worst, float(vals.min()))
+    return worst + (map_spec.m - 1) / 2.0
+
+
+def _same_margin(got, want):
+    """Equal margins by ``float.hex``, or equal ``PoleError``s."""
+    if isinstance(want, PoleError):
+        return (type(got) is type(want) and str(got) == str(want)
+                and got.location == want.location)
+    return not isinstance(got, PoleError) and float.hex(got) == float.hex(want)
+
+
+# Maps whose margins must keep their bits: a pole of h' at 1/2, h' = 1 - z/0.99
+# (zero at a sampled point), h' = 1/(0.99 - z) (pole at a sampled point), and
+# h' finite where h'' = N2/Q**2 overflows (Q about 1e-200).
+POLE_AT_HALF = HarmonicMapSpec(RationalDeriv(1, (1,), (1, -2)), 2)
+ZERO_ON_GRID = HarmonicMapSpec(PolySeries(1, (1 + 0j, -1 / (2 * 0.99))), 2)
+POLE_ON_GRID = HarmonicMapSpec(RationalDeriv(1, (1,), (0.99, -1)), 2)
+H2_OVERFLOWS = HarmonicMapSpec(RationalDeriv(1, (1,), (-0.5e-200, 1e-200)), 2)
+
+
+def test_margin_keeps_the_bits_of_the_evaluators():
+    """The margin from per-call buffers equals, by ``float.hex``, the one
+    from the public evaluators, for series of p = 1, 2, 3 (and h = z, whose
+    h' is constant) at scales 0.2 (one circle) and 1.5 (zeros of H inside,
+    every circle), rational maps with poles inside and on the circle, and
+    the same ``PoleError`` (message and location) where one is raised."""
+    rng = np.random.default_rng(24)
+    maps = [HarmonicMapSpec(PolySeries(1, (1 + 0j,)), 2), presets.star(), presets.octagon(),
+            presets.flat_sided(3, 2), POLE_AT_HALF, ZERO_ON_GRID, POLE_ON_GRID, H2_OVERFLOWS]
+    for p in (1, 2, 3):
+        for scale in (0.2, 1.5):
+            maps += [HarmonicMapSpec(PolySeries(p, _random_series(rng, p, 6, scale)),
+                                     int(rng.integers(2, 5))) for _ in range(12)]
+    errors = set()
+    for grid in (1024, 8192):
+        for map_spec in maps:
+            want = _margin_or_error(map_spec, lambda s: _margin_by_evaluators(s, grid))
+            got = _margin_or_error(map_spec, lambda s: check_monotonicity_margin(s, grid))
+            assert _same_margin(got, want), map_spec
+            if isinstance(want, PoleError):
+                errors.add(str(want).split(" at ")[0])
+    assert errors == {"h' vanishes", "h' has a pole", "h'' has a pole"}
+
+
+def test_sweep_margins_keep_their_pinned_bits():
+    """``conjecture --trials 64 --seed 7`` at (p, m, max degree) = (1, 2, 6)
+    and (2, 3, 5) gives the margins recorded in ``tests/data``, by
+    ``float.hex``."""
+    path = pathlib.Path(__file__).parent / "data" / "sweep_margins_seed7.json"
+    pinned = json.loads(path.read_text())["margins"]
+    assert len(pinned) == 2
+    for key, want in pinned.items():
+        p, m, degree = (int(part.split("=")[1]) for part in key.split(","))
+        report = run_sweep(SweepConfig(trials=64, seed=7, p=p, m=m, max_degree=degree))
+        got = [None if row["margin"] is None else float.hex(row["margin"])
+               for row in report["samples"]]
+        assert got == want, key
+
+
+def _margin_or_error(map_spec, margin_of=check_monotonicity_margin):
     try:
-        return check_monotonicity_margin(map_spec)
+        return margin_of(map_spec)
     except PoleError as exc:
         return exc
 
@@ -398,6 +490,18 @@ def test_margins_of_a_block_equal_the_one_map_margins():
             if isinstance(h, PolySeries):
                 kinds["zero-free" if _zero_free(h.p, h.coeffs) else "interior zeros"] += 1
     assert kinds["error"] >= 1 and kinds["zero-free"] >= 300 and kinds["interior zeros"] >= 50
+    # blocks that share their buffers across kinds, degrees and errors: an
+    # error between two good maps, and h'' = 0 (h = z) right after h'' != 0
+    h_is_z = HarmonicMapSpec(PolySeries(1, (1 + 0j,)), 2)
+    series = [m for m in maps if isinstance(m.h, PolySeries)]
+    blocks = [[EX1, h_is_z, EX2, ZERO_ON_GRID, presets.star(), h_is_z],
+              [presets.octagon(), POLE_ON_GRID, series[0], H2_OVERFLOWS, series[1], h_is_z],
+              [series[2], h_is_z, POLE_AT_HALF, presets.flat_sided(1, 4), series[3], EX1],
+              series[4:20:3] + [h_is_z, ZERO_ON_GRID, presets.star()] + series[20:40:4]]
+    for block in blocks:
+        for map_spec, got in zip(block, monotonicity_margins(block), strict=True):
+            assert _same_margin(got, _margin_or_error(map_spec)), map_spec
+            assert _same_margin(got, _margin_or_error(map_spec, _margin_by_evaluators)), map_spec
 
 
 def test_one_unit_circle_per_call(monkeypatch):

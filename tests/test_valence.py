@@ -455,10 +455,13 @@ def test_crossing_rule_with_vertices_on_probe_rows():
                          xs[34] + 0.3 * dx + 1j * (ys[24] + 0.4 * step),
                          xs[20] + 0.5 * dx + 1j * ys[-1],
                          xs[3] + 0.7 * dx + 1j * (ys[26] + 0.2 * step)])
-    assert not valence._crossing_windings(pentagon[:1], pentagon[1:2], xs, ys).any()
+    winding, lost = valence._crossing_windings(pentagon[:1], pentagon[1:2], xs, ys)
+    assert not winding.any() and not lost.any()
     for pts, windings, vertex_row_probes in ((pts, {0, 1, 2}, 200), (pentagon, {0, 1}, 50)):
         nxt = np.roll(pts, -1)
-        got = valence._crossing_windings(pts, nxt, xs, ys).reshape(40, 40)
+        got, lost = valence._crossing_windings(pts, nxt, xs, ys)
+        assert not lost.any()
+        got = got.reshape(40, 40)
         on_vertex_row = np.isin(ys, pts.imag)
         seen = set()
         checked = 0
@@ -470,12 +473,17 @@ def test_crossing_rule_with_vertices_on_probe_rows():
                 if np.min(np.abs(pts + s * (nxt - pts) - w)) < 1e-9:
                     continue  # on the polyline, where no winding is defined
                 assert got[j, i] == oracles.ray_winding(pts, w)
-                assert valence._crossing_windings(pts, nxt, xs[i:i + 1], ys[j:j + 1])[0] \
+                assert valence._crossing_windings(pts, nxt, xs[i:i + 1], ys[j:j + 1])[0][0] \
                     == got[j, i]
                 seen.add(int(got[j, i]))
                 checked += on_vertex_row[j]
         assert seen == windings
         assert checked >= vertex_row_probes
+    # a crossing whose abscissa overflows marks its rows, and only those
+    tall = np.array([-1e200 - 1e200j, 1e200 + 1j * ys[20]])
+    _, lost = valence._crossing_windings(tall, tall[::-1], xs, ys)
+    assert np.array_equal(lost.reshape(40, 40).all(axis=1), np.arange(40) < 20)
+    assert not lost.reshape(40, 40)[20:].any()
 
 
 def test_scan_refuses_grid_above_probe_limit(monkeypatch):
