@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .criterion import CriterionReport
-from .fncore import HarmonicMapSpec, HvlError, ParameterError, eval_f_many, require_int
+from .fncore import HarmonicMapSpec, ParameterError, eval_f_many, require_int
 from .geometry import MAX_SAMPLES
 
 _TWO_PI = 2.0 * math.pi
@@ -26,31 +26,69 @@ _TWO_PI = 2.0 * math.pi
 _MAX_RADIUS = 1.0 - 1e-6
 _CIRCLE_RADII = (0.2, 0.4, 0.6, 0.8, 0.95, 0.999)
 _RAY_COUNT = 24
+# Below this |x| 10^6 rounds to an integer that float64 and int64 hold exactly.
+_EXACT_LIMIT = 2.0 ** 51 / 1e6
 
 
 def _fmt(x: float) -> str:
     return "%.6f" % x
 
 
-def _polyline_points(pts: np.ndarray) -> str:
-    # one % over interleaved (re, -im) pairs: the SVG y axis points down
-    xy = np.empty(2 * pts.size)
-    xy[0::2], xy[1::2] = pts.real, -pts.imag
-    return " ".join(["%.6f,%.6f"] * pts.size) % tuple(xy.tolist())
+def _polyline_points(curves: list[np.ndarray]) -> list[str]:
+    """The SVG points of each curve, one "%.6f" per coordinate, y flipped."""
+    xy = np.concatenate(curves).view(float)  # interleaved (re, im)
+    xy[1::2] *= -1  # the SVG y axis points down
+    sep = np.full(xy.size, ord(","), np.uint8)
+    sep[1::2] = ord(" ")
+    sep[2 * np.cumsum([c.size for c in curves]) - 1] = ord("\n")  # end of a curve
+    return (_exact_points(xy, sep) or _percent_points(xy, sep)).split("\n")[:-1]
 
 
-def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray) -> np.ndarray:
-    vals, failed = eval_f_many(map_spec, zs, on_failure="mask")
-    vals = np.atleast_1d(vals)
-    keep = ~np.atleast_1d(failed) & np.isfinite(vals)
-    return vals[keep]
+def _percent_points(xy: np.ndarray, sep: np.ndarray) -> str:
+    return "".join(["%.6f" + chr(c) for c in sep.tolist()]) % tuple(xy.tolist())
+
+
+def _exact_points(xy: np.ndarray, sep: np.ndarray) -> str | None:
+    """The bytes of ``_percent_points`` from integer arithmetic on
+    q = round(|x| 10^6), or None when that might differ from "%.6f": some
+    |x| >= 2^51/10^6, or some |x| 10^6 within its rounding error of a half."""
+    mag = np.abs(xy)
+    if not np.all(mag < _EXACT_LIMIT):  # checked first: |x| 10^6 may overflow
+        return None
+    y = mag * 1e6
+    q = np.rint(y)
+    if not np.all(0.5 - np.abs(y - q) > 2.0 ** -52 * y):
+        return None
+    q = q.astype(np.int64)
+    whole = q // 10 ** 6
+    width = len(str(int(whole.max()))) + 9  # sign, digits, point, 6 decimals, separator
+    mat = np.empty((xy.size, width), np.uint8)
+    mat[:, 0], mat[:, -8], mat[:, -1] = ord("-"), ord("."), sep
+    for col in [*range(width - 2, width - 8, -1), *range(width - 9, 0, -1)]:
+        rest = q // 10  # a scalar divisor: ten times faster than broadcast ones
+        mat[:, col] = q - 10 * rest + ord("0")
+        q = rest
+    keep = np.ones(mat.shape, bool)  # drop a + sign and leading zeros
+    keep[:, 0] = np.signbit(xy)  # -0.000000 for -0.0 and tiny negatives, as %
+    keep[:, 1:width - 9] = whole[:, None] >= 10 ** np.arange(width - 10, 0, -1)
+    return mat[keep].tobytes().decode("ascii")
+
+
+def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray) -> list[np.ndarray]:
+    """The finite values of f along each row of zs, one evaluation call."""
+    zs = np.atleast_2d(zs)
+    vals, failed = eval_f_many(map_spec, zs.ravel(), on_failure="mask")
+    vals = vals.reshape(zs.shape)
+    keep = ~failed.reshape(zs.shape) & np.isfinite(vals)
+    return [v[k] for v, k in zip(vals, keep)]
 
 
 def render_scene(map_spec: HarmonicMapSpec,
                  criterion: CriterionReport | None = None,
                  samples: int = 2048) -> str:
     """Compose the SVG scene for one map from ``samples`` (512 to
-    ``MAX_SAMPLES``) points per curve; returns the file content."""
+    ``MAX_SAMPLES``) points per circle and max(256, samples // 8) per ray;
+    returns the file content."""
     samples = require_int(samples, 512, "render needs at least 512 samples per curve")
     if samples > MAX_SAMPLES:
         raise ParameterError(f"render takes at most {MAX_SAMPLES} samples per curve")
@@ -58,7 +96,7 @@ def render_scene(map_spec: HarmonicMapSpec,
     unit = np.exp(1j * t)  # shared by the boundary and every circle
     warnings: list[str] = []
 
-    boundary = _curve_samples(map_spec, _MAX_RADIUS * unit)
+    boundary = _curve_samples(map_spec, _MAX_RADIUS * unit)[0]
     if boundary.size < 2:
         raise ParameterError("boundary curve failed to evaluate; nothing to draw")
     re, im = boundary.real, -boundary.imag
@@ -74,38 +112,32 @@ def render_scene(map_spec: HarmonicMapSpec,
         % (_fmt(x0), _fmt(y0), _fmt(vw), _fmt(vh)),
     ]
 
-    ray_n = max(256, samples // 8)
-    s = np.linspace(0.0, _MAX_RADIUS, ray_n)
-    for j in range(_RAY_COUNT):
-        theta = -math.pi + _TWO_PI * j / _RAY_COUNT
-        try:
-            pts = _curve_samples(map_spec, s * np.exp(1j * theta))
-            if pts.size < 2:
-                raise HvlError("fewer than 2 finite samples")
-            parts.append(
-                '<polyline fill="none" stroke="#c9d6e3" stroke-width="%s" points="%s"/>'
-                % (_fmt(extent * 0.0012), _polyline_points(pts))
-            )
-        except HvlError as exc:
-            warnings.append(f"ray {j} skipped: {exc}")
+    theta = -math.pi + _TWO_PI * np.arange(_RAY_COUNT) / _RAY_COUNT
+    s = np.linspace(0.0, _MAX_RADIUS, max(256, samples // 8))
+    rays = []
+    for j, pts in enumerate(_curve_samples(map_spec, np.exp(1j * theta)[:, None] * s)):
+        if pts.size < 2:
+            warnings.append(f"ray {j} skipped: fewer than 2 finite samples")
+        else:
+            rays.append(pts)
+    if rays:
+        parts += ['<polyline fill="none" stroke="#c9d6e3" stroke-width="%s" points="%s"/>'
+                  % (_fmt(extent * 0.0012), line) for line in _polyline_points(rays)]
 
     for r in _CIRCLE_RADII:
-        try:
-            pts = _curve_samples(map_spec, r * unit)
-            if pts.size < 2:
-                raise HvlError("fewer than 2 finite samples")
-            closed = np.concatenate([pts, pts[:1]])
-            parts.append(
-                '<polyline fill="none" stroke="#6e9bc5" stroke-width="%s" points="%s"/>'
-                % (_fmt(extent * 0.0018), _polyline_points(closed))
-            )
-        except HvlError as exc:
-            warnings.append(f"circle r={r:g} skipped: {exc}")
+        # one polyline per formatting call keeps the digit matrix small
+        pts = _curve_samples(map_spec, r * unit)[0]
+        if pts.size < 2:
+            warnings.append(f"circle r={r:g} skipped: fewer than 2 finite samples")
+            continue
+        parts.append(
+            '<polyline fill="none" stroke="#6e9bc5" stroke-width="%s" points="%s"/>'
+            % (_fmt(extent * 0.0018), *_polyline_points([np.concatenate([pts, pts[:1]])]))
+        )
 
-    closed = np.concatenate([boundary, boundary[:1]])
     parts.append(
         '<polyline fill="none" stroke="#13315c" stroke-width="%s" points="%s"/>'
-        % (_fmt(extent * 0.0035), _polyline_points(closed))
+        % (_fmt(extent * 0.0035), *_polyline_points([np.concatenate([boundary, boundary[:1]])]))
     )
 
     if criterion is not None and criterion.criterion_satisfied:

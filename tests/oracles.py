@@ -421,6 +421,11 @@ def svg_points_ref(pts):
     return " ".join(fmt(p.real) + "," + fmt(-p.imag) for p in pts)
 
 
+def svg_polylines_ref(curves):
+    """``svg_points_ref`` of each curve: the shape of ``render._polyline_points``."""
+    return [svg_points_ref(c) for c in curves]
+
+
 def trace_csv_ref(t, points, clamped):
     """A trace as CSV, one row at a time."""
     lines = ["t,re_f,im_f,clamped"]
