@@ -97,9 +97,123 @@ class CurveTrace:
         return eval_f_many(self.map, self.radius * np.exp(1j * np.atleast_1d(tq)))
 
     def to_csv(self) -> str:
+        """Rows "%.17g,%.17g,%.17g,%d" of t, re f, im f and the clamp flag."""
         cols = (self.t, self.points.real, self.points.imag, self.clamped)
-        rows = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))
-        return "t,re_f,im_f,clamped\n" + "%.17g,%.17g,%.17g,%d\n" * self.n % tuple(rows)
+        blocks = ([c[s:s + _CSV_BLOCK] for c in cols] for s in range(0, self.n, _CSV_BLOCK))
+        return "".join(["t,re_f,im_f,clamped\n", *(_exact_rows(*b) or _percent_rows(b)
+                                                    for b in blocks)])
+
+
+def _percent_rows(cols) -> str:
+    rows = itertools.chain.from_iterable(zip(*(c.tolist() for c in cols)))
+    return "%.17g,%.17g,%.17g,%d\n" * cols[0].size % tuple(rows)
+
+
+def _write_digits(mat: np.ndarray, cols, q: np.ndarray) -> None:
+    """Write the digits of the integers q >= 0 into mat[:, cols] as ASCII, the last first."""
+    for col in cols:
+        rest = q // 10  # a scalar divisor: ten times faster than broadcast ones
+        mat[:, col] = q - 10 * rest + ord("0")
+        q = rest
+
+
+def _decimal17(x: float) -> tuple[int, int]:
+    """(n, e), 10^16 <= n < 10^17: x > 0 to 17 digits, n 10^(e-16), half to even."""
+    num, den = x.as_integer_ratio()
+    e = math.floor(math.log10(x))
+    while True:  # until 10^e <= x < 10^(e+1)
+        b = den * 10 ** max(e - 16, 0)
+        n, rem = divmod(num * 10 ** max(16 - e, 0), b)
+        if 10 ** 16 <= n < 10 ** 17:
+            break
+        e += 1 if n >= 10 ** 17 else -1
+    n += 2 * rem > b or (2 * rem == b and n & 1)
+    return (10 ** 16, e + 1) if n == 10 ** 17 else (n, e)
+
+
+_CSV_BLOCK = 1024  # rows formatted at once: 3,072 values in the digit matrix
+# The 32 columns of one value: a sign, the "0.000" of the fixed forms below
+# 1, the digits d0 "." d1 ... d16, e+XXX, and ",", the clamp flag and a
+# newline, the last two for every third value.  The forms of _KEEP are
+# fixed at or above 1, fixed with e = -1 ... -4, and exponents of two and
+# of three digits.
+_G17 = np.frombuffer(b"-0.000" + b"0." + b"0" * 16 + b"e+000" + b",0\n", np.uint8)
+
+
+def _keep_table() -> np.ndarray:
+    keep = np.zeros((2, 7, 18, 2, 32), bool)  # by sign, form, length - 1, third, column
+    keep[1, ..., 0] = keep[:, 5:, ..., 24:29] = keep[..., 29] = keep[..., 1, 30:] = True
+    for j in range(18):
+        keep[:, :, j, :, 6:7 + j] = True
+    for form in range(1, 5):
+        keep[:, form, ..., 1:form + 2] = True  # "0." and form - 1 zeros
+    keep[:, 1:5, ..., 7] = keep[:, 5, ..., 26] = False  # the point is in "0."; no hundreds
+    return keep.reshape(-1, 32)
+
+
+_KEEP = _keep_table()
+
+
+def _round17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_decimal17`` of each a, 0 or 1e-250 < a < 1e250, as int64 arrays (n = 0 at 0).
+
+    n = round(a 10^k), k = 16 - floor(log10 a), is p + rint(err + a lo)
+    within 1e-14, with 10^k = hi + lo and a hi = p + err exactly (Dekker's
+    TwoProduct).  ``_decimal17`` redoes the values within 2^-20 of a half or
+    with n at the ends of [10^16, 10^17), where e may be off by one."""
+    nz = a != 0
+    e = np.floor(np.log10(np.where(nz, a, 1.0))).astype(np.int64)
+    e_max = int(e.max())
+    hi_lo = np.zeros((2, e_max - int(e.min()) + 1))
+    for j in np.flatnonzero(np.bincount(e_max - e)).tolist():
+        k = 16 - e_max + j  # 10^k = num / den, so hi and lo are correctly rounded
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hn, hd = (num / den).as_integer_ratio()
+        hi_lo[:, j] = num / den, (num * hd - hn * den) / (den * hd)
+    hi, lo = np.take(hi_lo, e_max - e, axis=1)
+    p = a * hi
+    ca, ch = a * 134217729.0, hi * 134217729.0  # Veltkamp's factor 2^27 + 1
+    ah, hh = ca - (ca - a), ch - (ch - hi)
+    al, hl = a - ah, hi - hh
+    r = (((ah * hh - p) + ah * hl + al * hh) + al * hl) + a * lo
+    rr = np.rint(r)
+    n = p.astype(np.int64) + rr.astype(np.int64)
+    hard = nz & ((np.abs(r - rr) >= 0.5 - 2.0 ** -20) | (n <= 10 ** 16) | (n >= 10 ** 17 - 1))
+    for i in np.flatnonzero(hard).tolist():
+        n[i], e[i] = _decimal17(float(a[i]))
+    return n, e
+
+
+def _exact_rows(t, re, im, flags) -> str | None:
+    """The bytes of ``_percent_rows`` from numpy arithmetic, or None when the
+    flags are not bool or some value is nonzero outside 1e-250 < |x| < 1e250
+    (NaN and inf too)."""
+    x = np.column_stack((t, re, im)).ravel()
+    a = np.abs(x)
+    if flags.dtype != bool or not np.all((a > 1e-250) & (a < 1e250) | (a == 0)):
+        return None  # checked first: it keeps 10^k and the splits finite and normal
+    n, e = _round17(a)
+    mat = np.tile(_G17, (x.size, 1))
+    top, bottom = np.divmod(n, 10 ** 8)
+    _write_digits(mat, range(23, 15, -1), bottom.astype(np.uint32))
+    _write_digits(mat, (*range(15, 7, -1), 6), top.astype(np.uint32))
+    mat[2::3, 30] += flags
+    last = 16 - np.argmax(mat[:, 23:6:-1] != ord("0"), axis=1)  # d16 ... d1, then the point
+    fixed = (e >= -4) & (e < 17)
+    point = np.where(fixed & (e > 0), e, 0)  # the digit the point follows
+    for P in (np.flatnonzero(np.bincount(point)[1:]) + 1).tolist():
+        rows = np.flatnonzero(point == P)  # d1 ... dP move before the point
+        mat[rows, 7:7 + P] = mat[rows, 8:8 + P]
+        mat[rows, 7 + P] = ord(".")
+    if not fixed.all():
+        mat[:, 25] = np.where(e < 0, ord("-"), ord("+"))
+        _write_digits(mat, (28, 27, 26), np.abs(e).astype(np.uint32))
+    form = np.where(fixed, np.maximum(-e, 0), 5 + (np.abs(e) >= 100))
+    length = np.where(last > point, last + 2, point + 1)
+    code = ((np.signbit(x) * 7 + form) * 18 + length - 1) * 2  # -0 for -0.0, as %
+    code[2::3] += 1
+    mat *= np.take(_KEEP, code, axis=0)  # zero what the value drops
+    return mat.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTrace:
@@ -177,13 +291,12 @@ def concavity_check(map_spec: HarmonicMapSpec, n: int = 4096) -> ConcavityReport
     scale = np.maximum(1.0, speed * accel)
     tol = 1e-9 * float(speed.max()) * float(accel.max()) if speed.size else 0.0
     max_cross = float(direct.max())
-    report = ConcavityReport(
+    return ConcavityReport(
         n=n, skipped=skipped, max_cross=max_cross,
         max_identity_gap=float(gap.max()),
         max_identity_rel_gap=float((gap / scale).max()),
         tol=tol, passed=bool(max_cross <= tol and (gap / scale).max() <= 1e-9),
     )
-    return report
 
 
 @dataclass(frozen=True)
@@ -261,16 +374,10 @@ def segment_collinearity(trace: CurveTrace, breakpoints) -> np.ndarray:
         raise ResolutionError("degenerate trace: zero diameter")
     out = np.empty(bp.size)
     eps = 1e-12
-    for j in range(bp.size):
-        lo = bp[j]
-        hi = bp[(j + 1) % bp.size]
-        if j + 1 < bp.size:
-            inside = (trace.t > lo + eps) & (trace.t < hi - eps)
-        else:
-            hi = hi + _TWO_PI
-            tt = np.where(trace.t > lo + eps, trace.t, trace.t + _TWO_PI)
-            inside = (tt > lo + eps) & (tt < hi - eps)
-        pts = trace.points[inside]
+    for j in range(bp.size):  # the last arc wraps past pi
+        lo, hi = bp[j], bp[(j + 1) % bp.size] + _TWO_PI * (j + 1 == bp.size)
+        tt = np.where(trace.t > lo + eps, trace.t, trace.t + _TWO_PI)
+        pts = trace.points[(tt > lo + eps) & (tt < hi - eps)]
         if pts.size < 3:
             raise ResolutionError(
                 f"arc ({lo:.6g}, {hi:.6g}) holds only {pts.size} trace samples"

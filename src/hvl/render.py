@@ -18,7 +18,7 @@ import numpy as np
 
 from .criterion import CriterionReport
 from .fncore import HarmonicMapSpec, ParameterError, eval_f_many, require_int
-from .geometry import MAX_SAMPLES
+from .geometry import MAX_SAMPLES, _write_digits
 
 _TWO_PI = 2.0 * math.pi
 # The boundary is drawn at _MAX_RADIUS, with the images of the circles of
@@ -64,10 +64,7 @@ def _exact_points(xy: np.ndarray, sep: np.ndarray) -> str | None:
     width = len(str(int(whole.max()))) + 9  # sign, digits, point, 6 decimals, separator
     mat = np.empty((xy.size, width), np.uint8)
     mat[:, 0], mat[:, -8], mat[:, -1] = ord("-"), ord("."), sep
-    for col in [*range(width - 2, width - 8, -1), *range(width - 9, 0, -1)]:
-        rest = q // 10  # a scalar divisor: ten times faster than broadcast ones
-        mat[:, col] = q - 10 * rest + ord("0")
-        q = rest
+    _write_digits(mat, [*range(width - 2, width - 8, -1), *range(width - 9, 0, -1)], q)
     keep = np.ones(mat.shape, bool)  # drop a + sign and leading zeros
     keep[:, 0] = np.signbit(xy)  # -0.000000 for -0.0 and tiny negatives, as %
     keep[:, 1:width - 9] = whole[:, None] >= 10 ** np.arange(width - 10, 0, -1)

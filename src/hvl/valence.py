@@ -30,7 +30,7 @@ has; ``cross_check`` does so at one w.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 
 import numpy as np
@@ -172,18 +172,9 @@ class ValenceReport:
     consistent_with_p: bool
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "radius": self.radius,
-            "grid": list(self.grid),
-            "n_probes": self.n_probes,
-            "n_indeterminate": self.n_indeterminate,
-            "max_valence": self.max_valence,
-            "n_attained": self.n_attained,
-            "attained_at": [[z.real, z.imag] for z in self.attained_at],
-            "counts": {str(k): v for k, v in sorted(self.counts.items())},
-            "consistent_with_p": self.consistent_with_p,
-        }
+        return {**asdict(self), "grid": list(self.grid),
+                "attained_at": [[z.real, z.imag] for z in self.attained_at],
+                "counts": {str(k): v for k, v in sorted(self.counts.items())}}
 
 
 def probe_box(points: np.ndarray) -> tuple[float, float, float, float]:

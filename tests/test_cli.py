@@ -4,6 +4,7 @@ Exit code contract: 0 success/affirmative, 1 bad input, 2 negative verdict,
 3 numerical trouble, 4 conjecture counterexample candidates.
 """
 
+import hashlib
 import json
 import math
 import os
@@ -44,6 +45,8 @@ from hvl.cli import (
 )
 from hvl.fncore import MAX_COEFFS, MAX_ORDER
 from hvl.valence import MAX_PROBES
+
+import oracles
 
 
 def write_spec(tmp_path, doc, name="spec.json"):
@@ -485,6 +488,55 @@ def test_trace_csv(tmp_path, capsys):
     assert main(["trace", "--input", "preset:example1", "--points", "256"]) == 0
     captured = capsys.readouterr().out
     assert captured.startswith("t,re_f,im_f,clamped")
+
+
+def test_trace_bytes_are_pinned(tmp_path):
+    """``trace`` writes the bytes recorded in tests/data/trace_sha256.json:
+    the four presets at 4,096 and at 65,536 samples (several formatting
+    blocks), and star at r = 0.9999."""
+    path = pathlib.Path(__file__).parent / "data" / "trace_sha256.json"
+    pinned = json.loads(path.read_text())["sha256"]
+    cases = {f"{name}@{n}": ["--input", f"preset:{name}", "--points", str(n)]
+             for name in ("example1", "example2", "star", "octagon") for n in (4096, 65536)}
+    cases["star@r0.9999,8192"] = ["--input", "preset:star", "--radius", "0.9999", "--points", "8192"]
+    got = {}
+    for key, argv in cases.items():
+        out = tmp_path / "trace.csv"
+        assert main(["trace", *argv, "--out", str(out)]) == 0
+        got[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == pinned
+
+
+def test_trace_of_a_partly_non_finite_image(tmp_path, monkeypatch):
+    """Rows with NaN, inf and |f| = 1e300 among finite ones: the CSV is the
+    row oracle's; their block takes the % template, the next block does not."""
+    n = 2 * geometry._CSV_BLOCK
+    real = trace_circle(presets.example2(), 1.0, n)
+    points = real.points.copy()
+    points[[3, 40, 41, 500]] = [complex(math.nan, 0.5), complex(math.inf, -math.inf),
+                                complex(-1e300, 2.0), complex(0.25, 1e300)]
+    odd = geometry.CurveTrace(map=real.map, radius=1.0, t=real.t, points=points,
+                              clamped=np.arange(n) % 3 == 0)
+    monkeypatch.setattr(cli, "trace_circle", lambda *args: odd)
+    calls = []
+    percent_rows = geometry._percent_rows
+    monkeypatch.setattr(geometry, "_percent_rows", lambda cols: calls.append(1) or percent_rows(cols))
+    out = tmp_path / "trace.csv"
+    assert main(["trace", "--input", "preset:example2", "--points", str(n), "--out", str(out)]) == 0
+    assert calls == [1]
+    assert oracles.first_difference(
+        out.read_text(), oracles.trace_csv_ref(odd.t, odd.points, odd.clamped)) is None
+
+
+def test_import_of_the_cli_loads_neither_fractions_nor_decimal():
+    """Importing ``hvl.cli`` is part of every run's start-up; ``fractions``
+    alone costs about 2 ms of it, and the trace formatter needs neither."""
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, hvl.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout == "[]\n"
 
 
 def test_trace_bad_radius_exit_1():

@@ -12,9 +12,11 @@ giving phi''(0) = -14 and Im(phi'' conj(phi')) = 12 (cos 7t - 1), which is
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from hvl import (
     CriterionReport,
@@ -35,6 +37,7 @@ from hvl import (
     detect_cusps,
     eval_f_many,
     presets,
+    geometry,
     segment_collinearity,
     trace_circle,
 )
@@ -173,6 +176,95 @@ def test_trace_csv_signed_zeros_and_short_traces():
     two = CurveTrace(map=EX1, radius=1.0, t=tr.t[4:], points=SIGNED[4:], clamped=clamped[4:])
     assert two.to_csv() == oracles.trace_csv_ref(two.t, two.points, two.clamped)
     assert two.to_csv().count("\n") == 3
+
+
+def _curve(rows):
+    """A CurveTrace of EX1 holding the rows (t, re f, im f, clamped)."""
+    t, re, im, flags = (np.array(c) for c in zip(*rows))
+    points = np.empty(t.size, complex)
+    points.real, points.imag = re, im  # keeps -0.0 and NaN parts apart
+    return CurveTrace(map=EX1, radius=1.0, t=t.astype(float), points=points,
+                      clamped=flags.astype(bool))
+
+
+def _near(*xs):
+    return [v for x in xs for v in (x, np.nextafter(x, 0.0), np.nextafter(x, np.inf))]
+
+
+# Values the numpy arithmetic of to_csv leaves to the exact per-row path:
+# exact ties (half to even), near ties on which the double-double product
+# alone rounds the wrong way, 10^k and their neighbours (floor(log10|x|) may
+# be off by one), and a 17-digit rounding that carries into the next decade.
+_TIES = [131073 / 131072, 1278675322477191.75]
+_NEAR_TIES = [3.888475069819475e-07, 2.2422607587866907e-07, 4.9102966142601843e-08,
+              4.95286445202696e-09, 4.974148370910348e-09]
+_HARD = _TIES + _NEAR_TIES + _near(*(float(f"1e{k}") for k in (-243, -5, -1, 0, 16, 17, 22, 23, 249)))
+_CARRY = 9.99999999999999996e-244  # prints as 1e-243
+# one value of each exponent form, and the values outside the fast path's range
+_EXPONENTS = {"e-05": 1.5e-5, "e+17": 1.25e17, "e+100": 3e100, "e-249": 2e-249}
+_OUT_OF_RANGE = [math.nan, math.inf, -math.inf, 1e300, 5e-324]
+_value = st.one_of(
+    st.sampled_from(_HARD + [_CARRY, 0.0, *_EXPONENTS.values()]),
+    st.floats(-1e3, 1e3),
+    st.builds(lambda m, k: m * 10.0 ** k, st.floats(1, 10), st.integers(-249, 248)),
+    st.integers(-5000, 4999).map(lambda i: i / 1024),
+    st.integers(0, 2 ** 64 - 1).map(lambda b: float(np.uint64(b).view(float)))
+    .filter(lambda v: 1e-250 < abs(v) < 1e250),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+_row = st.tuples(_value, _value, _value, st.booleans())
+
+
+def test_trace_csv_formatter_matches_percent_on_every_path():
+    """to_csv has the bytes of "%.17g" per value and of the row oracle on
+    the fast path, on the exact per-row path, in every exponent form, and on
+    the % fallback of a block holding a value outside 1e-250 < |x| < 1e250."""
+    reached = set()
+
+    @settings(derandomize=True, database=None, max_examples=300, deadline=None)
+    @given(st.lists(_row, min_size=1, max_size=12),
+           st.one_of(st.none(), st.sampled_from(_OUT_OF_RANGE)), st.integers(0, 35))
+    @example([(-math.pi, 0.6, -0.0, False), (0.0, 1.5, -2.25, True)], None, 0)  # fast
+    @example([(v, -v, v, True) for v in _HARD + [_CARRY]], None, 0)  # exact rows
+    @example([(v, v, -v, False) for v in _EXPONENTS.values()], None, 0)
+    @example([(v, 1.5, 2.5, True) for v in _OUT_OF_RANGE], None, 0)  # fallback
+    @example([(0.5, 1.5, 2.5, False)] * 5, math.nan, 7)  # NaN among normal rows
+    def check(rows, odd, at):
+        if odd is not None:
+            i, j = divmod(at % (3 * len(rows)), 3)
+            rows[i] = rows[i][:j] + (odd,) + rows[i][j + 1:]
+        tr = _curve(rows)
+        with mock.patch.object(geometry, "_percent_rows", wraps=geometry._percent_rows) as slow, \
+                mock.patch.object(geometry, "_decimal17", wraps=geometry._decimal17) as exact:
+            csv = tr.to_csv()
+        assert oracles.first_difference(
+            csv, oracles.trace_csv_ref(tr.t, tr.points, tr.clamped)) is None
+        fields = [f for line in csv.split("\n")[1:-1] for f in line.split(",")[:3]]
+        assert fields == ["%.17g" % v for row in rows for v in row[:3]]
+        if slow.called:
+            reached.add("fallback")
+            return
+        reached.add("fast")
+        reached.update({"exact"} if exact.called else set())
+        reached.update(f[f.index("e"):] for f in fields if "e" in f and "n" not in f)
+        if _CARRY in [abs(v) for row in rows for v in row[:3]]:
+            assert "1e-243" in csv
+
+    check()
+    assert {"fast", "exact", "fallback", *_EXPONENTS} <= reached
+
+
+def test_trace_csv_blocks_fall_back_alone():
+    """A non-finite or huge value sends its block of rows to the % template;
+    the blocks around it stay on the fast path."""
+    n = 3 * geometry._CSV_BLOCK
+    tr = trace_circle(EX2, 1.0, n=n)
+    tr.points[geometry._CSV_BLOCK + 5] = complex(math.nan, 1e300)
+    with mock.patch.object(geometry, "_percent_rows", wraps=geometry._percent_rows) as slow:
+        csv = tr.to_csv()
+    assert slow.call_count == 1
+    assert slow.call_args.args[0][0][0] == tr.t[geometry._CSV_BLOCK]  # the second block
+    assert oracles.first_difference(
+        csv, oracles.trace_csv_ref(tr.t, tr.points, tr.clamped)) is None
 
 
 def test_trace_clamps_only_at_boundary_poles():
