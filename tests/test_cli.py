@@ -507,6 +507,58 @@ def test_trace_bytes_are_pinned(tmp_path):
     assert got == pinned
 
 
+def _seeded_spec_docs():
+    """Eight seeded ``poly`` spec files and eight seeded ``rational_hprime``
+    ones whose poles lie at modulus 1.05-1.5, keyed by name."""
+    pairs = lambda cs: [[float(c.real), float(c.imag)] for c in cs]  # noqa: E731
+    docs = {}
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        p, m, d = int(rng.integers(1, 6)), int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        scale = rng.uniform(0.05, 0.6)
+        coeffs = [1 + 0j] + list(scale * (rng.normal(size=d) + 1j * rng.normal(size=d)))
+        docs[f"poly{seed}"] = {"schema_version": "1", "kind": "poly", "p": p, "m": m,
+                               "coeffs": pairs(coeffs)}
+    for seed in range(8):
+        rng = np.random.default_rng(100 + seed)
+        p, m, n = int(rng.integers(1, 5)), int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        poles = rng.uniform(1.05, 1.5, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+        denom = np.polynomial.polynomial.polyfromroots(poles)
+        numer = [0j] * (p - 1) + [complex(p), complex(rng.normal(scale=0.3), rng.normal(scale=0.3))]
+        docs[f"rational{seed}"] = {"schema_version": "1", "kind": "rational_hprime", "p": p,
+                                   "m": m, "numer": pairs(numer), "denom": pairs(denom / denom[0])}
+    return docs
+
+
+def test_verify_bytes_are_pinned(tmp_path):
+    """``verify --report`` writes the bytes recorded in
+    tests/data/verify_sha256.json: the four presets, example1 at large p,
+    example2 at two values of c, sixteen seeded spec files, and
+    h = z**2 + 0.5 z**3 with m = 3 (a triple contact of F at t = pi) with
+    that coefficient as given and moved by -2**-20 and +2**-20."""
+    path = pathlib.Path(__file__).parent / "data" / "verify_sha256.json"
+    pinned = json.loads(path.read_text())["sha256"]
+    cases = {name: f"preset:{name}" for name in ("example1", "example2", "star", "octagon")}
+    cases.update({f"example1@p{p},m{m}": f"preset:example1,p={p},m={m}"
+                  for p in (50, 250, 800) for m in (2, 3)})
+    cases["example2@c0.5+0.5j"] = "preset:example2,c=0.5+0.5j"
+    cases["example2@p100,c-20+30j"] = "preset:example2,p=100,c=-20+30j"
+    docs = _seeded_spec_docs()
+    for shift in (0.0, -2.0 ** -20, 2.0 ** -20):
+        docs[f"triple{shift:+.3g}"] = {"schema_version": "1", "kind": "poly", "p": 2, "m": 3,
+                                       "coeffs": [[1, 0], [0.5 + shift, 0]]}
+    for name, doc in docs.items():
+        spec = tmp_path / f"{name}.json"
+        spec.write_text(json.dumps(doc))
+        cases[name] = str(spec)
+    got = {}
+    for key, source in cases.items():
+        out = tmp_path / "report.json"
+        assert main(["verify", "--input", source, "--report", str(out)]) in (0, 2)
+        got[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == pinned
+
+
 def test_trace_of_a_partly_non_finite_image(tmp_path, monkeypatch):
     """Rows with NaN, inf and |f| = 1e300 among finite ones: the CSV is the
     row oracle's; their block takes the % template, the next block does not."""
