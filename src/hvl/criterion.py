@@ -47,6 +47,15 @@ from .fncore import (
 
 _TWO_PI = 2.0 * math.pi
 _MAX_UNWRAP_POINTS = 1 << 20
+# One bisection call evaluates at most this many points (see ``_bisect_all``).
+_BISECT_POINTS = 256
+# The rows x < n of X in ``_bisect_all``, up to its deepest subtree: row x >= 1
+# lies in a block of m = 2**floor(log2 x) rows and halves the interval from
+# row x - m to row 2n - 2m + x; row 0 (a) spans [a, b], rows 0 to 2n - 1.
+_BLOCK = np.array([0] + [1 << (x.bit_length() - 1)
+                         for x in range(1, 1 << ((1 + _BISECT_POINTS).bit_length() - 1))])
+_LOWER = np.arange(_BLOCK.size) - _BLOCK
+_UPPER = np.concatenate(([-1], _LOWER[1:] - _BLOCK[1:]))  # plus 2n
 # The largest grid a caller may ask for (8 MB of angles per array).
 MAX_GRID = 2 ** 20
 # Roots are bisected to _BISECT_TOL in t; a local minimum of |F - 2 k pi|
@@ -94,15 +103,16 @@ class PhaseTable:
         return int(round((self.phase[-1] - self.phase[0]) / _TWO_PI))
 
     def eval_many(self, tq) -> np.ndarray:
+        # the ufuncs of np.clip, np.angle and np.round, without their wrappers
         tq = np.asarray(tq, dtype=float)
-        flat = np.clip(tq.ravel(), self.t[0], self.t[-1])
+        flat = np.minimum(np.maximum(tq.ravel(), self.t[0]), self.t[-1])
         hv = eval_normalized_deriv_many(self.spec, np.exp(1j * flat))
-        pv = np.angle(hv)
-        j = np.clip(np.searchsorted(self.t, flat), 1, self.t.size - 1)
+        pv = np.arctan2(hv.imag, hv.real)
+        j = np.minimum(np.maximum(np.searchsorted(self.t, flat), 1), self.t.size - 1)
         t0, t1 = self.t[j - 1], self.t[j]
         p0, p1 = self.phase[j - 1], self.phase[j]
         est = p0 + (p1 - p0) * (flat - t0) / np.maximum(t1 - t0, 1e-300)
-        lifted = pv + _TWO_PI * np.round((est - pv) / _TWO_PI)
+        lifted = pv + _TWO_PI * np.rint((est - pv) / _TWO_PI)
         return lifted.reshape(tq.shape)
 
 
@@ -210,21 +220,59 @@ def level_set(p: int, m: int) -> range:
 def _bisect_all(fn, a, b, fa, fb, tol: float):
     """Best (t, fn(t)) on each sign-changing bracket [a, b]: bisection while
     wider than tol (at most 200 halvings; an exact zero ends a bracket as its
-    lower end), then up to five secant steps.  ``fn(t, rows)`` evaluates the
-    brackets ``rows``; each bracket takes the steps of a scalar bisection.
+    lower end), then up to five secant steps.  ``fn(t, rows)`` evaluates
+    t[..., i] on the bracket rows[i]; each bracket takes the steps of a
+    scalar bisection.
+
+    One call of ``fn`` serves k halvings of all R open brackets, with k the
+    largest such that 2**k - 1 <= _BISECT_POINTS / R, at least 1: it
+    evaluates every point that k halvings could visit, the dyadic subtree of
+    each bracket, built level by level as the midpoints 0.5 * (lo + hi) of
+    the intervals of the level above.  Level j + 1 halves the intervals
+    [X[u], Y[n - 2**j + u]], u < 2**j, of level j into X[2**j + u], which
+    becomes the upper end of interval u and the lower end of 2**j + u.
+    A walk of k levels then takes each bracket along its scalar path.
     """
     a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
-    going = np.ones(a.size, dtype=bool)
-    for _ in range(200):
-        rows = np.flatnonzero(going & ~(b - a <= tol))
+    halvings = 0
+    while halvings < 200:
+        # fa is 0 only where an exact zero ended the bracket
+        rows = np.flatnonzero(~(b - a <= tol) & (fa != 0.0))
         if rows.size == 0:
             break
-        mid = 0.5 * (a[rows] + b[rows])
-        fm = fn(mid, rows)
-        going[rows[fm == 0.0]] = False
-        up = ((fa[rows] < 0) != (fm < 0)) & (fm != 0.0)
-        b[rows[up]], fb[rows[up]] = mid[up], fm[up]
-        a[rows[~up]], fa[rows[~up]] = mid[~up], fm[~up]
+        r = rows.size
+        k = min(max(1, (1 + _BISECT_POINTS // r).bit_length() - 1), 200 - halvings)
+        halvings += k
+        n = 1 << k
+        z, fz = np.empty((2 * n, r)), np.empty((2 * n, r))
+        z[0], z[-1], fz[0], fz[-1] = a[rows], b[rows], fa[rows], fb[rows]
+        for m in [1 << j for j in range(k)]:
+            mid = z[m:2 * m]
+            np.multiply(np.add(z[:m], z[2 * n - m:], out=mid), 0.5, out=mid)
+            z[2 * n - 2 * m:2 * n - m] = mid
+        fz[1:n] = fn(z[1:n], rows)
+        # a takes the point of row x (move) unless F(x) is nonzero and of the
+        # other sign than F(a), and b takes it otherwise
+        zero = fz[:n] == 0.0
+        move = ((fz[:n] < 0) == (fz[0] < 0)) | zero
+        u = np.arange(r)  # the flat index in z of each bracket's a, and of its b
+        v = u + (2 * n - 1) * r
+        # every open bracket halves at the top: it is wider than tol, F(a) != 0
+        np.copyto(v, u + r, where=~move[1])
+        u += r * move[1]
+        if k > 1:
+            # below, the interval of row x halves only if it is wider than
+            # tol and its lower end is no exact zero (go)
+            lower, upper = _LOWER[:n], _UPPER[:n] + 2 * n
+            go = ~((z[upper] - z[lower] <= tol) | zero[lower])
+            step = ((go & move) * (_BLOCK[:n, None] * r)).ravel()
+            to_b = (go & ~move).ravel()
+            for m in [r << j for j in range(1, k)]:
+                mid = u + m
+                np.copyto(v, mid, where=to_b[mid])
+                u += step[mid]
+        z, fz = z.ravel(), fz.ravel()
+        a[rows], fa[rows], b[rows], fb[rows] = z[u], fz[u], z[v], fz[v]
     first = np.abs(fa) <= np.abs(fb)
     t_best, f_best = np.where(first, a, b), np.where(first, fa, fb)
     lo, hi, flo, fhi = a.copy(), b.copy(), fa.copy(), fb.copy()
@@ -263,11 +311,11 @@ def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
     f_grid = (2 * map_spec.p + map_spec.m - 1) * t + 2.0 * table.phase
     k_min = level_set(map_spec.p, map_spec.m).start
     targets = _TWO_PI * np.arange(k_min, 1 - k_min)
-    # candidates (i, j): the levels within thr of F on the interval
-    # [t_i, t_i+1], widened by one level on each side against rounding
-    first = np.maximum(np.searchsorted(targets, np.minimum(f_grid[:-1], f_grid[1:]) - thr) - 1, 0)
-    n = np.minimum(np.searchsorted(targets, np.maximum(f_grid[:-1], f_grid[1:]) + thr, "right") + 1,
-                   targets.size) - first
+    # candidates (i, j): the levels T with fl(lo - thr) <= T <= fl(hi + thr)
+    # for lo, hi the least and the greatest of F(t_i), F(t_i+1); every
+    # crossing, hit and touch below lies there (see the README)
+    first = np.searchsorted(targets, np.minimum(f_grid[:-1], f_grid[1:]) - thr)
+    n = np.searchsorted(targets, np.maximum(f_grid[:-1], f_grid[1:]) + thr, "right") - first
     i = np.repeat(np.arange(n.size), n)
     j = np.arange(i.size) - np.repeat(np.cumsum(n) - n - first, n)
     g_left, g, g_right = (f_grid[i + d] - targets[j] for d in (-1, 0, 1))

@@ -279,7 +279,7 @@ class PolySeries(_Kind):
             hpp.fill(0)
 
     def _H(self, z):
-        return npoly.polyval(z, self._d1)
+        return _polyval_into(z, self._d1, np.empty_like(z), np.empty_like(z))
 
     def _primitive_table(self, q: int):
         """(p + q, c): F_q(z) = z**(p+q) * sum_j c_j z**j, c_j = n a_n/(n+q)."""
@@ -376,7 +376,9 @@ class RationalDeriv(_Kind):
             np.divide(n2, np.multiply(q, q, out=tmp), out=hpp)
 
     def _H(self, z):
-        return npoly.polyval(z, self._P[self.p - 1:]) / npoly.polyval(z, self._Q)
+        tmp = np.empty_like(z)
+        num = _polyval_into(z, self._P[self.p - 1:], np.empty_like(z), tmp)
+        return np.divide(num, _polyval_into(z, self._Q, np.empty_like(z), tmp), out=num)
 
     def _primitive_table(self, q: int):
         """(T, residues c_k, n) for F_q; see the formula above."""

@@ -415,6 +415,36 @@ def newton_reference(f, h_prime, m, w, n_starts=256):
             int(done.sum()))
 
 
+def bisect_reference(fn, a, b, fa, fb, tol):
+    """Best (t, fn(t)) on one sign-changing bracket [a, b], in Python floats:
+    bisection while b - a > tol (at most 200 halvings; an exact zero ends the
+    bracket as its lower end), then up to five secant steps."""
+    for _ in range(200):
+        if b - a <= tol:
+            break
+        mid = 0.5 * (a + b)
+        fm = fn(mid)
+        if fm != 0.0 and (fa < 0) != (fm < 0):
+            b, fb = mid, fm
+        else:
+            a, fa = mid, fm
+            if fm == 0.0:
+                break
+    t_best, f_best = (a, fa) if abs(fa) <= abs(fb) else (b, fb)
+    lo, hi, flo, fhi = a, b, fa, fb
+    for _ in range(5):
+        if abs(f_best) < tol or fhi == flo:
+            break
+        t_sec = hi - fhi * (hi - lo) / (fhi - flo)
+        if not a <= t_sec <= b:
+            break
+        f_sec = fn(t_sec)
+        if abs(f_sec) < abs(f_best):
+            t_best, f_best = t_sec, f_sec
+        lo, flo, hi, fhi = hi, fhi, t_sec, f_sec
+    return t_best, f_best
+
+
 def svg_points_ref(pts):
     """SVG polyline points, one "%.6f" call per coordinate, y flipped."""
     fmt = lambda x: "%.6f" % x  # noqa: E731

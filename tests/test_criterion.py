@@ -226,6 +226,138 @@ def test_precomputed_table_is_honored():
     assert [(r.k, r.t) for r in a] == [(r.k, r.t) for r in b]
 
 
+def test_root_finder_call_counts(monkeypatch):
+    """Bisection takes a dyadic subtree per call: example2 needs at most 8
+    ``eval_many`` calls (31 with one halving per call), each of at most 256
+    points; example1 at p = 250, one halving per call, at most 31."""
+    calls = []
+    real = PhaseTable.eval_many
+
+    def counted(self, tq):
+        calls.append(np.size(tq))
+        return real(self, tq)
+
+    monkeypatch.setattr(PhaseTable, "eval_many", counted)
+    assert len(find_criterion_roots(EX2)) == 7
+    assert len(calls) <= 8 and max(calls) <= 256, calls
+    calls.clear()
+    assert len(find_criterion_roots(presets.example1(250, 2))) == 501
+    assert len(calls) <= 31, calls
+
+
+def _cubic(t, c, r1, r2, r3, e):
+    """c (t - r1) ((t - r2) (t - r3) + e), the same operations on floats and
+    on arrays: one root at r1 where e > 0 and r2 = r3 = 0, three where e = 0."""
+    return c * (t - r1) * ((t - r2) * (t - r3) + e)
+
+
+def _assert_bisect_matches_reference(a, b, params, tol):
+    """``_bisect_all`` on the brackets [a, b] of ``_cubic`` with per-bracket
+    ``params`` has the bits of the scalar reference, bracket by bracket."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    params = [np.broadcast_to(np.asarray(q, dtype=float), a.shape) for q in params]
+    fa, fb = _cubic(a, *params), _cubic(b, *params)
+    assert np.all(fa * fb < 0)
+    got = criterion._bisect_all(lambda t, rows: _cubic(t, *(q[rows] for q in params)),
+                                a, b, fa, fb, tol)
+    want = np.array([oracles.bisect_reference(
+        lambda t, i=i: _cubic(t, *(float(q[i]) for q in params)),
+        float(a[i]), float(b[i]), float(fa[i]), float(fb[i]), tol) for i in range(a.size)])
+    want = want.reshape(-1, 2).T
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].tobytes() == want[1].tobytes()
+    return got
+
+
+# the depth k of a call changes between R = 1|2, 2|3, 4|5, 8|9, 17|18, 36|37 and 85|86
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 7, 8, 9, 17, 18, 36, 37, 85, 86, 129, 505])
+def test_bisect_matches_the_scalar_reference(count):
+    """Grid-sized brackets of mixed widths, every fourth one a few halvings
+    from tol and every fifth one holding three sign changes."""
+    rng = np.random.default_rng(count)
+    tol = 1e-12
+    a = np.sort(rng.uniform(-math.pi, math.pi, count))
+    w = 2 * math.pi / 8192 * rng.uniform(0.25, 1.0, count)
+    w[::4] = tol * 2.0 ** rng.integers(0, 12, w[::4].size) * rng.uniform(1.0, 2.0, w[::4].size)
+    b = a + w
+    c = rng.choice([-1.0, 1.0], count) * rng.uniform(0.5, 2.0, count)
+    r1 = a + w * rng.uniform(0.01, 0.99, count)
+    r2, r3, e = np.zeros(count), np.zeros(count), np.ones(count)
+    triple = np.arange(count) % 5 == 1
+    r1[triple], r2[triple], r3[triple] = (a + w * np.sort(
+        rng.uniform(0.05, 0.95, (3, count)), axis=0))[:, triple]
+    e[triple] = 0.0
+    _assert_bisect_matches_reference(a, b, (c, r1, r2, r3, e), tol)
+
+
+@pytest.mark.parametrize("roots", [
+    [0.5], [2.0 ** -8], [2.0 ** -9],  # one bracket: depth 1, depth k = 8, depth k + 1
+    [0.5, 2.0 ** -5, 2.0 ** -6, 21 / 32, 43 / 64, 0.3, 0.7],  # seven: k = 5
+])
+def test_bisect_stops_at_exact_zeros(roots):
+    """F = t - r on [0, 1] is exactly 0 at a dyadic midpoint r of depth 1, k
+    or k + 1 (in the second call); that ends the bracket with a = r."""
+    roots = np.array(roots)
+    ones, zeros = np.ones(roots.size), np.zeros(roots.size)
+    t, f = _assert_bisect_matches_reference(zeros, ones, (1.0, roots, 0.0, 0.0, 1.0), 1e-12)
+    dyadic = roots * 2.0 ** 9 == np.round(roots * 2.0 ** 9)
+    assert np.array_equal(t[dyadic], roots[dyadic]) and not np.any(f[dyadic])
+
+
+def test_bisect_stays_at_a_zero_with_the_sign_of_a_beyond():
+    """(t - r1) (t - r2) (t - r3) on [0, 1] is 0 at the midpoint r1 of depth
+    1 or 3 and has the sign of F(0) again beyond r2: a stays at r1."""
+    r1, r2, r3 = np.array([(0.5, 0.55, 0.95), (0.375, 0.4, 0.45), (0.625, 0.65, 0.7)] * 2).T
+    t, f = _assert_bisect_matches_reference(np.zeros(6), np.ones(6), (1.0, r1, r2, r3, 0.0), 1e-12)
+    assert np.array_equal(t, r1) and not np.any(f)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize("a, b, params, tol", [
+    (1.0, 2.0, (1.0, -5.0, 0.0, 0.0, -2.0), 0.0),  # stuck between neighbouring floats
+    (1.0, 2.0, (1.0, -5.0, 0.0, 0.0, -2.0), -1.0),
+    (0.0, 1.0, (1.0, 1e-61, 0.0, 0.0, 1e-122), 1e-300),  # still 6e-61 wide after 200
+])
+def test_bisect_stops_after_200_halvings(count, a, b, params, tol):
+    """Brackets that 200 halvings do not bring to tol: (t + 5) (t**2 - 2)
+    has no float zero in [1, 2], and the secant steps from [0, 2**-200]
+    miss the root 1e-61 of (t - 1e-61) (t**2 + 1e-122)."""
+    evaluations = []
+    real = oracles.bisect_reference
+
+    def counting(fn, *args):
+        evaluations.append(0)
+
+        def counted(t):
+            evaluations[-1] += 1
+            return fn(t)
+        return real(counted, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "bisect_reference", counting)
+        _assert_bisect_matches_reference(np.full(count, a), np.full(count, b), params, tol)
+    assert min(evaluations) >= 200
+
+
+def test_bisect_of_criterion_brackets_matches_the_reference(monkeypatch):
+    """The brackets and phase function of ``find_criterion_roots`` on
+    example2 and a rational map: the reference evaluates one point per call."""
+    seen = []
+    real = criterion._bisect_all
+    monkeypatch.setattr(criterion, "_bisect_all",
+                        lambda *args: seen.append(args) or real(*args))
+    rational = HarmonicMapSpec(RationalDeriv(2, (0, 2), (1, 0, 0, 0, 0, 0.5 + 0.3j)), 2)
+    for spec in (EX2, rational):
+        find_criterion_roots(spec)
+    for fn, a, b, fa, fb, tol in seen:
+        got = real(fn, a, b, fa, fb, tol)
+        want = np.array([oracles.bisect_reference(
+            lambda t, i=i: float(fn(np.array([t]), np.array([i]))[0]),
+            float(a[i]), float(b[i]), float(fa[i]), float(fb[i]), tol) for i in range(a.size)]).T
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Monotonicity margin
 
