@@ -13,8 +13,9 @@ in exactly 2p+m-1 simple crossings, at most one per level.
 
 This module computes the continuous branch of arg H on |z| = 1 (with local
 grid refinement so no sampled increment reaches pi/2), locates all level
-crossings in one pass and bisects them together, certifies zero-freeness
-of H via its boundary winding number, and samples the monotonicity margin
+crossings in one pass and bisects them together, a dyadic subtree of every
+bracket per evaluation, certifies zero-freeness of H via its boundary
+winding number, and samples the monotonicity margin
 
     min Re(1 + z h''(z)/h'(z)) + (m - 1)/2
 
@@ -224,14 +225,19 @@ def _bisect_all(fn, a, b, fa, fb, tol: float):
     t[..., i] on the bracket rows[i]; each bracket takes the steps of a
     scalar bisection.
 
-    One call of ``fn`` serves k halvings of all R open brackets, with k the
-    largest such that 2**k - 1 <= _BISECT_POINTS / R, at least 1: it
-    evaluates every point that k halvings could visit, the dyadic subtree of
-    each bracket, built level by level as the midpoints 0.5 * (lo + hi) of
-    the intervals of the level above.  Level j + 1 halves the intervals
-    [X[u], Y[n - 2**j + u]], u < 2**j, of level j into X[2**j + u], which
-    becomes the upper end of interval u and the lower end of 2**j + u.
-    A walk of k levels then takes each bracket along its scalar path.
+    One call of ``fn`` serves k halvings of the R open brackets, k the
+    largest with R (2**k - 1) <= _BISECT_POINTS, at least 1.  It evaluates
+    the 2**k - 1 points that k halvings of a bracket can visit, its dyadic
+    subtree, each the midpoint 0.5 * (lo + hi) of the interval it halves,
+    so the very floats of a scalar bisection.  A walk of k levels then takes
+    each bracket down its scalar path.
+
+    The subtree of a bracket has rows z[0 .. 2n - 1], n = 2**k: X = z[:n] is
+    [a, level 1, ..., level k] and Y = z[n:] is [level k, ..., level 1, b],
+    level j a block of 2**(j - 1) rows.  The intervals of level j are
+    [X[u], Y[n - 2**j + u]] for u < 2**j; their midpoints X[2**j + u] make
+    the intervals u (as upper end) and 2**j + u (as lower end) of the next
+    level, so the ends of each level are two contiguous blocks of rows.
     """
     a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
     halvings = 0
@@ -301,7 +307,8 @@ def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
     interior local minima of |F - 2 k pi| below 1e-7 without a sign change
     (recorded with ``suspected_tangency=True``).  The sign changes are
     bisected together to 1e-12 in t, one ``PhaseTable.eval_many`` call per
-    step.  Records are sorted by t.  The phase table is
+    k halvings of all of them (see ``_bisect_all``), with the steps of a
+    scalar bisection.  Records are sorted by t.  The phase table is
     ``unwrap_boundary_phase(map_spec.h, grid_size)`` unless ``table`` is
     passed.
     """
@@ -311,12 +318,17 @@ def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
     f_grid = (2 * map_spec.p + map_spec.m - 1) * t + 2.0 * table.phase
     k_min = level_set(map_spec.p, map_spec.m).start
     targets = _TWO_PI * np.arange(k_min, 1 - k_min)
-    # candidates (i, j): the levels T with fl(lo - thr) <= T <= fl(hi + thr)
-    # for lo, hi the least and the greatest of F(t_i), F(t_i+1); every
-    # crossing, hit and touch below lies there (see the README)
-    first = np.searchsorted(targets, np.minimum(f_grid[:-1], f_grid[1:]) - thr)
-    n = np.searchsorted(targets, np.maximum(f_grid[:-1], f_grid[1:]) + thr, "right") - first
-    i = np.repeat(np.arange(n.size), n)
+    # candidates (i, j): the levels T with fl(lo - thr) <= T <= fl(hi + thr),
+    # lo and hi the least and the greatest of F(t_i), F(t_i+1); every
+    # crossing, hit and touch below lies there (see the README).  Only the
+    # intervals within 1e-6 turns of a level can have one, whatever the
+    # rounding of (F - T_0) / 2 pi (|F| stays far below 1e6 turns).
+    lo, hi = np.minimum(f_grid[:-1], f_grid[1:]), np.maximum(f_grid[:-1], f_grid[1:])
+    near = np.flatnonzero(np.ceil((lo - targets[0]) / _TWO_PI - 1e-6)
+                          <= np.floor((hi - targets[0]) / _TWO_PI + 1e-6))
+    first = np.searchsorted(targets, lo[near] - thr)
+    n = np.searchsorted(targets, hi[near] + thr, "right") - first
+    i = np.repeat(near, n)
     j = np.arange(i.size) - np.repeat(np.cumsum(n) - n - first, n)
     g_left, g, g_right = (f_grid[i + d] - targets[j] for d in (-1, 0, 1))
     cross = g * g_right < 0.0
