@@ -13,9 +13,8 @@ in exactly 2p+m-1 simple crossings, at most one per level.
 
 This module computes the continuous branch of arg H on |z| = 1 (with local
 grid refinement so no sampled increment reaches pi/2), locates all level
-crossings in one pass and bisects them together, a dyadic subtree of every
-bracket per evaluation, certifies zero-freeness of H via its boundary
-winding number, and samples the monotonicity margin
+crossings in one pass and bisects them by dyadic subtrees, certifies that
+H is zero-free via its winding number, and samples the monotonicity margin
 
     min Re(1 + z h''(z)/h'(z)) + (m - 1)/2
 
@@ -48,15 +47,10 @@ from .fncore import (
 
 _TWO_PI = 2.0 * math.pi
 _MAX_UNWRAP_POINTS = 1 << 20
-# One bisection call evaluates at most this many points (see ``_bisect_all``).
+# One bisection call evaluates at most this many points (see ``_bisect_all``);
+# row x of its subtrees lies in a level of _BLOCK[x] = 2**floor(log2 x) rows.
 _BISECT_POINTS = 256
-# The rows x < n of X in ``_bisect_all``, up to its deepest subtree: row x >= 1
-# lies in a block of m = 2**floor(log2 x) rows and halves the interval from
-# row x - m to row 2n - 2m + x; row 0 (a) spans [a, b], rows 0 to 2n - 1.
-_BLOCK = np.array([0] + [1 << (x.bit_length() - 1)
-                         for x in range(1, 1 << ((1 + _BISECT_POINTS).bit_length() - 1))])
-_LOWER = np.arange(_BLOCK.size) - _BLOCK
-_UPPER = np.concatenate(([-1], _LOWER[1:] - _BLOCK[1:]))  # plus 2n
+_BLOCK = np.array([1 << max(x.bit_length() - 1, 0) for x in range(_BISECT_POINTS)])
 # The largest grid a caller may ask for (8 MB of angles per array).
 MAX_GRID = 2 ** 20
 # Roots are bisected to _BISECT_TOL in t; a local minimum of |F - 2 k pi|
@@ -104,8 +98,7 @@ class PhaseTable:
         return int(round((self.phase[-1] - self.phase[0]) / _TWO_PI))
 
     def eval_many(self, tq) -> np.ndarray:
-        # the ufuncs of np.clip, np.angle and np.round, without their wrappers
-        tq = np.asarray(tq, dtype=float)
+        tq = np.asarray(tq, dtype=float)  # np.clip, np.angle, np.round as ufuncs
         flat = np.minimum(np.maximum(tq.ravel(), self.t[0]), self.t[-1])
         hv = eval_normalized_deriv_many(self.spec, np.exp(1j * flat))
         pv = np.arctan2(hv.imag, hv.real)
@@ -221,58 +214,37 @@ def level_set(p: int, m: int) -> range:
 def _bisect_all(fn, a, b, fa, fb, tol: float):
     """Best (t, fn(t)) on each sign-changing bracket [a, b]: bisection while
     wider than tol (at most 200 halvings; an exact zero ends a bracket as its
-    lower end), then up to five secant steps.  ``fn(t, rows)`` evaluates
-    t[..., i] on the bracket rows[i]; each bracket takes the steps of a
-    scalar bisection.
+    lower end), then up to five secant steps.  ``fn(t, rows)`` evaluates t[..., i]
+    on the bracket rows[i]; each bracket takes the steps of a scalar bisection.
 
-    One call of ``fn`` serves k halvings of the R open brackets, k the
-    largest with R (2**k - 1) <= _BISECT_POINTS, at least 1.  It evaluates
-    the 2**k - 1 points that k halvings of a bracket can visit, its dyadic
-    subtree, each the midpoint 0.5 * (lo + hi) of the interval it halves,
-    so the very floats of a scalar bisection.  A walk of k levels then takes
-    each bracket down its scalar path.
-
-    The subtree of a bracket has rows z[0 .. 2n - 1], n = 2**k: X = z[:n] is
-    [a, level 1, ..., level k] and Y = z[n:] is [level k, ..., level 1, b],
-    level j a block of 2**(j - 1) rows.  The intervals of level j are
-    [X[u], Y[n - 2**j + u]] for u < 2**j; their midpoints X[2**j + u] make
-    the intervals u (as upper end) and 2**j + u (as lower end) of the next
-    level, so the ends of each level are two contiguous blocks of rows.
+    One call of ``fn`` serves k halvings of the R open brackets, k the largest
+    with R (2**k - 1) <= _BISECT_POINTS (at least 1): it evaluates their dyadic
+    subtrees.  Rows z[:n] (n = 2**k) hold a and the levels of 1, 2, ..., n/2
+    midpoints, z[n:] the same levels in reverse order and b, so that the level
+    in rows m .. 2m - 1 is 0.5 * (z[u] + z[2n - m + u]) at row m + u, u < m.
+    A walk of k levels then follows the scalar path.
     """
     a, b, fa, fb = a.copy(), b.copy(), fa.copy(), fb.copy()
     halvings = 0
     while halvings < 200:
-        # fa is 0 only where an exact zero ended the bracket
-        rows = np.flatnonzero(~(b - a <= tol) & (fa != 0.0))
+        rows = np.flatnonzero(~(b - a <= tol) & (fa != 0.0))  # fa = 0: ended at a zero
         if rows.size == 0:
             break
-        r = rows.size
-        k = min(max(1, (1 + _BISECT_POINTS // r).bit_length() - 1), 200 - halvings)
-        halvings += k
-        n = 1 << k
+        k = min(max(1, (1 + _BISECT_POINTS // rows.size).bit_length() - 1), 200 - halvings)
+        halvings, n, r = halvings + k, 1 << k, rows.size
         z, fz = np.empty((2 * n, r)), np.empty((2 * n, r))
         z[0], z[-1], fz[0], fz[-1] = a[rows], b[rows], fa[rows], fb[rows]
         for m in [1 << j for j in range(k)]:
-            mid = z[m:2 * m]
-            np.multiply(np.add(z[:m], z[2 * n - m:], out=mid), 0.5, out=mid)
-            z[2 * n - 2 * m:2 * n - m] = mid
+            z[m:2 * m] = z[2 * n - 2 * m:2 * n - m] = 0.5 * (z[:m] + z[2 * n - m:])
         fz[1:n] = fn(z[1:n], rows)
-        # a takes the point of row x (move) unless F(x) is nonzero and of the
-        # other sign than F(a), and b takes it otherwise
-        zero = fz[:n] == 0.0
-        move = ((fz[:n] < 0) == (fz[0] < 0)) | zero
-        u = np.arange(r)  # the flat index in z of each bracket's a, and of its b
-        v = u + (2 * n - 1) * r
-        # every open bracket halves at the top: it is wider than tol, F(a) != 0
-        np.copyto(v, u + r, where=~move[1])
-        u += r * move[1]
-        if k > 1:
-            # below, the interval of row x halves only if it is wider than
-            # tol and its lower end is no exact zero (go)
-            lower, upper = _LOWER[:n], _UPPER[:n] + 2 * n
-            go = ~((z[upper] - z[lower] <= tol) | zero[lower])
-            step = ((go & move) * (_BLOCK[:n, None] * r)).ravel()
-            to_b = (go & ~move).ravel()
+        # a takes row x unless F(x) is nonzero and of the other sign than F(a)
+        move = ((fz[:n] < 0) == (fz[0] < 0)) | (fz[:n] == 0.0)
+        col = np.arange(r)  # u, v: the flat indices in z of a and b after level 1
+        u, v = col + r * move[1], col + np.where(move[1], 2 * n - 1, 1) * r
+        if k > 1:  # row x halves [z[x - m], z[x + 2n - 2m]] if wider than tol and F != 0 at x - m
+            x, m = np.arange(n), _BLOCK[:n]
+            go = ~((z[x + 2 * (n - m)] - z[x - m] <= tol) | (fz[x - m] == 0.0))
+            step, to_b = ((go & move) * (m[:, None] * r)).ravel(), (go & ~move).ravel()
             for m in [r << j for j in range(1, k)]:
                 mid = u + m
                 np.copyto(v, mid, where=to_b[mid])
@@ -306,9 +278,8 @@ def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
     F equals a level, the intervals where F - 2 k pi changes sign, and the
     interior local minima of |F - 2 k pi| below 1e-7 without a sign change
     (recorded with ``suspected_tangency=True``).  The sign changes are
-    bisected together to 1e-12 in t, one ``PhaseTable.eval_many`` call per
-    k halvings of all of them (see ``_bisect_all``), with the steps of a
-    scalar bisection.  Records are sorted by t.  The phase table is
+    bisected together to 1e-12 in t, k halvings per ``PhaseTable.eval_many``
+    call (see ``_bisect_all``).  Records are sorted by t.  The phase table is
     ``unwrap_boundary_phase(map_spec.h, grid_size)`` unless ``table`` is
     passed.
     """
@@ -318,11 +289,8 @@ def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
     f_grid = (2 * map_spec.p + map_spec.m - 1) * t + 2.0 * table.phase
     k_min = level_set(map_spec.p, map_spec.m).start
     targets = _TWO_PI * np.arange(k_min, 1 - k_min)
-    # candidates (i, j): the levels T with fl(lo - thr) <= T <= fl(hi + thr),
-    # lo and hi the least and the greatest of F(t_i), F(t_i+1); every
-    # crossing, hit and touch below lies there (see the README).  Only the
-    # intervals within 1e-6 turns of a level can have one, whatever the
-    # rounding of (F - T_0) / 2 pi (|F| stays far below 1e6 turns).
+    # candidates (i, j): the levels T with fl(lo - thr) <= T <= fl(hi + thr), for
+    # all crossings, hits and touches (README), on intervals within 1e-6 turns
     lo, hi = np.minimum(f_grid[:-1], f_grid[1:]), np.maximum(f_grid[:-1], f_grid[1:])
     near = np.flatnonzero(np.ceil((lo - targets[0]) / _TWO_PI - 1e-6)
                           <= np.floor((hi - targets[0]) / _TWO_PI + 1e-6))

@@ -376,9 +376,8 @@ class RationalDeriv(_Kind):
             np.divide(n2, np.multiply(q, q, out=tmp), out=hpp)
 
     def _H(self, z):
-        tmp = np.empty_like(z)
-        num = _polyval_into(z, self._P[self.p - 1:], np.empty_like(z), tmp)
-        return np.divide(num, _polyval_into(z, self._Q, np.empty_like(z), tmp), out=num)
+        num = _polyval_into(z, self._P[self.p - 1:], np.empty_like(z), np.empty_like(z))
+        return num / _polyval_into(z, self._Q, np.empty_like(z), np.empty_like(z))
 
     def _primitive_table(self, q: int):
         """(T, residues c_k, n) for F_q; see the formula above."""
