@@ -102,7 +102,7 @@ class PhaseTable:
         flat = np.minimum(np.maximum(tq.ravel(), self.t[0]), self.t[-1])
         hv = eval_normalized_deriv_many(self.spec, np.exp(1j * flat))
         pv = np.arctan2(hv.imag, hv.real)
-        j = np.minimum(np.maximum(np.searchsorted(self.t, flat), 1), self.t.size - 1)
+        j = np.minimum(np.maximum(self.t.searchsorted(flat), 1), self.t.size - 1)
         t0, t1 = self.t[j - 1], self.t[j]
         p0, p1 = self.phase[j - 1], self.phase[j]
         est = p0 + (p1 - p0) * (flat - t0) / np.maximum(t1 - t0, 1e-300)
