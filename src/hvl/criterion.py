@@ -245,8 +245,8 @@ def _bisect_all(fn, a, b, fa, fb, tol: float):
             x, m = np.arange(n), _BLOCK[:n]
             go = ~((z[x + 2 * (n - m)] - z[x - m] <= tol) | (fz[x - m] == 0.0))
             step, to_b = ((go & move) * (m[:, None] * r)).ravel(), (go & ~move).ravel()
-            for m in [r << j for j in range(1, k)]:
-                mid = u + m
+            for offset in [r << j for j in range(1, k)]:
+                mid = u + offset
                 np.copyto(v, mid, where=to_b[mid])
                 u += step[mid]
         z, fz = z.ravel(), fz.ravel()
