@@ -559,6 +559,30 @@ def test_verify_bytes_are_pinned(tmp_path):
     assert got == pinned
 
 
+def test_report_bytes_are_pinned(tmp_path):
+    """``valence``, ``oracle`` and ``conjecture`` write the bytes recorded in
+    tests/data/report_sha256.json: valence on the four presets, oracle on
+    example1, example2 and star at seeds 42 and 7, and conjecture at its
+    defaults and at p = 2, m = 3, max degree 5."""
+    path = pathlib.Path(__file__).parent / "data" / "report_sha256.json"
+    pinned = json.loads(path.read_text())["sha256"]
+    cases = {f"valence:{name}": ["valence", "--input", f"preset:{name}"]
+             for name in ("example1", "example2", "star", "octagon")}
+    for name in ("example1", "example2", "star"):
+        for seed in (42, 7):
+            cases[f"oracle:{name}@seed{seed}"] = ["oracle", "--input", f"preset:{name}",
+                                                  "--seed", str(seed)]
+    cases["conjecture"] = ["conjecture"]
+    cases["conjecture@p2,m3,max-degree5"] = ["conjecture", "--p", "2", "--m", "3",
+                                             "--max-degree", "5"]
+    got = {}
+    for key, argv in cases.items():
+        out = tmp_path / "report.json"
+        assert main([*argv, "--report", str(out)]) == 0
+        got[key] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == pinned
+
+
 def test_trace_of_a_partly_non_finite_image(tmp_path, monkeypatch):
     """Rows with NaN, inf and |f| = 1e300 among finite ones: the CSV is the
     row oracle's; their block takes the % template, the next block does not."""
