@@ -24,7 +24,10 @@ Spec files carry ``schema_version`` "1" and one of three kinds::
     {"kind": "preset", "name": "example2", "params": {"c": [0, 1]}}
 
 Complex numbers are [re, im] pairs; ``coeffs`` start at the z**p term,
-which must be [1, 0].  Unknown fields are rejected, not ignored.
+which must be [1, 0].  Unknown fields are rejected, not ignored.  Every JSON
+report and spec document is written through one rule, ``fncore._plain``:
+non-finite floats become null, complex numbers [re, im] pairs, enums their
+values and dataclasses objects of their fields.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +53,7 @@ from .fncore import (
     RationalDeriv,
     ResolutionError,
     SpecFileError,
+    _plain,
     require_int,
     require_order,
 )
@@ -172,22 +177,10 @@ def _build_preset(name, params: dict, text: bool) -> HarmonicMapSpec:
 def spec_to_doc(map_spec: HarmonicMapSpec) -> dict:
     """Serialize a map back to the spec-file document form (round-trips)."""
     h = map_spec.h
+    doc = {"schema_version": SCHEMA_VERSION, "p": h.p, "m": map_spec.m}
     if isinstance(h, PolySeries):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "poly",
-            "p": h.p,
-            "m": map_spec.m,
-            "coeffs": [[c.real, c.imag] for c in h.coeffs],
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "rational_hprime",
-        "p": h.p,
-        "m": map_spec.m,
-        "numer": [[c.real, c.imag] for c in h.numer],
-        "denom": [[c.real, c.imag] for c in h.denom],
-    }
+        return {**doc, "kind": "poly", "coeffs": _plain(h.coeffs)}
+    return {**doc, "kind": "rational_hprime", "numer": _plain(h.numer), "denom": _plain(h.denom)}
 
 
 def load_input(arg: str) -> HarmonicMapSpec:
@@ -213,17 +206,6 @@ def load_input(arg: str) -> HarmonicMapSpec:
 # ---------------------------------------------------------------------------
 # Shared plumbing
 
-def _clean(obj):
-    """Make a report JSON-safe: non-finite floats become null."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _clean(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_clean(v) for v in obj]
-    return obj
-
-
 def _emit(text: str, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -233,7 +215,7 @@ def _emit(text: str, path: str | None) -> None:
 
 
 def _emit_json(report: dict, path: str | None) -> None:
-    _emit(json.dumps(_clean(report), indent=2, sort_keys=True, allow_nan=False) + "\n",
+    _emit(json.dumps(_plain(report), indent=2, sort_keys=True, allow_nan=False) + "\n",
           path)
 
 
@@ -317,14 +299,15 @@ def cmd_oracle(args) -> int:
             f"(managed {len(windings)} in {attempts} attempts)"
         )
     rows = [{
-        "w": [wres.w.real, wres.w.imag],
-        "verdict": verdict.value,
+        "w": wres.w,
+        "verdict": verdict,
         "winding": details["winding"],
         "preimages_inside": details["preimages_inside"],
         "min_jacobian": details["min_jacobian"],
     } for wres, (verdict, details) in zip(
         windings, cross_check_many(map_spec, windings, r=args.radius))]
-    n_disagree = sum(1 for r in rows if r["verdict"] == CrossCheck.DISAGREE.value)
+    tally = Counter(row["verdict"] for row in rows)
+    n_disagree = tally[CrossCheck.DISAGREE]
     doc = {
         "schema_version": SCHEMA_VERSION,
         "command": "oracle",
@@ -332,11 +315,9 @@ def cmd_oracle(args) -> int:
         "seed": args.seed,
         "n_probes": len(rows),
         "n_skipped": attempts - len(windings),
-        "n_agree": sum(1 for r in rows if r["verdict"] == CrossCheck.AGREE.value),
+        "n_agree": tally[CrossCheck.AGREE],
         "n_disagree": n_disagree,
-        "n_indeterminate_multiplicity": sum(
-            1 for r in rows
-            if r["verdict"] == CrossCheck.INDETERMINATE_MULTIPLICITY.value),
+        "n_indeterminate_multiplicity": tally[CrossCheck.INDETERMINATE_MULTIPLICITY],
         "probes": rows,
     }
     _emit_json(doc, args.report)
@@ -387,7 +368,7 @@ def _sweep_trial(config: SweepConfig, trial: int, map_spec: HarmonicMapSpec,
     kept = margin is not None and margin > config.margin_requirement
     row = {
         "trial": trial,
-        "coeffs": [[c.real, c.imag] for c in map_spec.h.coeffs],
+        "coeffs": map_spec.h.coeffs,
         "margin": margin,
         "kept": kept,
         "max_valence": None,
@@ -443,7 +424,7 @@ def run_sweep(config: SweepConfig) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "command": "conjecture",
-        "config": {**asdict(config), "radius": _SWEEP_RADIUS},
+        "config": {**_plain(config), "radius": _SWEEP_RADIUS},
         "n_kept": n_kept,
         "n_candidates": len(candidates),
         "candidates": candidates,

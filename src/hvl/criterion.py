@@ -38,6 +38,7 @@ from .fncore import (
     PoleError,
     UnwrapError,
     _derivatives_into,
+    _plain,
     eval_f_many,
     eval_h_prime_many,
     eval_h_second_many,
@@ -446,40 +447,21 @@ class CriterionReport:
     failure_reason: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "m": self.m,
-            "expected_roots": 2 * self.p + self.m - 1,
-            "total_roots": self.total_roots,
-            "per_level_counts": {str(k): v for k, v in sorted(self.per_level_counts.items())},
-            "roots": [
-                {
-                    "k": r.k,
-                    "t": r.t,
-                    "image": None if r.boundary_image is None
-                    else [r.boundary_image.real, r.boundary_image.imag],
-                    "suspected_tangency": r.suspected_tangency,
-                    "residual": r.residual,
-                }
-                for r in self.roots
-            ],
-            "h_nonvanishing": self.h_nonvanishing,
-            "min_modulus_boundary": self.min_modulus_boundary,
-            "winding_boundary": self.winding_boundary,
-            "monotonicity_margin": self.monotonicity_margin,
-            "hypotheses_hold": self.hypotheses_hold,
-            "criterion_satisfied": self.criterion_satisfied,
-            "tangency_suspects": self.tangency_suspects,
-            "failure_reason": self.failure_reason,
-        }
+        """``_plain(self)`` with each root's ``boundary_image`` keyed ``image``,
+        and ``expected_roots``."""
+        doc = _plain(self)
+        for root in doc["roots"]:
+            root["image"] = root.pop("boundary_image")
+        return {**doc, "expected_roots": 2 * self.p + self.m - 1}
 
 
 def check_criterion(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> CriterionReport:
     """Run the full sufficient-condition check and assemble a report.
 
     ``criterion_satisfied`` is true exactly when H is zero-free on the closed
-    disk (boundary modulus above tolerance and boundary winding zero, with h
-    analytic there), every searched level is crossed at most once, the total
+    disk (boundary winding zero, with h analytic there; a boundary modulus at
+    or below ``_NONVANISH_TOL`` makes ``unwrap_boundary_phase`` raise, so the
+    hypotheses fail), every searched level is crossed at most once, the total
     crossing count is 2p+m-1, and no tangency is suspected.
     """
     h, p, m = map_spec.h, map_spec.p, map_spec.m
@@ -508,7 +490,7 @@ def check_criterion(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> Criteri
         return failed(str(exc), margin)
 
     winding = table.winding
-    h_nonvanishing = table.min_modulus > _NONVANISH_TOL and winding == 0
+    h_nonvanishing = winding == 0
     roots = find_criterion_roots(map_spec, table=table)
     tangencies = sum(1 for r in roots if r.suspected_tangency)
     for r in roots:

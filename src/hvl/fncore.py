@@ -41,7 +41,9 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from typing import Union
 
 import numpy as np
@@ -126,6 +128,27 @@ def require_int(value, lo: int, message: str) -> int:
     if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < lo:
         raise ParameterError(message)
     return int(value)
+
+
+def _plain(obj):
+    """``obj`` as ``json`` writes it, the one rule of every report: non-finite
+    floats become None, keys str, tuples lists, complex numbers [re, im], enums
+    their values, dataclasses the dicts of their fields (leaves tested first)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if obj is None or type(obj) in (int, bool, str):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): _plain(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_plain(v) for v in obj]
+    if isinstance(obj, complex):
+        return [_plain(obj.real), _plain(obj.imag)]
+    if isinstance(obj, Enum):
+        return obj.value
+    if is_dataclass(obj):
+        return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
 
 
 # The largest p or m (and sweep degree) a map may have.  The flat-sided

@@ -42,6 +42,7 @@ from .fncore import (
     eval_f_many,
     eval_h_prime_many,
     eval_h_second_many,
+    require_int,
 )
 from .criterion import CriterionReport
 
@@ -118,17 +119,9 @@ def _write_digits(mat: np.ndarray, cols, q: np.ndarray) -> None:
 
 
 def _decimal17(x: float) -> tuple[int, int]:
-    """(n, e), 10^16 <= n < 10^17: x > 0 to 17 digits, n 10^(e-16), half to even."""
-    num, den = x.as_integer_ratio()
-    e = math.floor(math.log10(x))
-    while True:  # until 10^e <= x < 10^(e+1)
-        b = den * 10 ** max(e - 16, 0)
-        n, rem = divmod(num * 10 ** max(16 - e, 0), b)
-        if 10 ** 16 <= n < 10 ** 17:
-            break
-        e += 1 if n >= 10 ** 17 else -1
-    n += 2 * rem > b or (2 * rem == b and n & 1)
-    return (10 ** 16, e + 1) if n == 10 ** 17 else (n, e)
+    """(n, e), 10^16 <= n < 10^17: x > 0 to 17 digits, n 10^(e-16), half to even as %e."""
+    digits, e = ("%.16e" % x).split("e")
+    return int(digits.replace(".", "")), int(e)
 
 
 _CSV_BLOCK = 1024  # rows formatted at once: 3,072 values in the digit matrix
@@ -219,8 +212,8 @@ def _exact_rows(t, re, im, flags) -> str | None:
 def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTrace:
     """Sample f on the circle |z| = r at n uniform angles starting at -pi.
 
-    Requires 256 <= n <= ``MAX_SAMPLES``, the lower bound so downstream
-    winding estimates have headroom; points within
+    Requires an integer 256 <= n <= ``MAX_SAMPLES``, the lower bound so
+    downstream winding estimates have headroom; points within
     ``fncore.BOUNDARY_EPSILON`` of a pole of a rational h' are flagged in
     ``clamped`` and evaluated at the pulled-in radius.  Angles whose radial
     segment meets a pole of h' abort with a ``QuadratureError`` naming the
@@ -228,6 +221,7 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTra
     """
     if n < 256:
         raise ParameterError("trace needs at least 256 samples")
+    n = require_int(n, 256, "trace samples must be an integer")
     if n > MAX_SAMPLES:
         raise ParameterError(f"trace takes at most {MAX_SAMPLES} samples")
     if not 0.0 < r <= 1.0:
@@ -270,8 +264,7 @@ def concavity_check(map_spec: HarmonicMapSpec, n: int = 4096) -> ConcavityReport
     relative gap between the two routes, and a pass flag with tolerance
     1e-9 * max|f'| * max|f''|.  Samples where h' is singular are skipped.
     """
-    if n < 16:
-        raise ParameterError("concavity check needs at least 16 samples")
+    n = require_int(n, 16, "concavity check needs an integer of at least 16 samples")
     t = -math.pi + _TWO_PI * np.arange(n) / n
     z = np.exp(1j * t)
     hp = eval_h_prime_many(map_spec.h, z, on_pole="nan")

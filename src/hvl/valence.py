@@ -30,7 +30,7 @@ has; ``cross_check`` does so at one w.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -41,8 +41,10 @@ from .fncore import (
     ParameterError,
     ResolutionError,
     ScanQualityError,
+    _plain,
     eval_f_many,
     eval_h_prime_many,
+    require_int,
 )
 from .geometry import CurveTrace, trace_circle
 
@@ -172,9 +174,7 @@ class ValenceReport:
     consistent_with_p: bool
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "grid": list(self.grid),
-                "attained_at": [[z.real, z.imag] for z in self.attained_at],
-                "counts": {str(k): v for k, v in sorted(self.counts.items())}}
+        return _plain(self)
 
 
 def probe_box(points: np.ndarray) -> tuple[float, float, float, float]:
@@ -194,12 +194,13 @@ def _probe_grid(points: np.ndarray, gx: int, gy: int):
     return np.linspace(x_lo, x_hi, gx), np.linspace(y_lo, y_hi, gy)
 
 
-def check_scan_grid(grid: tuple[int, int]) -> None:
-    """Refuse a probe grid below 2 x 2 or of more than ``MAX_PROBES`` probes."""
-    if min(grid) < 2:
-        raise ParameterError("scan grid must be at least 2 x 2")
-    if grid[0] * grid[1] > MAX_PROBES:
+def check_scan_grid(grid: tuple[int, int]) -> tuple[int, int]:
+    """``grid`` as two ints; ``ParameterError`` unless integers, 2 x 2 to ``MAX_PROBES`` probes."""
+    gx, gy = (require_int(n, 2, "scan grid must be two integers, at least 2 x 2")
+              for n in grid)
+    if gx * gy > MAX_PROBES:
         raise ParameterError(f"scan grid {grid} has more than {MAX_PROBES} probes")
+    return gx, gy
 
 
 def _bins(lo, hi, v: np.ndarray):
@@ -325,8 +326,7 @@ def valence_scan(map_spec: HarmonicMapSpec, r: float = 0.999,
     most ``MAX_PROBES`` probes.  A ``trace`` passed in must be of
     ``map_spec`` on |z| = r (``ParameterError`` otherwise).
     """
-    check_scan_grid(grid)
-    gx, gy = grid
+    gx, gy = check_scan_grid(grid)
     trace = _trace_of(map_spec, r, n_samples, trace)
     xs, ys = _probe_grid(trace.points, gx, gy)
     winding, fault = _windings(trace, xs, ys)
@@ -419,8 +419,8 @@ def newton_preimages_many(map_spec: HarmonicMapSpec, ws,
     with one evaluation per try takes, and f has the same bits in every
     call, so each result is the same, bit for bit, as that solve gives.
     """
-    if n_starts < 100:
-        raise ParameterError("newton_preimages needs at least 100 starts")
+    n_starts = require_int(n_starts, 100,
+                           "newton_preimages needs an integer of at least 100 starts")
     ws = [complex(w) for w in ws]
     starts = _halton_starts(n_starts)
     f0, failed = eval_f_many(map_spec, starts, on_failure="mask")

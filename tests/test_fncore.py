@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import inspect
+import math
 import sys
 import weakref
 
@@ -12,6 +13,7 @@ import pytest
 import hvl
 
 from hvl import (
+    CrossCheck,
     DomainError,
     HarmonicMapSpec,
     ParameterError,
@@ -31,7 +33,7 @@ from hvl import (
     presets,
 )
 
-from hvl.fncore import MAX_ORDER
+from hvl.fncore import MAX_ORDER, _plain
 
 import oracles
 
@@ -523,3 +525,36 @@ def test_quadrature_error_carries_location():
     err = info.value
     assert err.worst_estimate > 0
     assert abs(err.where - 0.7) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Reports
+
+
+def test_plain_is_the_json_rule_of_every_report():
+    """Non-finite floats become None and -0.0 stays; a complex number becomes
+    [re, im]; int keys become str (so ``sort_keys`` orders them as text, as
+    the reports always have) and tuples lists; an enum becomes its value and
+    a nested dataclass a dict."""
+    got = _plain([math.nan, math.inf, -math.inf, -0.0, 2.5])
+    assert got[:3] == [None, None, None] and got[4] == 2.5
+    assert math.copysign(1.0, got[3]) == -1.0
+    assert _plain(complex(1, math.inf)) == [1.0, None]
+    assert _plain({10: (1, 2), -1: [(0.5,)]}) == {"10": [1, 2], "-1": [[0.5]]}
+    assert _plain(CrossCheck.DISAGREE) == "disagree"
+    assert type(_plain(CrossCheck.DISAGREE)) is str
+
+    @dataclasses.dataclass(frozen=True)
+    class Inner:
+        z: complex
+        ok: bool
+
+    @dataclasses.dataclass(frozen=True)
+    class Outer:
+        inner: Inner
+        rows: tuple
+        note: str | None
+
+    doc = _plain(Outer(Inner(2 - 1j, True), (Inner(1j, False),), None))
+    assert doc == {"inner": {"z": [2.0, -1.0], "ok": True},
+                   "rows": [{"z": [0.0, 1.0], "ok": False}], "note": None}

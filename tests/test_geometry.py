@@ -98,6 +98,17 @@ def test_trace_parameter_validation():
         trace_circle(EX1, 0.0)
 
 
+def test_sample_counts_that_are_not_integers_are_refused():
+    """A trace of 300.5 samples once held 301 angles that did not close the
+    curve, and a concavity check of 100.5 samples reported n = 100.5."""
+    with pytest.raises(ParameterError, match="integer"):
+        trace_circle(EX1, 0.9, 300.5)
+    with pytest.raises(ParameterError, match="integer"):
+        concavity_check(EX1, 100.5)
+    assert trace_circle(EX1, 0.9, np.int64(300)).t.size == 300
+    assert concavity_check(EX1, np.int64(100)).n == 100
+
+
 def test_trace_grid_and_values():
     tr = trace_circle(EX1, 1.0, n=512)
     assert tr.n == 512

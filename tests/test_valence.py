@@ -506,6 +506,24 @@ def test_scan_refuses_grid_above_probe_limit(monkeypatch):
         SweepConfig(grid=(1, 8))
 
 
+def test_sizes_that_are_not_integers_are_refused():
+    """A grid of 2.5 x 3 once passed the grid check, a 16.5 x 16 scan and a
+    Newton solve from 256.0 starts ended in a bare TypeError, and a scan of
+    400.5 samples reported the windings of a trace that did not close."""
+    for grid in ((2.5, 3), (16.5, 16), (16, 16.0)):
+        with pytest.raises(ParameterError, match="integer"):
+            valence.check_scan_grid(grid)
+        with pytest.raises(ParameterError, match="integer"):
+            valence_scan(EX1, grid=grid)
+        with pytest.raises(ParameterError, match="integer"):
+            SweepConfig(grid=grid)
+    with pytest.raises(ParameterError, match="integer"):
+        valence_scan(EX1, grid=(16, 16), n_samples=400.5)
+    with pytest.raises(ParameterError, match="integer"):
+        newton_preimages(EX1, 0.5, n_starts=256.0)
+    assert valence.check_scan_grid((np.int64(16), 8)) == (16, 8)
+
+
 def test_scan_of_non_finite_trace_fails_quality_check():
     """A trace of NaN points leaves no determinate probe, so the scan fails
     its quality check instead of binning NaN coordinates into the grid.
