@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
 import sys
 from collections import Counter
 from dataclasses import dataclass
@@ -55,7 +56,6 @@ from .fncore import (
     SpecFileError,
     _plain,
     require_int,
-    require_order,
 )
 from .geometry import trace_circle
 from .presets import PRESETS
@@ -214,9 +214,8 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(report: dict, path: str | None) -> None:
-    _emit(json.dumps(_plain(report), indent=2, sort_keys=True, allow_nan=False) + "\n",
-          path)
+def _emit_json(doc: dict, path: str | None) -> None:
+    _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
 def _grid_pair(text: str) -> tuple[int, int]:
@@ -274,10 +273,8 @@ def cmd_valence(args) -> int:
 
 def cmd_oracle(args) -> int:
     map_spec = load_input(args.input)
-    n_probes = require_int(args.samples, 1, "oracle needs at least 1 probe (--samples)")
-    if n_probes > MAX_ORACLE_PROBES:
-        raise ParameterError(f"oracle takes at most {MAX_ORACLE_PROBES} probes (--samples)")
-    seed = require_int(args.seed, 0, "--seed must be a nonnegative integer")
+    n_probes = require_int(args.samples, 1, MAX_ORACLE_PROBES, "oracle probes (--samples)")
+    seed = require_int(args.seed, 0, math.inf, "--seed")
     trace = trace_circle(map_spec, args.radius, 4096)
     x_lo, x_hi, y_lo, y_hi = probe_box(trace.points)
     if not math.isfinite(float(x_hi) - float(x_lo) + float(y_hi) - float(y_lo)):
@@ -320,7 +317,7 @@ def cmd_oracle(args) -> int:
         "n_indeterminate_multiplicity": tally[CrossCheck.INDETERMINATE_MULTIPLICITY],
         "probes": rows,
     }
-    _emit_json(doc, args.report)
+    _emit_json(_plain(doc), args.report)
     if n_disagree:
         print(f"error: winding and preimage counts disagree at "
               f"{n_disagree} probe(s)", file=sys.stderr)
@@ -342,18 +339,15 @@ class SweepConfig:
     grid: tuple[int, int] = (32, 32)
 
     def __post_init__(self):
-        if not 1 <= self.trials <= MAX_TRIALS:
-            raise ParameterError(f"trials must be between 1 and {MAX_TRIALS}")
-        require_order(self.p, 1, "p")
-        require_order(self.m, 2, "m")
-        if not self.p <= self.max_degree <= MAX_ORDER:
-            raise ParameterError(f"max_degree must be from p to {MAX_ORDER}")
-        if not 0 <= self.coefficient_scale < math.inf:
-            raise ParameterError("coefficient_scale must be finite and nonnegative")
-        if not 0 <= self.margin_requirement < math.inf:
-            raise ParameterError("margin_requirement must be finite and nonnegative")
-        require_int(self.seed, 0, "seed must be a nonnegative integer")
-        check_scan_grid(self.grid)
+        # kept as ints, so that a numpy integer reaches the report as a JSON number
+        for name, lo, hi in (("trials", 1, MAX_TRIALS), ("p", 1, MAX_ORDER), ("m", 2, MAX_ORDER),
+                             ("max_degree", self.p, MAX_ORDER), ("seed", 0, math.inf)):
+            object.__setattr__(self, name, require_int(getattr(self, name), lo, hi, name))
+        for name in ("coefficient_scale", "margin_requirement"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
+                raise ParameterError(f"{name} must be finite and nonnegative")
+        object.__setattr__(self, "grid", check_scan_grid(self.grid))
 
 
 _SWEEP_BLOCK = 16  # trials whose margins share one unit circle
@@ -440,7 +434,7 @@ def cmd_conjecture(args) -> int:
         grid=_grid_pair(args.grid),
     )
     report = run_sweep(config)
-    _emit_json(report, args.report)
+    _emit_json(_plain(report), args.report)
     if report["n_kept"] == 0:
         print("error: acceptance region empty; lower coefficient_scale",
               file=sys.stderr)

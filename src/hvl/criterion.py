@@ -72,10 +72,9 @@ def _grid(grid_size) -> int:
     Every function of this module that samples a grid checks its size here,
     before it allocates anything.
     """
-    rule = f"grid_size must be a power of two from 1024 to {MAX_GRID}"
-    n = require_int(grid_size, 1024, rule)
-    if n & (n - 1) or n > MAX_GRID:
-        raise ParameterError(rule)
+    n = require_int(grid_size, 1024, MAX_GRID, "grid_size")
+    if n & (n - 1):
+        raise ParameterError(f"grid_size must be a power of two from 1024 to {MAX_GRID}")
     return n
 
 

@@ -122,12 +122,12 @@ class SpecFileError(HvlError, ValueError):
 # Function specs
 
 
-def require_int(value, lo: int, message: str) -> int:
-    """``value`` as an int, or ``ParameterError(message)`` unless it is an
-    integer (numpy integers count, bools do not) of at least ``lo``."""
-    if not isinstance(value, (int, np.integer)) or isinstance(value, bool) or value < lo:
-        raise ParameterError(message)
-    return int(value)
+def require_int(value, lo: int, hi, what: str) -> int:
+    """``value`` as an int; ``ParameterError`` unless an integer (numpy integers
+    count, bools do not) from ``lo`` to ``hi`` (``math.inf`` for a seed)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool) and lo <= value <= hi:
+        return int(value)
+    raise ParameterError(f"{what} must be an integer from {lo} to {hi}")
 
 
 def _plain(obj):
@@ -158,16 +158,6 @@ MAX_ORDER = 10 ** 3
 # The most entries a coefficient tuple (coeffs, numer or denom) may hold:
 # enough for the flat-sided denominators at p = m = MAX_ORDER (2p+m entries).
 MAX_COEFFS = 3 * MAX_ORDER
-
-
-def require_order(value, lo: int, name: str) -> int:
-    """p or m as an int; ``ParameterError`` unless an integer from ``lo`` to
-    ``MAX_ORDER``."""
-    rule = f"{name} must be an integer from {lo} to {MAX_ORDER}"
-    n = require_int(value, lo, rule)
-    if n > MAX_ORDER:
-        raise ParameterError(rule)
-    return n
 
 
 def _complex_tuple(values, name: str) -> tuple[complex, ...]:
@@ -254,7 +244,7 @@ class PolySeries(_Kind):
     poles = _frozen(np.zeros(0, dtype=complex))  # a series h' has none
 
     def __post_init__(self):
-        object.__setattr__(self, "p", require_order(self.p, 1, "p"))
+        object.__setattr__(self, "p", require_int(self.p, 1, MAX_ORDER, "p"))
         coeffs = _complex_tuple(self.coeffs, "coeffs")
         if not coeffs:
             raise ParameterError("coeffs must be non-empty")
@@ -351,7 +341,7 @@ class RationalDeriv(_Kind):
     denom: tuple[complex, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "p", require_order(self.p, 1, "p"))
+        object.__setattr__(self, "p", require_int(self.p, 1, MAX_ORDER, "p"))
         numer = _trim_poly(self.numer, "numer")
         denom = _trim_poly(self.denom, "denom")
         if denom[0] == 0:
@@ -501,7 +491,7 @@ class HarmonicMapSpec:
     m: int
 
     def __post_init__(self):
-        object.__setattr__(self, "m", require_order(self.m, 2, "m"))
+        object.__setattr__(self, "m", require_int(self.m, 2, MAX_ORDER, "m"))
         if not isinstance(self.h, (PolySeries, RationalDeriv)):
             raise ParameterError(f"unsupported function spec: {type(self.h).__name__}")
 

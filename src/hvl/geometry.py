@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -212,19 +213,15 @@ def _exact_rows(t, re, im, flags) -> str | None:
 def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTrace:
     """Sample f on the circle |z| = r at n uniform angles starting at -pi.
 
-    Requires an integer 256 <= n <= ``MAX_SAMPLES``, the lower bound so
-    downstream winding estimates have headroom; points within
+    Requires an integer 256 <= n <= ``MAX_SAMPLES`` (headroom for winding
+    estimates) and a real 0 < r <= 1 (``DomainError``); points within
     ``fncore.BOUNDARY_EPSILON`` of a pole of a rational h' are flagged in
     ``clamped`` and evaluated at the pulled-in radius.  Angles whose radial
     segment meets a pole of h' abort with a ``QuadratureError`` naming the
     first of them.
     """
-    if n < 256:
-        raise ParameterError("trace needs at least 256 samples")
-    n = require_int(n, 256, "trace samples must be an integer")
-    if n > MAX_SAMPLES:
-        raise ParameterError(f"trace takes at most {MAX_SAMPLES} samples")
-    if not 0.0 < r <= 1.0:
+    n = require_int(n, 256, MAX_SAMPLES, "trace samples")
+    if not (isinstance(r, numbers.Real) and 0.0 < r <= 1.0):
         raise DomainError("trace radius must lie in (0, 1]")
     t = -math.pi + _TWO_PI * np.arange(n) / n
     z = r * np.exp(1j * t)
@@ -259,12 +256,13 @@ def concavity_check(map_spec: HarmonicMapSpec, n: int = 4096) -> ConcavityReport
     """Verify Im(f'' conj(f')) <= 0 on the unit circle, and its closed form.
 
     Both the direct cross product and the reduced expression
-    (m-1)(Re(z**(m+1) h'**2) - |h'|**2) are evaluated at n angles; the report
-    records the largest (signed) cross product, the worst absolute and
-    relative gap between the two routes, and a pass flag with tolerance
-    1e-9 * max|f'| * max|f''|.  Samples where h' is singular are skipped.
+    (m-1)(Re(z**(m+1) h'**2) - |h'|**2) are evaluated at n angles (an integer
+    from 16 to ``MAX_SAMPLES``); the report records the largest (signed)
+    cross product, the worst absolute and relative gap between the two
+    routes, and a pass flag with tolerance 1e-9 * max|f'| * max|f''|.
+    Samples where h' is singular are skipped.
     """
-    n = require_int(n, 16, "concavity check needs an integer of at least 16 samples")
+    n = require_int(n, 16, MAX_SAMPLES, "concavity samples")
     t = -math.pi + _TWO_PI * np.arange(n) / n
     z = np.exp(1j * t)
     hp = eval_h_prime_many(map_spec.h, z, on_pole="nan")

@@ -18,7 +18,8 @@ The rational family puts the poles of h' exactly at the (2p+m-1)-th roots of
 
 from __future__ import annotations
 
-from .fncore import HarmonicMapSpec, ParameterError, PolySeries, RationalDeriv, require_order
+from .fncore import (MAX_ORDER, HarmonicMapSpec, ParameterError, PolySeries, RationalDeriv,
+                     require_int)
 
 
 def example1(p: int = 2, m: int = 4) -> HarmonicMapSpec:
@@ -28,7 +29,8 @@ def example1(p: int = 2, m: int = 4) -> HarmonicMapSpec:
 
 def example2(p: int = 3, m: int = 2, c: complex = 1j) -> HarmonicMapSpec:
     """h = z**p + c z**(p+1)/(p+1), subject to |c| <= p - 2p/(2p+m+1)."""
-    p, m, c = require_order(p, 1, "p"), require_order(m, 2, "m"), complex(c)
+    p, m = require_int(p, 1, MAX_ORDER, "p"), require_int(m, 2, MAX_ORDER, "m")
+    c = complex(c)
     bound = p - 2.0 * p / (2 * p + m + 1)
     if abs(c) > bound + 1e-12:
         raise ParameterError(
@@ -43,7 +45,7 @@ def flat_sided(p: int, m: int) -> HarmonicMapSpec:
     The image of the open disk is bounded by 2p+m-1 straight lines meeting in
     cusps; the boundary circle itself maps onto nothing but the cusp points.
     """
-    p, m = require_order(p, 1, "p"), require_order(m, 2, "m")
+    p, m = require_int(p, 1, MAX_ORDER, "p"), require_int(m, 2, MAX_ORDER, "m")
     n_sides = 2 * p + m - 1
     numer = (0j,) * (p - 1) + (complex(p),)
     denom = (1 + 0j,) + (0j,) * (n_sides - 1) + (1 + 0j,)

@@ -86,9 +86,7 @@ def render_scene(map_spec: HarmonicMapSpec,
     """Compose the SVG scene for one map from ``samples`` (512 to
     ``MAX_SAMPLES``) points per circle and max(256, samples // 8) per ray;
     returns the file content."""
-    samples = require_int(samples, 512, "render needs at least 512 samples per curve")
-    if samples > MAX_SAMPLES:
-        raise ParameterError(f"render takes at most {MAX_SAMPLES} samples per curve")
+    samples = require_int(samples, 512, MAX_SAMPLES, "render samples per curve")
     t = -math.pi + _TWO_PI * np.arange(samples) / samples
     unit = np.exp(1j * t)  # shared by the boundary and every circle
     warnings: list[str] = []

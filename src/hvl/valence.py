@@ -195,9 +195,11 @@ def _probe_grid(points: np.ndarray, gx: int, gy: int):
 
 
 def check_scan_grid(grid: tuple[int, int]) -> tuple[int, int]:
-    """``grid`` as two ints; ``ParameterError`` unless integers, 2 x 2 to ``MAX_PROBES`` probes."""
-    gx, gy = (require_int(n, 2, "scan grid must be two integers, at least 2 x 2")
-              for n in grid)
+    """``grid`` as two ints; ``ParameterError`` unless a pair of integers, 2 x 2 to
+    ``MAX_PROBES`` probes."""
+    if not isinstance(grid, (tuple, list)) or len(grid) != 2:
+        raise ParameterError("scan grid must be a pair of sides (W, H)")
+    gx, gy = (require_int(n, 2, MAX_PROBES, "scan grid side") for n in grid)
     if gx * gy > MAX_PROBES:
         raise ParameterError(f"scan grid {grid} has more than {MAX_PROBES} probes")
     return gx, gy
@@ -322,9 +324,9 @@ def valence_scan(map_spec: HarmonicMapSpec, r: float = 0.999,
     land within clearance of the curve, or whose winding is negative, are
     skipped; if more than 20 percent of the grid is skipped the scan aborts
     with ``ScanQualityError``.  The windings come from ``_windings``, in
-    O(samples * rows + probes).  The grid is at least 2 x 2 and holds at
-    most ``MAX_PROBES`` probes.  A ``trace`` passed in must be of
-    ``map_spec`` on |z| = r (``ParameterError`` otherwise).
+    O(samples * rows + probes).  The grid is at least 2 x 2 and holds at most
+    ``MAX_PROBES`` probes.  A ``trace`` passed in must be of ``map_spec`` on
+    |z| = r (``ParameterError`` otherwise); with none, ``trace_circle`` checks r.
     """
     gx, gy = check_scan_grid(grid)
     trace = _trace_of(map_spec, r, n_samples, trace)
@@ -388,8 +390,9 @@ def _halton_starts(n: int) -> np.ndarray:
 
 # Probes solved together by ``newton_preimages_many``: 64 probes of 256
 # starts keep every per-pair array at 16,384 entries, however many probes
-# the caller passes.
+# the caller passes, and of MAX_STARTS starts (the most allowed) at 262,144.
 _NEWTON_BLOCK = 64
+MAX_STARTS = 2 ** 12
 # A Newton step is halved up to _HALVINGS - 1 times until |f - w| drops, and
 # iterates stay in |z| < _CONFINE.  A try outside that disk is never taken,
 # so it is skipped before f is evaluated; each round of halvings then makes
@@ -414,13 +417,13 @@ def newton_preimages_many(map_spec: HarmonicMapSpec, ws,
     array: each Newton step evaluates h' once on the live pairs, and f once
     per round of halvings, at each pair's next try inside the disk (tries
     outside it are skipped unevaluated), or once for all tries left when
-    few pairs are (``_BATCH_HALVINGS``).  The starts and f at the starts
-    are computed once per call.  Every pair takes the try a one-probe solve
-    with one evaluation per try takes, and f has the same bits in every
-    call, so each result is the same, bit for bit, as that solve gives.
+    few pairs are (``_BATCH_HALVINGS``).  The ``n_starts`` starts (100 to
+    ``MAX_STARTS``) and f at them are computed once per call.  Every pair
+    takes the try a one-probe solve with one evaluation per try takes, and
+    f has the same bits in every call, so each result is the same, bit for
+    bit, as that solve gives.
     """
-    n_starts = require_int(n_starts, 100,
-                           "newton_preimages needs an integer of at least 100 starts")
+    n_starts = require_int(n_starts, 100, MAX_STARTS, "newton starts")
     ws = [complex(w) for w in ws]
     starts = _halton_starts(n_starts)
     f0, failed = eval_f_many(map_spec, starts, on_failure="mask")
@@ -571,7 +574,7 @@ def _dedupe(w: complex, z: np.ndarray, res: np.ndarray, done: np.ndarray) -> Pre
 
 
 def newton_preimages(map_spec: HarmonicMapSpec, w, n_starts: int = 256) -> PreimageSet:
-    """Solve f(z) = w from Halton-distributed starts in |z| < 0.999.
+    """Solve f(z) = w from ``n_starts`` (100 to ``MAX_STARTS``) Halton starts in |z| < 0.999.
 
     The Newton step solves the real-linear system a dz + conj(b dz) = -res
     with a = h'(z), b = g'(z), giving

@@ -250,10 +250,12 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     for count in ("0", "-3"):
         assert main(["oracle", "--input", "preset:example1", "--samples", count]) == 1
         err = capsys.readouterr().err
-        assert err == "error: oracle needs at least 1 probe (--samples)\n"
+        assert err == ("error: oracle probes (--samples) must be an integer "
+                       f"from 1 to {MAX_ORACLE_PROBES}\n")
     # once 0 meant the default 4096 trace samples
     assert main(["valence", "--input", "preset:example1", "--samples", "0"]) == 1
-    assert capsys.readouterr().err == "error: trace needs at least 256 samples\n"
+    assert capsys.readouterr().err == (
+        f"error: trace samples must be an integer from 256 to {geometry.MAX_SAMPLES}\n")
     # a NaN margin requirement once left the acceptance region empty (exit 3)
     assert main(["conjecture", "--margin-requirement", "nan", "--trials", "1"]) == 1
     assert "margin_requirement" in capsys.readouterr().err
@@ -312,7 +314,7 @@ def test_sample_and_probe_counts_above_their_limits_exit_1(monkeypatch, capsys):
                 assert main([argv[0], "--input", "preset:example1", argv[1], str(count)]) == 1
                 err = capsys.readouterr().err
                 assert err.startswith("error: ") and err.count("\n") == 1
-                assert f"at most {limit} " in err
+                assert err.endswith(f" to {limit}\n")
 
 
 def test_orders_above_their_limit_exit_1(monkeypatch, capsys):

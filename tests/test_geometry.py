@@ -100,10 +100,16 @@ def test_trace_parameter_validation():
 
 def test_sample_counts_that_are_not_integers_are_refused():
     """A trace of 300.5 samples once held 301 angles that did not close the
-    curve, and a concavity check of 100.5 samples reported n = 100.5."""
-    with pytest.raises(ParameterError, match="integer"):
-        trace_circle(EX1, 0.9, 300.5)
-    with pytest.raises(ParameterError, match="integer"):
+    curve, and a concavity check of 100.5 samples reported n = 100.5; a
+    trace of "300" or None samples, or of radius None or "0.5", ended in a
+    bare TypeError."""
+    for n in (300.5, "300", None):
+        with pytest.raises(ParameterError, match="trace samples must be an integer"):
+            trace_circle(EX1, 0.9, n)
+    for r in (None, "0.5"):
+        with pytest.raises(DomainError, match="trace radius"):
+            trace_circle(EX1, r)
+    with pytest.raises(ParameterError, match="concavity samples must be an integer"):
         concavity_check(EX1, 100.5)
     assert trace_circle(EX1, 0.9, np.int64(300)).t.size == 300
     assert concavity_check(EX1, np.int64(100)).n == 100

@@ -1,5 +1,6 @@
 """Winding numbers, the probe scan, Newton preimages, and the cross check."""
 
+import json
 import math
 import weakref
 
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hvl import (
     CrossCheck,
     CurveTrace,
+    DomainError,
     HarmonicMapSpec,
     IndeterminateProbeError,
     ParameterError,
@@ -27,7 +29,7 @@ from hvl import (
     valence_scan,
     winding_number,
 )
-from hvl import cli, valence
+from hvl import cli, geometry, valence
 from hvl.cli import SweepConfig, run_sweep
 
 import oracles
@@ -502,14 +504,19 @@ def test_scan_refuses_grid_above_probe_limit(monkeypatch):
         with pytest.raises(ParameterError, match=str(valence.MAX_PROBES)):
             SweepConfig(grid=grid)
     valence.check_scan_grid((side, side))  # at the limit: accepted
-    with pytest.raises(ParameterError, match="2 x 2"):
+    with pytest.raises(ParameterError, match="from 2 to"):
         SweepConfig(grid=(1, 8))
 
 
 def test_sizes_that_are_not_integers_are_refused():
     """A grid of 2.5 x 3 once passed the grid check, a 16.5 x 16 scan and a
     Newton solve from 256.0 starts ended in a bare TypeError, and a scan of
-    400.5 samples reported the windings of a trace that did not close."""
+    400.5 samples reported the windings of a trace that did not close.  A
+    sweep of 2.5 trials or degree 6.5 was accepted and failed when run, one
+    of True trials ran once, a coefficient scale of None or a margin
+    requirement of "0" ended in a bare TypeError, as did a grid of three,
+    one or no entries and a scan of radius None.  A sweep of numpy integer
+    trials, seed or grid wrote no report."""
     for grid in ((2.5, 3), (16.5, 16), (16, 16.0)):
         with pytest.raises(ParameterError, match="integer"):
             valence.check_scan_grid(grid)
@@ -522,6 +529,36 @@ def test_sizes_that_are_not_integers_are_refused():
     with pytest.raises(ParameterError, match="integer"):
         newton_preimages(EX1, 0.5, n_starts=256.0)
     assert valence.check_scan_grid((np.int64(16), 8)) == (16, 8)
+    config = SweepConfig(trials=np.int64(2), seed=np.int64(7), grid=(np.int64(8), 8))
+    assert (config.trials, config.seed, config.grid) == (2, 7, (8, 8))
+    json.dumps(cli._plain(run_sweep(config)), allow_nan=False)
+    for kwargs, name in (({"trials": 2.5}, "trials"), ({"trials": True}, "trials"),
+                         ({"max_degree": 6.5}, "max_degree"),
+                         ({"coefficient_scale": None}, "coefficient_scale"),
+                         ({"margin_requirement": "0"}, "margin_requirement")):
+        with pytest.raises(ParameterError, match=name):
+            SweepConfig(**kwargs)
+    for grid in ((16, 16, 16), (16,), 16):
+        with pytest.raises(ParameterError, match="scan grid"):
+            valence.check_scan_grid(grid)
+    with pytest.raises(DomainError, match="trace radius"):
+        valence_scan(EX1, None)
+
+
+def test_concavity_samples_and_newton_starts_above_their_limits_are_refused(monkeypatch):
+    """``concavity_check`` takes at most ``geometry.MAX_SAMPLES`` samples and
+    a Newton solve at most ``MAX_STARTS`` starts; one more is refused before
+    h' is evaluated or a start drawn (a Newton solve once drew 4n + 16
+    Halton points for any n)."""
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started on a refused count")
+
+    monkeypatch.setattr(geometry, "eval_h_prime_many", no_work)
+    monkeypatch.setattr(valence, "_halton_starts", no_work)
+    with pytest.raises(ParameterError, match=f"concavity samples .* to {geometry.MAX_SAMPLES}$"):
+        geometry.concavity_check(EX1, geometry.MAX_SAMPLES + 1)
+    with pytest.raises(ParameterError, match=f"newton starts .* to {valence.MAX_STARTS}$"):
+        newton_preimages(EX1, 0.5, n_starts=valence.MAX_STARTS + 1)
 
 
 def test_scan_of_non_finite_trace_fails_quality_check():
