@@ -25,9 +25,10 @@ Spec files carry ``schema_version`` "1" and one of three kinds::
 
 Complex numbers are [re, im] pairs; ``coeffs`` start at the z**p term,
 which must be [1, 0].  Unknown fields are rejected, not ignored.  Every JSON
-report and spec document is written through one rule, ``fncore._plain``:
-non-finite floats become null, complex numbers [re, im] pairs, enums their
-values and dataclasses objects of their fields.
+report is written by ``_emit_report``, which adds ``schema_version`` and
+``command`` to its body.  Bodies and spec documents go once through one rule,
+``fncore._plain``: non-finite floats become null, complex numbers [re, im]
+pairs, enums their values and dataclasses objects of their fields.
 """
 
 from __future__ import annotations
@@ -214,7 +215,9 @@ def _emit(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_json(doc: dict, path: str | None) -> None:
+def _emit_report(command: str, body: dict, path: str | None) -> None:
+    """Write the JSON report ``body`` (already ``_plain``) with its envelope."""
+    doc = {**body, "schema_version": SCHEMA_VERSION, "command": command}
     _emit(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n", path)
 
 
@@ -232,9 +235,7 @@ def _grid_pair(text: str) -> tuple[int, int]:
 def cmd_verify(args) -> int:
     map_spec = load_input(args.input)
     report = check_criterion(map_spec, args.samples)
-    doc = {"schema_version": SCHEMA_VERSION, "command": "verify",
-           **report.to_dict()}
-    _emit_json(doc, args.report)
+    _emit_report("verify", report.to_dict(), args.report)
     return 0 if report.criterion_satisfied else 2
 
 
@@ -265,9 +266,7 @@ def cmd_valence(args) -> int:
         map_spec, r=args.radius, grid=_grid_pair(args.grid),
         n_samples=args.samples,
     )
-    doc = {"schema_version": SCHEMA_VERSION, "command": "valence",
-           **report.to_dict()}
-    _emit_json(doc, args.report)
+    _emit_report("valence", report.to_dict(), args.report)
     return 0 if report.consistent_with_p else 2
 
 
@@ -305,9 +304,7 @@ def cmd_oracle(args) -> int:
         windings, cross_check_many(map_spec, windings, r=args.radius))]
     tally = Counter(row["verdict"] for row in rows)
     n_disagree = tally[CrossCheck.DISAGREE]
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "oracle",
+    body = {
         "radius": args.radius,
         "seed": args.seed,
         "n_probes": len(rows),
@@ -317,7 +314,7 @@ def cmd_oracle(args) -> int:
         "n_indeterminate_multiplicity": tally[CrossCheck.INDETERMINATE_MULTIPLICITY],
         "probes": rows,
     }
-    _emit_json(_plain(doc), args.report)
+    _emit_report("oracle", _plain(body), args.report)
     if n_disagree:
         print(f"error: winding and preimage counts disagree at "
               f"{n_disagree} probe(s)", file=sys.stderr)
@@ -339,7 +336,7 @@ class SweepConfig:
     grid: tuple[int, int] = (32, 32)
 
     def __post_init__(self):
-        # kept as ints, so that a numpy integer reaches the report as a JSON number
+        # kept as ints and floats, so that a numpy scalar draws and reports as a Python one
         for name, lo, hi in (("trials", 1, MAX_TRIALS), ("p", 1, MAX_ORDER), ("m", 2, MAX_ORDER),
                              ("max_degree", self.p, MAX_ORDER), ("seed", 0, math.inf)):
             object.__setattr__(self, name, require_int(getattr(self, name), lo, hi, name))
@@ -347,6 +344,7 @@ class SweepConfig:
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and 0 <= value < math.inf):
                 raise ParameterError(f"{name} must be finite and nonnegative")
+            object.__setattr__(self, name, float(value))
         object.__setattr__(self, "grid", check_scan_grid(self.grid))
 
 
@@ -407,7 +405,8 @@ def run_sweep(config: SweepConfig) -> dict:
 
     The trials run in fixed blocks of ``_SWEEP_BLOCK``, each drawn in trial
     order just before it runs, so at most one block of specs is alive at a
-    time whatever the trial count.
+    time whatever the trial count.  Returns the body of the ``conjecture``
+    report, without its envelope.
     """
     rng = np.random.default_rng(config.seed)
     samples: list[dict] = []
@@ -416,8 +415,6 @@ def run_sweep(config: SweepConfig) -> dict:
     n_kept = sum(row["kept"] for row in samples)
     candidates = [row["trial"] for row in samples if row["candidate"]]
     return {
-        "schema_version": SCHEMA_VERSION,
-        "command": "conjecture",
         "config": {**_plain(config), "radius": _SWEEP_RADIUS},
         "n_kept": n_kept,
         "n_candidates": len(candidates),
@@ -434,7 +431,7 @@ def cmd_conjecture(args) -> int:
         grid=_grid_pair(args.grid),
     )
     report = run_sweep(config)
-    _emit_json(_plain(report), args.report)
+    _emit_report("conjecture", _plain(report), args.report)
     if report["n_kept"] == 0:
         print("error: acceptance region empty; lower coefficient_scale",
               file=sys.stderr)

@@ -427,22 +427,22 @@ def check_monotonicity_margin(map_spec: HarmonicMapSpec, grid_size: int = 8192) 
     return margin
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CriterionReport:
-    """Outcome of the cusp-count criterion for one map (h, m)."""
+    """Outcome of the cusp-count criterion for one map (h, m); defaults: an early failure."""
 
     p: int
     m: int
-    roots: tuple[RootRecord, ...]
+    roots: tuple[RootRecord, ...] = ()
     per_level_counts: dict[int, int]
-    total_roots: int
-    h_nonvanishing: bool
-    min_modulus_boundary: float | None
-    winding_boundary: int | None
-    monotonicity_margin: float | None
-    hypotheses_hold: bool
-    criterion_satisfied: bool
-    tangency_suspects: int
+    total_roots: int = 0
+    h_nonvanishing: bool = False
+    min_modulus_boundary: float | None = None
+    winding_boundary: int | None = None
+    monotonicity_margin: float | None = None
+    hypotheses_hold: bool = False
+    criterion_satisfied: bool = False
+    tangency_suspects: int = 0
     failure_reason: str | None = None
 
     def to_dict(self) -> dict:
@@ -466,14 +466,6 @@ def check_criterion(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> Criteri
     h, p, m = map_spec.h, map_spec.p, map_spec.m
     counts = {k: 0 for k in level_set(p, m)}
 
-    def failed(reason: str, margin=None) -> CriterionReport:
-        return CriterionReport(
-            p=p, m=m, roots=(), per_level_counts=counts, total_roots=0,
-            h_nonvanishing=False, min_modulus_boundary=None, winding_boundary=None,
-            monotonicity_margin=margin, hypotheses_hold=False,
-            criterion_satisfied=False, tangency_suspects=0, failure_reason=reason,
-        )
-
     # one boundary grid for the margin's unit circle and the phase unwrap
     circle = _circle(_grid(grid_size))
     margin, = monotonicity_margins([map_spec], grid_size, circle=circle)
@@ -481,12 +473,14 @@ def check_criterion(map_spec: HarmonicMapSpec, grid_size: int = 8192) -> Criteri
         margin = None
 
     if np.any(np.abs(h.poles) < 1.0 - 1e-8):
-        return failed("h is not analytic on the closed disk "
-                      "(denominator root inside |z| < 1)", margin)
+        return CriterionReport(p=p, m=m, per_level_counts=counts, monotonicity_margin=margin,
+                               failure_reason="h is not analytic on the closed disk "
+                               "(denominator root inside |z| < 1)")
     try:
         table = unwrap_boundary_phase(h, grid_size, circle=circle)
     except BoundaryHypothesisError as exc:
-        return failed(str(exc), margin)
+        return CriterionReport(p=p, m=m, per_level_counts=counts, monotonicity_margin=margin,
+                               failure_reason=str(exc))
 
     winding = table.winding
     h_nonvanishing = winding == 0

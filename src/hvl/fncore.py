@@ -133,7 +133,8 @@ def require_int(value, lo: int, hi, what: str) -> int:
 def _plain(obj):
     """``obj`` as ``json`` writes it, the one rule of every report: non-finite
     floats become None, keys str, tuples lists, complex numbers [re, im], enums
-    their values, dataclasses the dicts of their fields (leaves tested first)."""
+    their values, dataclasses the dicts of their fields, other numpy scalars
+    (np.float32, np.int64, np.bool_) their Python values (leaves tested first)."""
     if isinstance(obj, float):
         return obj if math.isfinite(obj) else None
     if obj is None or type(obj) in (int, bool, str):
@@ -148,7 +149,7 @@ def _plain(obj):
         return obj.value
     if is_dataclass(obj):
         return {f.name: _plain(getattr(obj, f.name)) for f in fields(obj)}
-    return obj
+    return _plain(obj.item()) if isinstance(obj, np.generic) else obj
 
 
 # The largest p or m (and sweep degree) a map may have.  The flat-sided

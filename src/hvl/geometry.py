@@ -37,7 +37,6 @@ from .fncore import (
     HarmonicMapSpec,
     InconsistencyError,
     ParameterError,
-    QuadratureError,
     ResolutionError,
     _clamped_primitive,
     eval_f_many,
@@ -216,26 +215,17 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTra
     Requires an integer 256 <= n <= ``MAX_SAMPLES`` (headroom for winding
     estimates) and a real 0 < r <= 1 (``DomainError``); points within
     ``fncore.BOUNDARY_EPSILON`` of a pole of a rational h' are flagged in
-    ``clamped`` and evaluated at the pulled-in radius.  Angles whose radial
-    segment meets a pole of h' abort with a ``QuadratureError`` naming the
-    first of them.
+    ``clamped`` and evaluated at the pulled-in radius.  A radial segment
+    that meets a pole of h' aborts with the evaluator's ``QuadratureError``
+    (``where`` the first such point, ``worst_estimate`` the jump 2 pi |c_k|).
     """
     n = require_int(n, 256, MAX_SAMPLES, "trace samples")
     if not (isinstance(r, numbers.Real) and 0.0 < r <= 1.0):
         raise DomainError("trace radius must lie in (0, 1]")
     t = -math.pi + _TWO_PI * np.arange(n) / n
     z = r * np.exp(1j * t)
-    # f = h + conj(g) as eval_f_many(on_failure="mask") forms it, one clamp
-    vals, failed, clamped = _clamped_primitive(map_spec.h, z, (0, map_spec.m - 1), "mask")
-    if np.any(failed):
-        bad_t = t[failed][:4]
-        raise QuadratureError(
-            "trace evaluation failed (radial segment meets a pole of h') at t = "
-            + ", ".join(f"{tv:.6g}" for tv in bad_t)
-            + (" ..." if np.count_nonzero(failed) > 4 else ""),
-            worst_estimate=math.inf,
-            where=complex(z[failed][0]),
-        )
+    # f = h + conj(g) as eval_f_many forms it, one clamp
+    vals, _, clamped = _clamped_primitive(map_spec.h, z, (0, map_spec.m - 1), "raise")
     return CurveTrace(map=map_spec, radius=r, t=t, points=vals, clamped=clamped)
 
 

@@ -745,10 +745,10 @@ def test_oracle_probes_match_scalar_draws(tmp_path, monkeypatch):
              "winding": details["winding"], "preimages_inside": details["preimages_inside"],
              "min_jacobian": details["min_jacobian"]}
             for wres, (verdict, details) in zip(windings, _winding_echo(spec, windings, 0.999))]
-    expected = {"schema_version": "1", "command": "oracle", "radius": 0.999, "seed": 11,
+    expected = {"radius": 0.999, "seed": 11,
                 "n_probes": 70, "n_skipped": attempts - 70, "n_agree": 70, "n_disagree": 0,
                 "n_indeterminate_multiplicity": 0, "probes": rows}
-    cli._emit_json(expected, str(tmp_path / "expected.json"))
+    cli._emit_report("oracle", expected, str(tmp_path / "expected.json"))
     out = tmp_path / "oracle.json"
     assert main(["oracle", "--input", "preset:star", "--samples", "70", "--seed", "11",
                  "--report", str(out)]) == 0
@@ -808,6 +808,32 @@ def test_sweep_stream_is_seed_stable():
     for ra, rb in zip(a["samples"], b["samples"]):
         assert ra["coeffs"] == rb["coeffs"]
         assert ra["margin"] == rb["margin"]
+
+
+def test_sweep_of_numpy_scalars_writes_its_report(tmp_path):
+    """A ``SweepConfig`` given numpy scalars writes the report of the same
+    config given Python numbers."""
+    scale = np.float32(0.2)
+    paths = tmp_path / "np.json", tmp_path / "py.json"
+    for path, config in zip(paths, (
+            SweepConfig(trials=2, coefficient_scale=scale, margin_requirement=np.float64(0)),
+            SweepConfig(trials=2, coefficient_scale=float(scale)))):
+        cli._emit_report("conjecture", cli._plain(run_sweep(config)), str(path))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_every_json_report_has_one_envelope(tmp_path):
+    """``schema_version`` and ``command`` come from ``_emit_report`` alone:
+    each subcommand's report carries them, ``run_sweep``'s body does not."""
+    for argv in (["verify", "--input", "preset:example1"],
+                 ["valence", "--input", "preset:example1", "--grid", "8x8"],
+                 ["oracle", "--input", "preset:example1", "--samples", "2"],
+                 ["conjecture", "--trials", "2", "--grid", "8x8"]):
+        out = tmp_path / f"{argv[0]}.json"
+        assert main(argv + ["--report", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert (doc["schema_version"], doc["command"]) == ("1", argv[0])
+    assert not {"schema_version", "command"} & set(run_sweep(SweepConfig(trials=1)))
 
 
 def test_conjecture_empty_region_exit_3(tmp_path, capsys):

@@ -558,3 +558,12 @@ def test_plain_is_the_json_rule_of_every_report():
     doc = _plain(Outer(Inner(2 - 1j, True), (Inner(1j, False),), None))
     assert doc == {"inner": {"z": [2.0, -1.0], "ok": True},
                    "rows": [{"z": [0.0, 1.0], "ok": False}], "note": None}
+
+
+def test_plain_turns_numpy_scalars_into_python_values():
+    """A numpy scalar that subclasses no Python number (np.float32, np.int64,
+    np.bool_, np.complex64) becomes its Python value, a NaN of it None."""
+    got = _plain([np.float32(0.5), np.int64(3), np.bool_(True), np.float32("nan"),
+                  np.complex64(1 - 2j), {np.int64(2): np.uint8(5)}])
+    assert got == [0.5, 3, True, None, [1.0, -2.0], {"2": 5}]
+    assert [type(v) for v in got[:3]] == [float, int, bool]

@@ -298,9 +298,13 @@ def test_trace_clamps_only_at_boundary_poles():
 
 
 def test_trace_interior_pole_raises():
+    """The evaluator's error: at the sample on the ray through the pole, with
+    the jump 2 pi |c| of the primitive across it (residue c = -1/2)."""
     spec = HarmonicMapSpec(RationalDeriv(1, (1,), (1, -2)), 2)  # h' pole at z = 0.5
-    with pytest.raises(QuadratureError):
+    with pytest.raises(QuadratureError) as caught:
         trace_circle(spec, 0.7, n=256)
+    assert caught.value.where == pytest.approx(0.7)
+    assert caught.value.worst_estimate == pytest.approx(math.pi)
 
 
 # ---------------------------------------------------------------------------

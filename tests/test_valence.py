@@ -1,7 +1,9 @@
 """Winding numbers, the probe scan, Newton preimages, and the cross check."""
 
+import gc
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -19,15 +21,20 @@ from hvl import (
     RationalDeriv,
     ResolutionError,
     ScanQualityError,
+    WindingResult,
+    check_criterion,
     check_monotonicity_margin,
     cross_check,
+    cross_check_many,
     eval_f_many,
     eval_h_prime_many,
     newton_preimages,
     presets,
+    render_scene,
     trace_circle,
     valence_scan,
     winding_number,
+    winding_numbers,
 )
 from hvl import cli, geometry, valence
 from hvl.cli import SweepConfig, run_sweep
@@ -809,3 +816,44 @@ def test_cross_check_reuses_supplied_trace():
     v2, d2 = cross_check(EX1, 0.5)
     assert v1 is v2 is CrossCheck.AGREE
     assert d1["winding"] == d2["winding"]
+
+
+# ---------------------------------------------------------------------------
+# Long-running use
+
+
+def _library_round(seed: int) -> None:
+    """One pass of the library over a fresh seeded map (a series for even
+    seeds, a rational h' with a pole outside the disk for odd ones): the
+    criterion, a scan, a trace with its windings, a scene and, on series,
+    the Newton cross check."""
+    draw = np.random.default_rng(seed).standard_normal(6) / 10
+    a = [complex(draw[2 * i], draw[2 * i + 1]) / (i + 2) for i in range(3)]
+    h = RationalDeriv(1, (1, a[0]), (1, 3 * a[1])) if seed % 2 else PolySeries(1, (1, *a))
+    spec = HarmonicMapSpec(h, 2)
+    report = check_criterion(spec, 1024)
+    valence_scan(spec, grid=(16, 16), n_samples=512)
+    trace = trace_circle(spec, 0.9, 512)
+    windings = [w for w in winding_numbers(trace, [0j, 0.1 + 0.1j])
+                if isinstance(w, WindingResult)]
+    render_scene(spec, report, 512)
+    if seed % 2 == 0:
+        cross_check_many(spec, windings, r=0.9, n_starts=100)
+
+
+def test_long_running_library_use_does_not_grow_memory():
+    """After 20 warm-up rounds on fresh maps, 40 more leave under 256 KB
+    behind (about 20 KB when measured): one 8,192-point complex array kept
+    per round would leave 5 MB."""
+    for seed in range(20):
+        _library_round(seed)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for seed in range(20, 60):
+            _library_round(seed)
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert grown < 256 * 1024
