@@ -150,8 +150,9 @@ def _build_preset(name, params: dict, text: bool) -> HarmonicMapSpec:
     """The preset ``name`` with ``params`` overriding its defaults.
 
     Values are strings from a ``preset:`` argument when ``text`` is set
-    (c as Python complex literal, the rest as integers), else JSON values
-    from a spec file (c as an [re, im] pair, the rest as integers).
+    (c as Python complex literal, the rest as ASCII integers [+-]?[0-9]+),
+    else JSON values from a spec file (c as an [re, im] pair, the rest as
+    integers).
     """
     if not isinstance(name, str) or name not in PRESETS:
         raise SpecFileError(f"unknown preset {name!r}; choices: {sorted(PRESETS)}")
@@ -162,6 +163,9 @@ def _build_preset(name, params: dict, text: bool) -> HarmonicMapSpec:
             raise SpecFileError(f"preset '{name}' does not take parameter '{key}'")
         try:
             if text:
+                digits = val[1:] if val[:1] in ("+", "-") else val
+                if key != "c" and not (digits.isascii() and digits.isdigit()):
+                    raise ValueError
                 kwargs[key] = complex(val) if key == "c" else int(val)
             elif key == "c" and _is_pair(val):
                 kwargs[key] = complex(*val)
@@ -191,6 +195,10 @@ def load_input(arg: str) -> HarmonicMapSpec:
         bad = [part for part in parts if "=" not in part]
         if bad:
             raise SpecFileError(f"preset parameter {bad[0]!r} is not key=value")
+        keys = Counter(part.split("=", 1)[0] for part in parts)
+        twice = [key for key, n in keys.items() if n > 1]
+        if twice:
+            raise SpecFileError(f"preset parameter '{twice[0]}' is given more than once")
         return _build_preset(name, dict(part.split("=", 1) for part in parts), text=True)
     try:
         with open(arg, encoding="utf-8") as fh:

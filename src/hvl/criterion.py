@@ -171,7 +171,10 @@ def unwrap_boundary_phase(spec: FunctionSpec, grid_size: int = 8192, *,
 
 
 def phase_function_many(map_spec: HarmonicMapSpec, t, table: PhaseTable) -> np.ndarray:
-    """F(t) = (2p+m-1) t + 2 arg H(e^{it}) on the table's continuous branch."""
+    """F(t) = (2p+m-1) t + 2 arg H(e^{it}) on the continuous branch of the
+    table, which must be of this map's h (``ParameterError``)."""
+    if table.spec != map_spec.h:
+        raise ParameterError("the phase table is not of this map's h")
     t = np.asarray(t, dtype=float)
     return (2 * map_spec.p + map_spec.m - 1) * t + 2.0 * table.eval_many(t)
 
@@ -281,10 +284,12 @@ def find_criterion_roots(map_spec: HarmonicMapSpec, grid_size: int = 8192,
     bisected together to 1e-12 in t, k halvings per ``PhaseTable.eval_many``
     call (see ``_bisect_all``).  Records are sorted by t.  The phase table is
     ``unwrap_boundary_phase(map_spec.h, grid_size)`` unless ``table`` is
-    passed.
+    passed, which must be of this map's h (``ParameterError``).
     """
     if table is None:
         table = unwrap_boundary_phase(map_spec.h, grid_size)
+    elif table.spec != map_spec.h:
+        raise ParameterError("the phase table is not of this map's h")
     t, tol, thr = table.t, _BISECT_TOL, _TANGENCY_THRESHOLD
     f_grid = (2 * map_spec.p + map_spec.m - 1) * t + 2.0 * table.phase
     k_min = level_set(map_spec.p, map_spec.m).start

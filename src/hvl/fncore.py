@@ -19,11 +19,12 @@ derived from it, never stored.  p and m are at most ``MAX_ORDER``, and
 
 Evaluation is per kind: each spec class carries its own arithmetic for h',
 h'', H = h'/z**(p-1) and the radial primitives that give h and g, and the
-public ``eval_*_many`` functions only check their arguments and call it.
-The coefficient tables, roots and residues are cached properties of the
-frozen spec, built on first use and freed with the spec; there is no
-module-level cache.  All evaluators are pure functions of immutable specs
-and are safe to share across threads.
+seven public ``eval_*_many`` functions go through one front, ``_evaluate``,
+that checks the points and the ``on_pole`` mode and calls it.  The
+coefficient tables, roots and residues are cached properties of the frozen
+spec, built on first use and freed with the spec; there is no module-level
+cache.  All evaluators are pure functions of immutable specs and are safe
+to share across threads.
 
 Rational specs may have poles of h' on the unit circle (the flat-sided
 presets do).  Evaluation requests that land within ``BOUNDARY_EPSILON``
@@ -33,8 +34,9 @@ u**q h'(u) (q = 0 for h, q = m-1 for g) are evaluated in closed form, as a
 polynomial plus sum_k c_k log(1 - z/z_k) over the simple poles z_k of h'.
 That sum runs pole by pole in a fixed order, so the value at a point has the
 same bits however many other points the call holds.  Points whose segment
-[0, z] meets a pole fail with ``QuadratureError``; repeated or nearly
-coincident poles raise ``RepeatedPoleError``.
+[0, z] meets a pole fail with ``QuadratureError`` (NaN with
+``on_pole="nan"``); repeated or nearly coincident poles raise
+``RepeatedPoleError``.
 """
 
 from __future__ import annotations
@@ -206,11 +208,12 @@ class _Kind:
 
     Each kind provides ``poles`` (of h') and ``H_zeros`` (of the normalized
     derivative H = h'/z**(p-1)) as arrays, raw ``_derivs`` and ``_H``
-    (non-finite at poles), and ``_primitive``, the radial primitives
-    F_q(z) = integral of u**q h'(u) over [0, z] (q = 0 gives h, q = m-1
-    gives g).  Every table is a cached property of the frozen spec (the F_q
-    tables sit in one dict keyed by q): built on first use, read-only,
-    freed with the spec.
+    (non-finite at poles), and ``_primitive(z, qs, on_pole)``, the list of
+    radial primitives F_q(z) = integral of u**q h'(u) over [0, z] (q = 0
+    gives h, q = m-1 gives g), NaN where the segment meets a pole (a
+    ``QuadratureError`` with ``on_pole="raise"``).  Every table is a cached
+    property of the frozen spec (the F_q tables sit in one dict keyed by
+    q): built on first use, read-only, freed with the spec.
 
     ``_derivs(z, hp, hpp, work, power)`` writes h' into ``hp`` and h'' into
     ``hpp`` (either may be None), with three scratch arrays ``work`` and
@@ -301,9 +304,8 @@ class PolySeries(_Kind):
             return self.p, self._a
         return self.p + q, _frozen(self._n / (self._n + q) * self._a)
 
-    def _primitive(self, z, qs, on_failure):
-        vals = [z ** k * npoly.polyval(z, c) for k, c in map(self._table, qs)]
-        return vals, np.zeros(z.shape, dtype=bool)
+    def _primitive(self, z, qs, on_pole):
+        return [z ** k * npoly.polyval(z, c) for k, c in map(self._table, qs)]
 
 
 # Closed-form primitive of a rational h' = P/Q
@@ -416,9 +418,9 @@ class RationalDeriv(_Kind):
         taylor = np.concatenate([[0.0], t / np.arange(1, n + 1)])
         return _frozen(taylor), _frozen(npoly.polyval(poles, num) / dq), n
 
-    def _primitive(self, z, qs, on_failure):
-        """F_q at the clamped points z for each q, and the mask of points whose
-        segment meets a pole (NaN there; ``QuadratureError`` unless masking)."""
+    def _primitive(self, z, qs, on_pole):
+        """F_q at the clamped points z for each q; NaN where the segment meets
+        a pole, which with ``on_pole="raise"`` is a ``QuadratureError``."""
         flat = z.ravel()
         tables = [self._table(q) for q in qs]
         zeta = flat[:, None] / self.poles
@@ -431,7 +433,7 @@ class RationalDeriv(_Kind):
                 v = npoly.polyval(flat, taylor) + _residue_sum(_log_tails(zeta, logs, n), residues)
                 v[failed] = np.nan
                 vals.append(v.reshape(z.shape))
-        if np.any(failed) and on_failure == "raise":
+        if on_pole == "raise" and failed.any():
             hit = np.any(on_cut, axis=0)
             jump = 2.0 * np.pi * max(np.max(np.abs(t[1][hit])) for t in tables)
             raise QuadratureError(
@@ -440,7 +442,7 @@ class RationalDeriv(_Kind):
                 worst_estimate=float(jump) if jump > 0 else np.inf,
                 where=complex(flat[np.argmax(failed)]),
             )
-        return vals, failed.reshape(z.shape)
+        return vals
 
 
 def _trim_poly(coeffs, name: str) -> tuple[complex, ...]:
@@ -511,14 +513,6 @@ class HarmonicMapSpec:
 # Shared helpers
 
 
-def _check_disk(zs: np.ndarray) -> None:
-    mags = np.abs(zs)
-    if np.any(mags > 1.0 + 1e-12):
-        flat = np.asarray(zs).ravel()
-        worst = flat[int(np.argmax(np.abs(flat)))]
-        raise DomainError(f"evaluation outside the closed unit disk: |z| = {abs(worst):.6g}")
-
-
 def _polyval_into(x: np.ndarray, c: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """``npoly.polyval(x, c)`` for a 1-d ``c`` in ``out``, products in ``tmp``:
     the same operations in the same order, so the same bits."""
@@ -553,16 +547,6 @@ def _derivatives_into(spec: FunctionSpec, z, hp, hpp, work, power) -> None:
                 raise _pole_error(what, z[~finite])
 
 
-def _prepare(z):
-    arr = np.asarray(z, dtype=complex)
-    return np.atleast_1d(arr), arr.ndim == 0
-
-
-def _require_mode(name: str, mode, allowed: tuple[str, str]) -> None:
-    if mode not in allowed:
-        raise ParameterError(f"{name} must be one of {allowed}, got {mode!r}")
-
-
 # Half-width of the pole clamp of ``clamp_to_interior``.
 BOUNDARY_EPSILON = 1e-6
 
@@ -587,38 +571,34 @@ def clamp_to_interior(spec: FunctionSpec, zs):
     return zs, clamped
 
 
-def _clamped_primitive(h: FunctionSpec, arr: np.ndarray, qs, on_failure: str):
+def _clamped_primitive(h: FunctionSpec, arr: np.ndarray, qs, on_pole: str):
     """F_q0 (+ conj F_q1) at arr after the pole clamp (the one place that
-    clamps), the failed mask and the clamped mask."""
-    _check_disk(arr)
+    clamps), and the clamped mask."""
     arr, clamped = clamp_to_interior(h, arr)
-    (vals, *rest), failed = h._primitive(arr, qs, on_failure)
-    return (vals + np.conj(rest[0]) if rest else vals), failed, clamped
+    vals, *rest = h._primitive(arr, qs, on_pole)
+    return (vals + np.conj(rest[0]) if rest else vals), clamped
 
 
-def _primitive_many(h: FunctionSpec, zs, qs, on_failure: str):
-    """F_q0 (+ conj F_q1) at zs, with the ``on_failure`` contract of eval_h_many."""
-    _require_mode("on_failure", on_failure, ("raise", "mask"))
-    arr, scalar = _prepare(zs)
-    vals, failed, _ = _clamped_primitive(h, arr, qs, on_failure)
-    if on_failure == "mask":
-        return vals, failed
-    return vals[0] if scalar else vals
-
-
-def _finite_many(spec: FunctionSpec, evaluate, zs, on_pole: str, what: str):
-    """``evaluate`` at zs, with the ``on_pole`` contract of eval_h_prime_many."""
-    _require_mode("on_pole", on_pole, ("raise", "nan"))
-    arr, scalar = _prepare(zs)
-    _check_disk(arr)
+def _evaluate(spec: FunctionSpec, zs, on_pole, evaluate, what: str = ""):
+    """``evaluate`` at zs, the one front of the evaluators: ``on_pole`` is
+    "raise" or "nan", the points lie in the closed disk (``DomainError``),
+    and a scalar gives a scalar.  A primitive's ``evaluate`` applies
+    ``on_pole`` itself; where the derivative ``what`` of a spec with poles
+    is not finite, "raise" raises ``PoleError`` and "nan" gives NaN."""
+    if on_pole not in ("raise", "nan"):
+        raise ParameterError(f"on_pole must be one of ('raise', 'nan'), got {on_pole!r}")
+    arr = np.asarray(zs, dtype=complex)
+    scalar, arr = arr.ndim == 0, np.atleast_1d(arr)
+    worst = np.fmax.reduce(np.abs(arr), axis=None, initial=0.0)  # NaN points pass
+    if worst > 1.0 + 1e-12:
+        raise DomainError(f"evaluation outside the closed unit disk: |z| = {worst:.6g}")
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         vals = evaluate(arr)
-    if spec.poles.size:  # without poles there is nothing to report
+    if what and spec.poles.size and not np.isfinite(vals).all():
         bad = ~np.isfinite(vals)
-        if np.any(bad):
-            if on_pole == "raise":
-                raise _pole_error(what, arr[bad])
-            vals = np.where(bad, np.nan + 0j, vals)
+        if on_pole == "raise":
+            raise _pole_error(what, arr[bad])
+        vals = np.where(bad, np.nan + 0j, vals)
     return vals[0] if scalar else vals
 
 
@@ -626,15 +606,15 @@ def _finite_many(spec: FunctionSpec, evaluate, zs, on_pole: str, what: str):
 # Evaluators
 
 
-def eval_h_many(spec: FunctionSpec, zs, *, on_failure: str = "raise"):
+def eval_h_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     """h at an array of points inside the closed disk.
 
     Rational specs use the closed-form radial primitive (clamping near
     boundary poles, silently; use ``clamp_to_interior`` for the flags).
-    With ``on_failure="mask"`` returns (values, failed_mask) instead of
-    raising when the radial segment meets a pole.
+    Where the radial segment meets a pole ``QuadratureError`` is raised
+    (``on_pole="nan"`` gives NaN there instead).
     """
-    return _primitive_many(spec, zs, (0,), on_failure)
+    return _evaluate(spec, zs, on_pole, lambda z: _clamped_primitive(spec, z, (0,), on_pole)[0])
 
 
 def eval_h_prime_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
@@ -644,12 +624,12 @@ def eval_h_prime_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     on a denominator zero (``on_pole="nan"`` substitutes NaN instead, for
     sampling sweeps that skip poles).
     """
-    return _finite_many(spec, lambda z: _new_derivative(spec, z, 0), zs, on_pole, "h'")
+    return _evaluate(spec, zs, on_pole, lambda z: _new_derivative(spec, z, 0), "h'")
 
 
 def eval_h_second_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     """h'' at an array of points; exact evaluation."""
-    return _finite_many(spec, lambda z: _new_derivative(spec, z, 1), zs, on_pole, "h''")
+    return _evaluate(spec, zs, on_pole, lambda z: _new_derivative(spec, z, 1), "h''")
 
 
 def eval_normalized_deriv_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
@@ -658,27 +638,27 @@ def eval_normalized_deriv_many(spec: FunctionSpec, zs, on_pole: str = "raise"):
     This is the function whose boundary phase drives the cusp criterion; it
     extends analytically through the origin with value p at z = 0.
     """
-    return _finite_many(spec, spec._H, zs, on_pole, "normalized derivative")
+    return _evaluate(spec, zs, on_pole, spec._H, "normalized derivative")
 
 
 def eval_g_prime_many(map_spec: HarmonicMapSpec, zs, on_pole: str = "raise"):
-    """g'(z) = z**(m-1) h'(z), exact."""
-    arr, scalar = _prepare(zs)
-    hp = eval_h_prime_many(map_spec.h, arr, on_pole=on_pole)
-    vals = arr ** (map_spec.m - 1) * hp
-    return vals[0] if scalar else vals
+    """g'(z) = z**(m-1) h'(z), exact (a pole of h' is reported as one)."""
+    h, m = map_spec.h, map_spec.m
+    return _evaluate(h, zs, on_pole, lambda z: z ** (m - 1) * _new_derivative(h, z, 0), "h'")
 
 
-def eval_g_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
+def eval_g_many(map_spec: HarmonicMapSpec, zs, on_pole: str = "raise"):
     """g at an array of points: the primitive of z**(m-1) h' (a series when h
     is one)."""
-    return _primitive_many(map_spec.h, zs, (map_spec.m - 1,), on_failure)
+    h, q = map_spec.h, map_spec.m - 1
+    return _evaluate(h, zs, on_pole, lambda z: _clamped_primitive(h, z, (q,), on_pole)[0])
 
 
-def eval_f_many(map_spec: HarmonicMapSpec, zs, *, on_failure: str = "raise"):
+def eval_f_many(map_spec: HarmonicMapSpec, zs, on_pole: str = "raise"):
     """f = h + conj(g) at an array of points.
 
     For rational h both primitives share one set of logarithms.  Each
     point's value has the same bits in any call that holds it.
     """
-    return _primitive_many(map_spec.h, zs, (0, map_spec.m - 1), on_failure)
+    h, qs = map_spec.h, (0, map_spec.m - 1)
+    return _evaluate(h, zs, on_pole, lambda z: _clamped_primitive(h, z, qs, on_pole)[0])

@@ -225,7 +225,7 @@ def trace_circle(map_spec: HarmonicMapSpec, r: float, n: int = 4096) -> CurveTra
     t = -math.pi + _TWO_PI * np.arange(n) / n
     z = r * np.exp(1j * t)
     # f = h + conj(g) as eval_f_many forms it, one clamp
-    vals, _, clamped = _clamped_primitive(map_spec.h, z, (0, map_spec.m - 1), "raise")
+    vals, clamped = _clamped_primitive(map_spec.h, z, (0, map_spec.m - 1), "raise")
     return CurveTrace(map=map_spec, radius=r, t=t, points=vals, clamped=clamped)
 
 
@@ -348,7 +348,7 @@ def segment_collinearity(trace: CurveTrace, breakpoints) -> np.ndarray:
     bp = np.sort(np.asarray(breakpoints, dtype=float).ravel())
     if bp.size < 2:
         raise ParameterError("need at least two breakpoints")
-    if bp[0] < -math.pi - 1e-12 or bp[-1] >= math.pi + 1e-12:
+    if not (-math.pi - 1e-12 <= bp[0] and bp[-1] < math.pi + 1e-12):  # NaN sorts last
         raise ParameterError("breakpoints must lie in [-pi, pi)")
     diam = trace.diameter()
     if diam <= 0:

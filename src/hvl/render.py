@@ -74,10 +74,8 @@ def _exact_points(xy: np.ndarray, sep: np.ndarray) -> str | None:
 def _curve_samples(map_spec: HarmonicMapSpec, zs: np.ndarray) -> list[np.ndarray]:
     """The finite values of f along each row of zs, one evaluation call."""
     zs = np.atleast_2d(zs)
-    vals, failed = eval_f_many(map_spec, zs.ravel(), on_failure="mask")
-    vals = vals.reshape(zs.shape)
-    keep = ~failed.reshape(zs.shape) & np.isfinite(vals)
-    return [v[k] for v, k in zip(vals, keep)]
+    vals = eval_f_many(map_spec, zs.ravel(), on_pole="nan").reshape(zs.shape)
+    return [v[np.isfinite(v)] for v in vals]
 
 
 def render_scene(map_spec: HarmonicMapSpec,

@@ -426,25 +426,24 @@ def newton_preimages_many(map_spec: HarmonicMapSpec, ws,
     n_starts = require_int(n_starts, 100, MAX_STARTS, "newton starts")
     ws = [complex(w) for w in ws]
     starts = _halton_starts(n_starts)
-    f0, failed = eval_f_many(map_spec, starts, on_failure="mask")
+    f0 = eval_f_many(map_spec, starts, on_pole="nan")
     out = []
     for b in range(0, len(ws), _NEWTON_BLOCK):
         block = ws[b:b + _NEWTON_BLOCK]
-        z, res, done = _newton_block(map_spec, starts, f0, failed, block)
+        z, res, done = _newton_block(map_spec, starts, f0, block)
         for w, zw, rw, dw in zip(block, z, res, done):
             out.append(_dedupe(w, zw, rw, dw))
     return out
 
 
-def _newton_block(map_spec, starts, f0, failed, block):
+def _newton_block(map_spec, starts, f0, block):
     """Damped Newton over all (probe, start) pairs of ``block``; returns the
     iterates, residuals and converged flags, one row per probe."""
     shape = (len(block), starts.size)
     wp = np.repeat(np.asarray(block, dtype=complex), starts.size)
     z = np.tile(starts, shape[0])
     res = np.tile(f0, shape[0]) - wp
-    alive = ~np.tile(failed, shape[0])
-    res[~alive] = np.inf
+    alive = np.tile(np.isfinite(f0), shape[0])
     done = np.zeros(z.size, dtype=bool)
     for _ in range(_MAX_ITER):
         done |= alive & (np.abs(res) <= _NEWTON_TOL)
@@ -496,9 +495,8 @@ def _damped_step(map_spec, za, ra, step, w):
         # a batch holds tries past a pair's last, and later tries may leave the disk
         inside = (np.arange(width)[:, None] < _HALVINGS - tries[todo]) & (np.abs(z_try) < _CONFINE)
         r_try = np.full(z_try.shape, np.inf, dtype=complex)
-        f_try, f_bad = eval_f_many(map_spec, z_try[inside], on_failure="mask")
-        f_try[f_bad] = np.nan
-        r_try[inside] = f_try - np.broadcast_to(w[todo], z_try.shape)[inside]
+        r_try[inside] = (eval_f_many(map_spec, z_try[inside], on_pole="nan")
+                         - np.broadcast_to(w[todo], z_try.shape)[inside])
         better = np.isfinite(r_try) & (np.abs(r_try) < np.abs(ra[todo]))
         cols = np.flatnonzero(better.any(axis=0))
         rows = better[:, cols].argmax(axis=0)  # each pair's first improving try

@@ -209,6 +209,24 @@ def test_load_input_preset_strings():
         load_input("preset:example1,q=3")
 
 
+@pytest.mark.parametrize("arg", ["preset:example1,p=1_0", "preset:example1,p=\u0663",
+                                 "preset:example1,p= 3 "])
+def test_preset_integers_are_ascii_digits(arg):
+    """A preset integer is [+-]?[0-9]+, as strict as a spec file's JSON
+    integer: no digit separators, other scripts' digits or spaces."""
+    with pytest.raises(SpecFileError, match="malformed"):
+        load_input(arg)
+
+
+def test_preset_signed_integers_and_repeated_keys():
+    assert load_input("preset:example1,p=+3,m=04") == presets.example1(p=3, m=4)
+    with pytest.raises(ParameterError, match="p must be"):
+        load_input("preset:example1,p=-3")
+    for arg in ("preset:example1,p=3,p=4", "preset:example2,c=1j,m=2,c=0.5"):
+        with pytest.raises(SpecFileError, match="more than once"):
+            load_input(arg)
+
+
 def test_load_input_file_errors(tmp_path):
     with pytest.raises(SpecFileError, match="cannot read"):
         load_input(str(tmp_path / "missing.json"))

@@ -226,6 +226,22 @@ def test_precomputed_table_is_honored():
     assert [(r.k, r.t) for r in a] == [(r.k, r.t) for r in b]
 
 
+def test_phase_table_of_another_map_is_refused():
+    """example2's table would give example1 F(0.3) = 2.779 instead of 2.1
+    and seven roots of the wrong function; it is refused instead."""
+    other = unwrap_boundary_phase(EX2.h)
+    with pytest.raises(ParameterError, match="phase table"):
+        find_criterion_roots(EX1, table=other)
+    with pytest.raises(ParameterError, match="phase table"):
+        phase_function_many(EX1, 0.3, other)
+    own = unwrap_boundary_phase(EX1.h)
+    assert phase_function_many(EX1, 0.3, own) == pytest.approx(2.1, abs=1e-12)
+    # an equal h built anew is the same map's h
+    again = PolySeries(EX1.p, EX1.h.coeffs)
+    assert phase_function_many(HarmonicMapSpec(again, EX1.m), 0.3, own) == \
+        phase_function_many(EX1, 0.3, own)
+
+
 def test_root_finder_call_counts(monkeypatch):
     """Bisection takes a dyadic subtree per call: example2 needs at most 8
     ``eval_many`` calls (31 with one halving per call), each of at most 256

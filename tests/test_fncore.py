@@ -392,7 +392,7 @@ def test_repeated_poles_raise():
         assert isinstance(info.value, PoleError)
         assert abs(info.value.location - pole) < 1e-6
         with pytest.raises(RepeatedPoleError):
-            eval_f_many(spec, np.array([0.3]), on_failure="mask")
+            eval_f_many(spec, np.array([0.3]), on_pole="nan")
         with pytest.raises(RepeatedPoleError):
             eval_g_many(spec, 0.3)
 
@@ -402,8 +402,8 @@ def test_radius_passing_near_interior_pole_matches_oracle():
     the pole it actually passes, and matches the quadrature oracle."""
     spec = HarmonicMapSpec(RationalDeriv(1, (1,), (1, -2)), 2)  # pole at z = 0.5
     zs = 0.7 * np.exp(1j * np.array([0.01, -0.01, 0.002, -0.002]))
-    vals, failed = eval_h_many(spec.h, zs, on_failure="mask")
-    assert not failed.any()
+    vals = eval_h_many(spec.h, zs, on_pole="nan")
+    assert np.isfinite(vals).all()
     want = oracles.rational_primitive(spec.h.numer, spec.h.denom, zs, 0)
     assert np.max(np.abs(vals - want)) < 1e-8
     # the primitive jumps by about 2 pi |c_k| = pi between the two sides
@@ -421,8 +421,8 @@ def test_pole_within_cut_band_fails():
         eval_h_many(spec, z)
     assert info.value.worst_estimate == pytest.approx(np.pi)
     assert info.value.where == z
-    _, failed = eval_h_many(spec, np.array([z, 0.5 + 0j, 0.3 + 0j]), on_failure="mask")
-    assert failed.tolist() == [True, True, False]
+    vals = eval_h_many(spec, np.array([z, 0.5 + 0j, 0.3 + 0j]), on_pole="nan")
+    assert np.isnan(vals).tolist() == [True, True, False]
 
 
 def test_arc_integral_rejects_bad_radius():
@@ -472,20 +472,70 @@ def test_interior_pole_fails_loudly():
     assert val == pytest.approx(complex(want), abs=1e-11)
 
 
-def test_eval_h_many_mask_mode():
+def test_eval_h_many_nan_mode():
     spec = RationalDeriv(1, (1,), (1, -2))
     zs = np.array([0.3j, 0.7 + 0j, -0.4 + 0j])
-    vals, failed = eval_h_many(spec, zs, on_failure="mask")
-    assert failed.tolist() == [False, True, False]
-    assert np.isfinite(vals[~failed]).all()
-    # an unknown mode is refused, not read as a request for NaN
-    with pytest.raises(ParameterError, match="on_failure"):
-        eval_h_many(spec, [0.9], on_failure="bogus")
-    with pytest.raises(ParameterError, match="on_failure"):
-        eval_f_many(HarmonicMapSpec(spec, 2), [0.3], on_failure="bogus")
-    for evaluate in (eval_h_prime_many, eval_h_second_many, eval_normalized_deriv_many):
-        with pytest.raises(ParameterError, match="on_pole"):
-            evaluate(spec, [0.5], on_pole="bogus")
+    vals = eval_h_many(spec, zs, on_pole="nan")
+    assert np.isnan(vals).tolist() == [False, True, False]
+    assert np.isfinite(vals[[0, 2]]).all()
+    # every evaluator refuses an unknown mode, not read as a request for NaN
+    for map_spec in (HarmonicMapSpec(spec, 2), presets.example2()):
+        for what, evaluate in _seven_evaluators(map_spec).items():
+            for mode in ("bogus", None, "NaN"):
+                with pytest.raises(ParameterError, match="on_pole"):
+                    evaluate(np.array([0.3]), mode)
+
+
+def _seven_evaluators(map_spec):
+    """The seven evaluators of one map, each as evaluate(zs, on_pole)."""
+    h = map_spec.h
+    return {
+        "h": lambda z, mode: eval_h_many(h, z, on_pole=mode),
+        "g": lambda z, mode: eval_g_many(map_spec, z, on_pole=mode),
+        "f": lambda z, mode: eval_f_many(map_spec, z, on_pole=mode),
+        "h'": lambda z, mode: eval_h_prime_many(h, z, on_pole=mode),
+        "h''": lambda z, mode: eval_h_second_many(h, z, on_pole=mode),
+        "H": lambda z, mode: eval_normalized_deriv_many(h, z, on_pole=mode),
+        "g'": lambda z, mode: eval_g_prime_many(map_spec, z, on_pole=mode),
+    }
+
+
+@pytest.mark.parametrize("name", ["interior-pole", "star"])
+def test_nan_mode_is_raise_mode_point_by_point(name):
+    """One contract for all seven evaluators: ``on_pole="nan"`` gives NaN
+    exactly where ``on_pole="raise"`` raises for that point alone, and the
+    same bits at every other point."""
+    if name == "star":  # poles on the circle; -1 is one exactly
+        map_spec = presets.star()
+        poles = map_spec.h.poles
+        zs = np.concatenate([poles, 0.999 * poles, [-1.0, 1.0, 0.0, 0.4 - 0.6j, 1j]])
+    else:  # pole at z = 0.5: segments past it fail, h' and h'' blow up on it
+        map_spec = HarmonicMapSpec(RationalDeriv(1, (1, 0.5), (1, -2)), 3)
+        zs = np.array([0.5, 0.7, 0.7 * np.exp(1e-12j), 0.3j, -0.4, 0.0, 0.9 + 0.1j, -1j])
+    for what, evaluate in _seven_evaluators(map_spec).items():
+        got = evaluate(zs, "nan")
+        raised = []
+        for i, z in enumerate(zs):
+            try:
+                want = evaluate(z, "raise")
+            except (QuadratureError, PoleError):
+                raised.append(i)
+                assert np.isnan(got[i]), (what, z)
+            else:
+                assert np.array(got[i]).tobytes() == np.array(want).tobytes(), (what, z)
+        if name == "star" and what in ("h", "g", "f"):
+            assert not raised  # the clamp keeps every segment off the poles
+            continue
+        assert raised, what
+        with pytest.raises((QuadratureError, PoleError)):
+            evaluate(zs, "raise")
+
+
+def test_series_map_gives_the_same_bits_in_both_modes():
+    map_spec = presets.example2()
+    zs = np.exp(1j * np.linspace(-3.0, 3.0, 37)) * np.linspace(0.0, 1.0, 37)
+    for what, evaluate in _seven_evaluators(map_spec).items():
+        assert evaluate(zs, "nan").tobytes() == evaluate(zs, "raise").tobytes(), what
 
 
 def test_spec_tables_are_freed_with_the_spec():

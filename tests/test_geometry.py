@@ -438,6 +438,16 @@ def test_collinearity_breakpoint_choice_matters():
     assert np.max(bad) > 0.05
 
 
+def test_collinearity_refuses_non_finite_breakpoints():
+    """NaN sorts last and fails every comparison, so it once passed the
+    range test and ended in a ``ResolutionError`` about an arc (0, nan)."""
+    tr = trace_circle(presets.star(), 0.9999, n=256)
+    for breaks in ([math.nan, 0.0], [0.0, 1.0, math.nan], [math.nan, math.nan],
+                   [-math.inf, 0.0], [0.0, math.inf]):
+        with pytest.raises(ParameterError, match=r"\[-pi, pi\)"):
+            segment_collinearity(tr, breaks)
+
+
 def test_collinearity_needs_samples():
     tr = trace_circle(presets.star(), 0.9999, n=256)
     with pytest.raises(ResolutionError):
